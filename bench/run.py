@@ -4,18 +4,21 @@
 
 Run from the repository root; the library is imported from ./src.  One
 process, one thread, one caller: each public call starts when the previous
-one has returned.  A run sets up eleven times (import dalembert afresh, build
-the inputs of the seed, one warm-up call) and reports the median as setup_s,
-computes the oracle's reference roots, then makes passes over the workload's
-calls.  An untraced run (--trace 0) makes passes until the next one would
-end after S seconds, at least two.  A traced run (--trace 1) makes one
+one has returned.  A run sets up three times (import dalembert afresh, build
+the inputs of the seed, one warm-up call) and computes the oracle's
+reference roots; then, in an untraced run (--trace 0), it makes passes over
+the workload's calls until the next one would end after S seconds, at least
+two, setting up three times more before each pass after the first.  setup_s
+is the median of all those set-ups.  A traced run (--trace 1) makes one
 untraced pass and two traced ones, whatever S is.  Every pass must return
 byte-identical outputs; any difference ends the run with exit code 3.
 
 Times of calls and set-ups are CPU time of the calling thread
-(time.thread_time).  The library is single-threaded and does no I/O, so on
-an idle machine this equals wall time; on a shared one it leaves out the
-time other processes hold the core.  Wall time is printed alongside.
+(time.thread_time), scaled to a reference host speed by the kernel of
+hostspeed.py, which runs right before every timed call and after the last:
+on a shared host the CPU time of the same work swings by up to 1.8x.  A
+call's time is its mean over the passes.  Unscaled CPU and wall times are
+printed alongside.
 
 Verdicts on the first pass's outputs (see oracle.py) sort each call into
 ok, fail (did not deliver: not converged, budget exhausted, exit code 2),
@@ -44,11 +47,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import corpus
+import hostspeed
 import oracle
 import tracing
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPEATS = 11
+SETUPS_PER_PASS = 3
 TRACED_PASSES = 2
 EXIT_NONDETERMINISTIC = 3
 
@@ -58,9 +62,16 @@ class Pass:
     wall: float = 0.0  # the whole pass
     times: list = field(default_factory=list)  # thread CPU seconds per call
     walls: list = field(default_factory=list)  # wall seconds per call
+    kernels: list = field(default_factory=list)  # hostspeed.kernel() before each call and after the last
     outputs: list = field(default_factory=list)
     digests: list = field(default_factory=list)
     out_bytes: int = 0
+
+    @property
+    def scaled_times(self) -> list:
+        """times at the reference host speed."""
+        k = self.kernels
+        return [hostspeed.scaled(t, k[i], k[i + 1]) for i, t in enumerate(self.times)]
 
 
 # ----------------------------------------------------------------- calls
@@ -127,6 +138,7 @@ def run_pass(calls, inputs, modules, tracer=None, keep=False) -> Pass:
     for i, call in enumerate(calls):
         if tracer is not None:
             tracer.call = i
+        result.kernels.append(hostspeed.kernel())
         cpu, wall, output = invoke(call, inputs[call.input].coeffs, modules)
         result.times.append(cpu)
         result.walls.append(wall)
@@ -135,6 +147,7 @@ def run_pass(calls, inputs, modules, tracer=None, keep=False) -> Pass:
             result.out_bytes += len(output[1].encode())
         if keep:
             result.outputs.append(output)
+    result.kernels.append(hostspeed.kernel())
     result.wall = time.perf_counter() - start
     return result
 
@@ -152,16 +165,18 @@ def _fresh_import() -> dict:
     return {name: mod for name, mod in sys.modules.items() if name.startswith("dalembert")}
 
 
-def setup(workload: str, seed: int):
-    """SETUP_REPEATS timed set-ups; returns their CPU times and the last one's state."""
-    times = []
-    for _ in range(SETUP_REPEATS):
+def setup(workload: str, seed: int, times: list):
+    """SETUPS_PER_PASS timed set-ups; appends their CPU times, at the
+    reference host speed, to times and returns the last one's state."""
+    for _ in range(SETUPS_PER_PASS):
+        before = hostspeed.kernel()
         start = time.thread_time()
         modules = _fresh_import()
         inputs, calls = corpus.build(workload, seed)
         invoke(corpus.warmup_call(workload), corpus.WARMUP_COEFFS, modules)
-        times.append(time.thread_time() - start)
-    return times, modules, inputs, calls
+        elapsed = time.thread_time() - start
+        times.append(hostspeed.scaled(elapsed, before, hostspeed.kernel()))
+    return modules, inputs, calls
 
 
 # -------------------------------------------------------------- verdicts
@@ -254,22 +269,35 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
+def mean_times(passes, attr: str = "scaled_times") -> list[float]:
+    """Each call's mean time over the passes.  The library is deterministic,
+    so every pass repeats the same work; the mean evens out what is left of
+    the host's swings after scaling."""
+    per_pass = [getattr(p, attr) for p in passes]
+    return [statistics.fmean(column) for column in zip(*per_pass)]
+
+
 def end_to_end(setup_times, passes, outcome) -> tuple[dict, dict]:
     """name -> (value, unit): the JSON line's metrics, and more for the table."""
     n = len(outcome)
-    times = [t for p in passes for t in p.times]
+    times = mean_times(passes)
     fail = sum(v != "ok" for v in outcome) / n
     wrong = sum(v == "wrong" for v in outcome) / n
     metrics = {
         "setup_s": (statistics.median(setup_times), "s"),
-        "calls_per_s": (statistics.median(n / sum(p.times) for p in passes), "1/s"),
+        "calls_per_s": (n / sum(times), "1/s"),
         "call_p50_ms": (statistics.median(times) * 1e3, "ms"),
         "ok_frac": (1.0 - fail, "ratio"),
         "right_frac": (1.0 - wrong, "ratio"),
         "peak_rss_mb": (_peak_rss_mb(), "MB"),
     }
-    extra = {"call_wall_p50_ms": (statistics.median(w for p in passes for w in p.walls) * 1e3, "ms")}
-    if len(times) >= 100:  # at least ten samples beyond the 90th percentile
+    kernels = [k for p in passes for k in p.kernels]
+    extra = {
+        "call_cpu_p50_ms": (statistics.median(mean_times(passes, "times")) * 1e3, "ms"),
+        "call_wall_p50_ms": (statistics.median(mean_times(passes, "walls")) * 1e3, "ms"),
+        "host_slowdown": (statistics.median(kernels) / hostspeed.REFERENCE_S, "ratio"),
+    }
+    if n >= 100:  # at least ten calls beyond the 90th percentile
         extra["call_p90_ms"] = (statistics.quantiles(times, n=10)[8] * 1e3, "ms")
     extra["fail_frac"] = (fail, "ratio")
     extra["wrong_frac"] = (wrong, "ratio")
@@ -282,8 +310,8 @@ def per_layer(passes, traced, tracers, calls, refs) -> dict:
     per_pass = [tracing.layer_metrics(t, p.out_bytes, root_scale) for t, p in zip(tracers, traced)]
     _exact_check([{k: m[k] for k in tracing.EXACT} for m in per_pass], "exact counts")
     layers = {k: statistics.median(m[k] for m in per_pass) for k in per_pass[0]}
-    untraced = sum(passes[0].times)
-    layers["trace.overhead_frac"] = statistics.median(sum(p.times) for p in traced) / untraced - 1.0
+    untraced = sum(passes[0].scaled_times)
+    layers["trace.overhead_frac"] = statistics.median(sum(p.scaled_times) for p in traced) / untraced - 1.0
     layers["trace.absent_names"] = len(tracers[0].absent)
     return {name: (layers[name], unit) for name, (unit, _better) in tracing.LAYER_METRICS.items()}
 
@@ -300,8 +328,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
+    setup_times = []
     try:
-        setup_times, modules, inputs, calls = setup(args.workload, args.seed)
+        modules, inputs, calls = setup(args.workload, args.seed, setup_times)
     except ImportError as exc:
         print(f"error: cannot import dalembert from {ROOT / 'src'}: {exc}", file=sys.stderr)
         return 1
@@ -321,6 +350,8 @@ def main(argv=None) -> int:
             tracers.append(tracer)
     else:
         while True:
+            if passes:  # set-ups are spread over the run, like the passes
+                modules, inputs, calls = setup(args.workload, args.seed, setup_times)
             passes.append(run_pass(calls, inputs, modules, keep=not passes))
             elapsed = time.perf_counter() - started
             if len(passes) >= 2 and elapsed + passes[-1].wall > args.seconds:
