@@ -21,10 +21,7 @@ from .gridmin import (
     CertifiedMinimum,
     SquareRegion,
     certified_min,
-    grid_min,
     lipschitz_bound,
-    minimize_with_bound,
-    polynomial_objective,
 )
 from .growth import GrowthCertificate, check_bounds, growth_certificate, minimum_enclosing_square
 from .polynomial import (
@@ -32,7 +29,6 @@ from .polynomial import (
     as_poly,
     deflate,
     degree,
-    derivative,
     evaluate,
     from_roots,
     is_constant,
@@ -63,7 +59,6 @@ __all__ = [
     "is_constant",
     "scale_to_unit_constant",
     "shift",
-    "derivative",
     "max_coeff_norm",
     "deflate",
     "multiply",
@@ -75,10 +70,7 @@ __all__ = [
     "SquareRegion",
     "CertifiedMinimum",
     "lipschitz_bound",
-    "grid_min",
     "certified_min",
-    "minimize_with_bound",
-    "polynomial_objective",
     "DescentStep",
     "TraceRow",
     "RootResult",

@@ -35,22 +35,22 @@ EXIT_NOT_CONVERGED = 2
 @dataclass(frozen=True)
 class CliConfig:
     mode: str
-    tol: float = 1e-10
-    max_iter: int = 10000
-    epsilon: float = 1e-6
-    budget: int = 1_000_000
-    trace: bool = False
-    poly_text: Optional[str] = None
-    input_path: Optional[str] = None
-    output_format: str = "json"
-    corner: Optional[complex] = None
-    side: Optional[float] = None
-    seed: int = 0
+    tol: float
+    max_iter: int
+    epsilon: float
+    budget: int
+    trace: bool
+    poly_text: Optional[str]
+    input_path: Optional[str]
+    output_format: str
+    corner: Optional[complex]
+    side: Optional[float]
+    seed: int
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not (self.tol > 0):
             raise ValueError(f"--tol must be positive, got {self.tol}")
-        if self.epsilon <= 0:
+        if not (self.epsilon > 0):
             raise ValueError(f"--epsilon must be positive, got {self.epsilon}")
         if self.max_iter < 0:
             raise ValueError(f"--max-iter must be >= 0, got {self.max_iter}")

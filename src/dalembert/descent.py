@@ -16,13 +16,7 @@ from typing import Optional
 
 from .complexmath import norm, nth_root
 from .errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
-from .polynomial import (
-    evaluate,
-    max_coeff_norm,
-    scale_to_unit_constant,
-    shift,
-    truncate,
-)
+from .polynomial import Poly, evaluate, max_coeff_norm, shift, truncate
 
 __all__ = [
     "DescentStep",
@@ -88,6 +82,13 @@ def lowest_nonzero_exponent(p) -> int:
     raise AssertionError("truncate left a zero leading coefficient")
 
 
+def _step_size(k: int, ak: float, m: float, n: int) -> float:
+    """step_parameter from k, |a_k|, M and the degree n."""
+    # algebraically |a_k|^(k+1) / (M^k (n+1)^k); grouped to avoid overflow
+    bound = ak * (ak / m) ** k / float((n + 1) ** k)
+    return min(0.5, 0.5 * bound)
+
+
 def step_parameter(p) -> float:
     """Step parameter s in (0, 1) for a polynomial with constant term 1.
 
@@ -98,38 +99,33 @@ def step_parameter(p) -> float:
     if not q or q[0] != 1:
         raise ValueError("step_parameter expects a constant term of exactly 1")
     k = lowest_nonzero_exponent(q)
-    m = max_coeff_norm(q)
-    n = len(q) - 1
-    ak = norm(q[k])
-    # algebraically |a_k|^(k+1) / (M^k (n+1)^k); grouped to avoid overflow
-    bound = ak * (ak / m) ** k / float((n + 1) ** k)
-    return min(0.5, 0.5 * bound)
+    return _step_size(k, norm(q[k]), max_coeff_norm(q), len(q) - 1)
 
 
-def descent_step(p, z0: complex) -> DescentStep:
-    """One strict-decrease move away from z0.
-
-    The theoretical s guarantees a decrease over exact reals; rounding can
-    spoil it, so s is halved geometrically until |p| strictly drops.  Raises
-    AlreadyAtRoot when p(z0) = 0 and StepStalled when halving underflows.
-    """
+def _nonconstant(p) -> Poly:
     pt = truncate(p)
     if len(pt) <= 1:
         raise NotApplicableToConstant("descent requires a non-constant polynomial")
-    z0 = complex(z0)
-    before = norm(evaluate(pt, z0))
-    if before == 0.0:
-        raise AlreadyAtRoot(f"p({z0}) = 0 already")
+    return pt
 
-    shifted = truncate(shift(pt, z0))
-    if shifted[0] == 0:
+
+def _step(pt: Poly, z0: complex, before: float) -> DescentStep:
+    """descent_step for a normalized non-constant pt, given before = |p(z0)|."""
+    shifted = shift(pt, z0)
+    a0 = shifted[0]
+    if a0 == 0:
         # cancellation made the shifted constant term exactly zero
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
-    q = scale_to_unit_constant(shifted)
-    k = lowest_nonzero_exponent(q)
-    ak = q[k]
-    m = max_coeff_norm(q)
-    s = step_parameter(q)
+    # q(h) = p(z0 + h) / p(z0) = 1 + q[0] h + q[1] h^2 + ...
+    q = [c / a0 for c in shifted[1:]]
+    norms = [norm(c) for c in q]
+    nonzero = [i for i, v in enumerate(norms, start=1) if v != 0]
+    if not nonzero:
+        raise NotApplicableToConstant("the shifted polynomial is constant to working precision")
+    k, n = nonzero[0], nonzero[-1]  # n: the degree once trailing zeros drop
+    ak = q[k - 1]
+    m = max([1.0] + norms)
+    s = _step_size(k, norms[k - 1], m, n)
     while True:
         zs = nth_root(-s / ak, k)
         after = norm(evaluate(pt, z0 + zs))
@@ -142,25 +138,38 @@ def descent_step(p, z0: complex) -> DescentStep:
             )
 
 
+def descent_step(p, z0: complex) -> DescentStep:
+    """One strict-decrease move away from z0.
+
+    The theoretical s guarantees a decrease over exact reals; rounding can
+    spoil it, so s is halved geometrically until |p| strictly drops.  Raises
+    AlreadyAtRoot when p(z0) = 0 and StepStalled when halving underflows.
+    """
+    pt = _nonconstant(p)
+    z0 = complex(z0)
+    before = norm(evaluate(pt, z0))
+    if before == 0.0:
+        raise AlreadyAtRoot(f"p({z0}) = 0 already")
+    return _step(pt, z0, before)
+
+
 def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
             keep_trace: bool = True) -> RootResult:
-    """Iterate descent_step until |p| <= tol, max_iter steps, or float exhaustion.
+    """Iterate the descent step until |p| <= tol, max_iter steps, or float exhaustion.
 
     The residual trace is strictly decreasing.  Running out of iterations or
     stalling is reported through converged=False, not raised.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    pt = truncate(p)
-    if len(pt) <= 1:
-        raise NotApplicableToConstant("descent requires a non-constant polynomial")
+    pt = _nonconstant(p)
     z = complex(z0)
     residual = norm(evaluate(pt, z))
     rows = [TraceRow(0, z, residual, 0.0, 0)]
     steps = 0
     while residual > tol and steps < max_iter:
         try:
-            step = descent_step(pt, z)
+            step = _step(pt, z, residual)
         except (StepStalled, AlreadyAtRoot):
             break
         z = z + step.zs

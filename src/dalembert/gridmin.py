@@ -5,10 +5,10 @@ gap: the true minimum over the region is guaranteed to lie in
 [value - gap, value].  The guarantee comes from an explicit Lipschitz
 constant for |p| on the region, so it needs nothing beyond the coefficients.
 
-Two search strategies are provided.  grid_min evaluates a uniform
-(n+1) x (n+1) grid; certified_min runs a breadth-first branch-and-bound over
-subsquares, whose per-cell Lipschitz bounds prune cells that cannot contain
-anything below the incumbent.  Cell evaluations within one expansion wave
+certified_min runs a breadth-first branch-and-bound over subsquares: a
+cell's lower bound is |p| at its center minus the Lipschitz constant on its
+enclosing disk times its half diagonal, and cells whose lower bound cannot
+beat the incumbent are pruned.  Cell evaluations within one expansion wave
 are vectorized (and could run in parallel); the reductions use a fixed
 first-minimum tie-break, so results are identical to sequential execution.
 """
@@ -17,21 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .complexmath import norm
-from .polynomial import as_poly, derivative
+from .polynomial import as_poly
 
 __all__ = [
     "SquareRegion",
     "CertifiedMinimum",
     "lipschitz_bound",
-    "grid_min",
     "certified_min",
-    "minimize_with_bound",
-    "polynomial_objective",
 ]
 
 HALF_DIAGONAL = math.sqrt(2.0) / 2.0
@@ -86,118 +81,78 @@ class CertifiedMinimum:
     budget_exhausted: bool = False
 
 
-def lipschitz_bound(p, region: SquareRegion) -> float:
-    """L such that | |p(u)| - |p(v)| | <= L |u - v| for all u, v in the region.
-
-    L = sum over i >= 1 of i |a_i| R^(i-1) with R the largest corner norm;
-    |z| over a square is maximized at a corner, and the sum dominates |p'| on
-    the enclosing disk of radius R.
-    """
-    r_max = max(norm(c) for c in region.corners())
-    total = 0.0
-    for c in reversed(derivative(as_poly(p))):
-        total = total * r_max + norm(c)
-    return total
-
-
-def _abs_eval(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """|p(z)| for an array of points (Horner on the coefficient array)."""
-    acc = np.zeros_like(zs)
-    for c in coeffs[::-1]:
-        acc = acc * zs + c
-    return np.abs(acc)
-
-
-def _eval_real(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum of coeffs[i] x^i at every x of an array (coefficients a0 first)."""
     acc = np.zeros_like(xs)
     for c in coeffs[::-1]:
         acc = acc * xs + c
     return acc
 
 
-def polynomial_objective(p) -> tuple[Callable, Callable]:
-    """Vectorized |p| evaluator plus a per-cell Lipschitz callback.
+def _derivative_norms(coeffs: np.ndarray) -> np.ndarray:
+    """i |a_i| for i >= 1.
 
-    The callback maps an array of enclosing-disk radii (one per cell) to
-    Lipschitz constants valid on those disks, as minimize_with_bound expects.
+    _horner of these at r is sum i |a_i| r^(i-1), which dominates |p'| on
+    the disk of radius r: a Lipschitz constant for |p| on that disk.
     """
-    coeffs = np.asarray(as_poly(p), dtype=complex)
-    dnorm = np.array([i * abs(coeffs[i]) for i in range(1, len(coeffs))], dtype=float)
-
-    def values(zs: np.ndarray) -> np.ndarray:
-        return _abs_eval(coeffs, zs)
-
-    def lipschitz(r_max: np.ndarray) -> np.ndarray:
-        return _eval_real(dnorm, r_max)
-
-    return values, lipschitz
+    return np.array([i * abs(coeffs[i]) for i in range(1, len(coeffs))], dtype=float)
 
 
-def grid_min(p, region: SquareRegion, n: int) -> CertifiedMinimum:
-    """Minimum of |p| over the (n+1) x (n+1) grid spanning the region.
+def lipschitz_bound(p, region: SquareRegion) -> float:
+    """L such that | |p(u)| - |p(v)| | <= L |u - v| for all u, v in the region.
 
-    The argmin is the first minimal grid point in row-major order (rows run
-    along the imaginary axis), making ties deterministic.  The gap
-    L * (sqrt(2)/2) * (side/n) covers the distance from any region point to
-    its nearest grid point.
+    The branch-and-bound's per-cell bound applied to the whole region: the
+    sum over i >= 1 of i |a_i| R^(i-1), with R the largest |z| over the square.
     """
-    if n < 1:
-        raise ValueError(f"grid subdivisions must be >= 1, got {n}")
-    coeffs = np.asarray(as_poly(p), dtype=complex)
-    x0, y0, s = region.corner.real, region.corner.imag, region.side
-    xs = np.linspace(x0, x0 + s, n + 1)
-    ys = np.linspace(y0, y0 + s, n + 1)
-    zs = (xs[np.newaxis, :] + 1j * ys[:, np.newaxis]).ravel()
-    values = _abs_eval(coeffs, zs)
-    idx = int(np.argmin(values))
-    gap = lipschitz_bound(p, region) * HALF_DIAGONAL * (s / n)
-    return CertifiedMinimum(complex(zs[idx]), float(values[idx]), gap, values.size)
+    dnorm = _derivative_norms(np.asarray(as_poly(p), dtype=complex))
+    c = region.center
+    radius = _cell_radius(np.array([c.real]), np.array([c.imag]), np.array([region.side]))
+    return float(_horner(dnorm, radius)[0])
 
 
-def certified_min(p, region: SquareRegion, epsilon: float, budget: int = 1_000_000) -> CertifiedMinimum:
-    """Branch-and-bound minimum of |p| over the region with gap <= epsilon.
+def certified_min(
+    p,
+    region: SquareRegion,
+    epsilon: float,
+    budget: int = 1_000_000,
+    rel_gap: float = 0.0,
+) -> CertifiedMinimum:
+    """Branch-and-bound minimum of |p| over the region.
 
     Cells whose lower bound f(center) - L_cell * (sqrt(2)/2) * side_cell
-    reaches the incumbent are pruned, the rest split 2x2.  Stops when the
-    gap drops to epsilon or the cell-evaluation budget runs out; a budget
-    stop is flagged on the result, not raised, and its gap is still valid.
+    reaches the incumbent are pruned, the rest split 2x2.  Stops after the
+    wave where gap <= max(epsilon, rel_gap * value), or when the next wave
+    would take the cell evaluations past budget; a budget stop is flagged on
+    the result, not raised, and its gap is still valid.  rel_gap = 0 asks
+    for an absolute gap of epsilon; a positive rel_gap also accepts a gap
+    small against the incumbent value.
     """
-    if epsilon <= 0:
+    if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    values, lipschitz = polynomial_objective(p)
-    return minimize_with_bound(
-        values, lipschitz, region, lambda value, gap: gap <= epsilon, budget
-    )
+    if not (rel_gap >= 0):
+        raise ValueError(f"rel_gap must be >= 0, got {rel_gap}")
+    coeffs = np.asarray(as_poly(p), dtype=complex)
+    dnorm = _derivative_norms(coeffs)
 
+    def bound(x: np.ndarray, y: np.ndarray, side: np.ndarray):
+        """|p| at the cell centers and lower bounds of |p| over the cells."""
+        vals = np.abs(_horner(coeffs, x + 1j * y))
+        return vals, vals - _horner(dnorm, _cell_radius(x, y, side)) * (HALF_DIAGONAL * side)
 
-def minimize_with_bound(
-    f_values: Callable[[np.ndarray], np.ndarray],
-    lipschitz_at: Callable[[np.ndarray], np.ndarray],
-    region: SquareRegion,
-    should_stop: Callable[[float, float], bool],
-    budget: int,
-) -> CertifiedMinimum:
-    """Generic wave branch-and-bound over any |f| with a radius Lipschitz bound.
-
-    f_values evaluates |f| on an array of points; lipschitz_at maps each
-    cell's enclosing-disk radius to a Lipschitz constant valid there.
-    should_stop(value, gap) is consulted after every wave.
-    """
     cx = np.array([region.center.real])
     cy = np.array([region.center.imag])
     side = np.array([region.side])
-    vals = f_values(cx + 1j * cy)
+    vals, lower = bound(cx, cy, side)
     evaluations = 1
     best_val = float(vals[0])
     best_pt = complex(cx[0], cy[0])
-    lower = vals - lipschitz_at(_cell_radius(cx, cy, side)) * (HALF_DIAGONAL * side)
     keep = lower < best_val
     cx, cy, side, lower = cx[keep], cy[keep], side[keep], lower[keep]
     budget_exhausted = False
 
     while True:
         gap = max(0.0, best_val - float(lower.min())) if lower.size else 0.0
-        if lower.size == 0 or should_stop(best_val, gap):
+        if lower.size == 0 or gap <= max(epsilon, rel_gap * best_val):
             break
         if evaluations + 4 * cx.size > budget:
             budget_exhausted = True
@@ -206,15 +161,12 @@ def minimize_with_bound(
         child_x = (cx[:, None] + _CHILD_DX * quarter[:, None]).ravel()
         child_y = (cy[:, None] + _CHILD_DY * quarter[:, None]).ravel()
         child_side = np.repeat(side, 4) / 2.0
-        vals = f_values(child_x + 1j * child_y)
+        vals, lower = bound(child_x, child_y, child_side)
         evaluations += vals.size
         i = int(np.argmin(vals))
         if float(vals[i]) < best_val:  # strict: ties keep the earlier incumbent
             best_val = float(vals[i])
             best_pt = complex(child_x[i], child_y[i])
-        lower = vals - lipschitz_at(_cell_radius(child_x, child_y, child_side)) * (
-            HALF_DIAGONAL * child_side
-        )
         keep = lower < best_val
         cx, cy, side, lower = child_x[keep], child_y[keep], child_side[keep], lower[keep]
 

@@ -24,7 +24,6 @@ __all__ = [
     "is_constant",
     "scale_to_unit_constant",
     "shift",
-    "derivative",
     "max_coeff_norm",
     "deflate",
     "multiply",
@@ -96,11 +95,6 @@ def shift(p: Sequence[complex], z0: complex) -> Poly:
         for i in range(n - 2, j - 1, -1):
             a[i] += z0 * a[i + 1]
     return tuple(a)
-
-
-def derivative(p: Sequence[complex]) -> Poly:
-    """Power-rule derivative; the degree drops by one."""
-    return tuple(i * complex(p[i]) for i in range(1, len(p)))
 
 
 def max_coeff_norm(p: Sequence[complex], exclude_leading: bool = False) -> float:

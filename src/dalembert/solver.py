@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .complexmath import norm
 from .descent import RootResult, descend
 from .errors import DegenerateZeroPolynomial, NoRootExists
-from .gridmin import CertifiedMinimum, minimize_with_bound, polynomial_objective
+from .gridmin import CertifiedMinimum, certified_min
 from .growth import GrowthCertificate, growth_certificate, minimum_enclosing_square
 from .polynomial import Poly, deflate, from_roots, truncate
 
@@ -40,15 +40,8 @@ def _solve_once(pt: Poly, tol: float, max_iter: int):
     """Root of a normalized non-constant polynomial, with its certificates."""
     cert = growth_certificate(pt)
     square = minimum_enclosing_square(pt)
-    values, lipschitz = polynomial_objective(pt)
     # refine until the gap is small against the incumbent (or tol wins)
-    seed = minimize_with_bound(
-        values,
-        lipschitz,
-        square,
-        lambda value, gap: gap <= max(tol, 0.1 * value),
-        _SEED_BUDGET,
-    )
+    seed = certified_min(pt, square, tol, _SEED_BUDGET, rel_gap=0.1)
     result = descend(pt, seed.argmin, tol, max_iter)
     return result, cert, seed
 

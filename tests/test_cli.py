@@ -245,6 +245,17 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--tol", "--epsilon"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_non_positive_tolerance_exits_one(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "--mode", "evt", "--corner=-1.34,-1.34", "--side", "2.68",
+            flag, value, QUAD_TEXT,
+        )
+        assert code == 1
+        assert out == ""
+        assert flag in err
+
     def test_bad_corner_format(self, capsys):
         code, _, err = run_cli(
             capsys, "--mode", "evt", "--corner", "zap", "--side", "1", QUAD_TEXT

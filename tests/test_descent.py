@@ -187,3 +187,24 @@ class TestDescend:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             descend(QUAD, 0j, tol=0.0)
+
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError):
+            descend(QUAD, 0j, tol=math.nan)
+
+    def test_trace_matches_repeated_descent_steps(self):
+        rng = np.random.default_rng(35)
+        for _ in range(30):
+            p = random_poly(rng, int(rng.integers(1, 13)))
+            z0 = random_point(rng, 2.0)
+            result = descend(p, z0, 1e-10, 200)
+            z, rows = z0, [(z0, norm(evaluate(p, z0)))]
+            for _ in range(result.iterations):
+                step = descent_step(p, z)
+                z = z + step.zs
+                assert step.after == norm(evaluate(p, z))
+                rows.append((z, step.after))
+            assert [(row.point, row.residual) for row in result.trace] == rows
+            assert [row.s for row in result.trace[1:]] == [
+                descent_step(p, row.point).s for row in result.trace[:-1]
+            ]

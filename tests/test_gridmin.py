@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dalembert.gridmin import (
-    CertifiedMinimum,
-    SquareRegion,
-    certified_min,
-    grid_min,
-    lipschitz_bound,
-    minimize_with_bound,
-)
+from dalembert.gridmin import CertifiedMinimum, SquareRegion, certified_min, lipschitz_bound
 from dalembert.growth import minimum_enclosing_square
 from helpers import dense_min_oracle, random_poly
 
@@ -75,56 +68,6 @@ class TestLipschitzBound:
             assert abs(fu - fv) <= lip * abs(u - v) + 1e-9
 
 
-class TestGridMin:
-    def test_root_on_grid_point(self):
-        p = (complex(-0.5, -0.5), 1 + 0j)  # z - (0.5 + 0.5i)
-        cm = grid_min(p, SquareRegion(0j, 1.0), 2)
-        assert cm.argmin == 0.5 + 0.5j
-        assert cm.value == 0.0
-        assert cm.gap == pytest.approx(1.0 * (SQRT2 / 2.0) * 0.5, rel=1e-15)
-        assert cm.evaluations == 9
-
-    def test_constant(self):
-        cm = grid_min((7,), SquareRegion(complex(-3, 2), 5.0), 13)
-        assert cm.value == 7.0
-        assert cm.gap == 0.0
-
-    def test_tie_break_is_first_row_major(self):
-        cm = grid_min((7,), SquareRegion(complex(-3, 2), 5.0), 4)
-        assert cm.argmin == complex(-3, 2)  # all values tie; first grid point wins
-
-    def test_against_dense_oracle(self):
-        square = minimum_enclosing_square(QUAD)
-        cm = grid_min(QUAD, square, 64)
-        oracle = dense_min_oracle(QUAD, square, n=1024)
-        assert oracle >= cm.value - cm.gap - 1e-9
-        assert cm.value >= oracle  # a 65x65 grid cannot beat a dense sample
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            grid_min(QUAD, SquareRegion(0j, 1.0), 0)
-
-    def test_nested_monotonicity(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            p = random_poly(rng, int(rng.integers(1, 7)))
-            region = random_region(rng)
-            previous = None
-            for n in (8, 16, 32, 64):
-                value = grid_min(p, region, n).value
-                if previous is not None:
-                    assert value <= previous + 1e-12
-                previous = value
-
-    def test_argmin_inside_region(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            p = random_poly(rng, int(rng.integers(1, 7)))
-            region = random_region(rng)
-            cm = grid_min(p, region, int(rng.integers(1, 20)))
-            assert region.contains(cm.argmin)
-
-
 class TestCertifiedMin:
     def test_pure_square_finds_origin(self):
         cm = certified_min((0, 0, 1), SquareRegion(complex(-1, -1), 2.0), 1e-6)
@@ -150,6 +93,56 @@ class TestCertifiedMin:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             certified_min(QUAD, SquareRegion(0j, 1.0), 0.0)
+
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError):
+            certified_min(QUAD, SquareRegion(0j, 1.0), math.nan)
+
+    def test_rejects_bad_rel_gap(self):
+        for rel_gap in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                certified_min(QUAD, SquareRegion(0j, 1.0), 1e-6, rel_gap=rel_gap)
+
+    def test_root_at_center(self):
+        p = (complex(-0.5, -0.5), 1 + 0j)  # z - (0.5 + 0.5i)
+        cm = certified_min(p, SquareRegion(0j, 1.0), 1e-6)
+        assert cm.argmin == 0.5 + 0.5j
+        assert cm.value == 0.0
+        assert cm.gap <= 1e-6
+
+    def test_constant(self):
+        # every cell ties with the center, whose Lipschitz bound is 0
+        cm = certified_min((7,), SquareRegion(complex(-3, 2), 5.0), 1e-6)
+        assert cm == CertifiedMinimum(complex(-0.5, 4.5), 7.0, 0.0, 1)
+
+    def test_argmin_inside_region(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            p = random_poly(rng, int(rng.integers(1, 7)))
+            region = random_region(rng)
+            cm = certified_min(p, region, 1e-3, budget=int(rng.integers(1, 2000)))
+            assert region.contains(cm.argmin)
+
+    def test_tighter_epsilon_never_worse(self):
+        # a smaller epsilon only runs more waves of the same search
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            p = random_poly(rng, int(rng.integers(1, 7)))
+            region = random_region(rng)
+            previous = None
+            for epsilon in (1e-1, 1e-2, 1e-3, 1e-4):
+                cm = certified_min(p, region, epsilon, budget=100_000)
+                if previous is not None:
+                    assert cm.value <= previous.value
+                    assert cm.evaluations >= previous.evaluations
+                previous = cm
+
+    def test_rel_gap_accepts_a_gap_small_against_the_value(self):
+        square = minimum_enclosing_square(QUAD)
+        absolute = certified_min(QUAD, square, 1e-10, budget=50_000)
+        relative = certified_min(QUAD, square, 1e-10, budget=50_000, rel_gap=0.1)
+        assert relative.gap <= max(1e-10, 0.1 * relative.value)
+        assert relative.evaluations <= absolute.evaluations
 
     def test_soundness_against_dense_oracle(self):
         rng = np.random.default_rng(24)
@@ -177,22 +170,3 @@ class TestCertifiedMin:
         a = certified_min(QUAD, square, 1e-8)
         b = certified_min(QUAD, square, 1e-8)
         assert a == b
-
-
-class TestGenericInterface:
-    def test_distance_objective(self):
-        target = 0.25 - 0.125j
-
-        def values(zs):
-            return np.abs(zs - target)
-
-        def lipschitz(r_max):
-            return np.ones_like(r_max)
-
-        region = SquareRegion(complex(-1, -1), 2.0)
-        cm = minimize_with_bound(
-            values, lipschitz, region, lambda value, gap: gap <= 1e-9, 1_000_000
-        )
-        assert isinstance(cm, CertifiedMinimum)
-        assert abs(cm.argmin - target) <= 1e-8
-        assert cm.value <= 1e-8

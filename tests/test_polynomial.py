@@ -12,7 +12,6 @@ from dalembert.errors import (
 from dalembert.polynomial import (
     deflate,
     degree,
-    derivative,
     evaluate,
     from_roots,
     is_constant,
@@ -168,17 +167,6 @@ class TestShift:
             z = random_point(rng, 2.0)
             va, vb = evaluate(a, z), evaluate(b, z)
             assert abs(va - vb) <= 1e-9 * (1.0 + abs(vb))
-
-
-class TestDerivative:
-    def test_power_rule(self):
-        assert derivative(QUAD) == (1j, 6 + 0j)
-
-    def test_constant(self):
-        assert derivative((3 + 0j,)) == ()
-
-    def test_cubic_monomial(self):
-        assert derivative((0, 0, 0, 1)) == (0j, 0j, 3 + 0j)
 
 
 class TestMaxCoeffNorm:

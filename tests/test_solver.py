@@ -5,6 +5,7 @@ import pytest
 
 from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
+from dalembert.gridmin import certified_min
 from dalembert.growth import minimum_enclosing_square
 from dalembert.polynomial import evaluate, max_coeff_norm
 from dalembert.solver import find_all_roots, find_root
@@ -66,6 +67,15 @@ class TestFindRoot:
             _, _, seed = _solve_once(p, 1e-10, 10000)
             assert square.contains(seed.argmin)
             assert seed.value <= norm(evaluate(p, 0j)) + seed.gap + 1e-12
+
+
+class TestSeed:
+    @pytest.mark.parametrize(
+        "p", [QUAD, (1, 0, 1), (-1, 0, 0, 1), (1, -2, 1), (2 - 1j, 0.5, 0, -3j, 1)]
+    )
+    def test_seed_is_the_public_branch_and_bound(self, p):
+        want = certified_min(p, minimum_enclosing_square(p), 1e-10, 50_000, rel_gap=0.1)
+        assert find_all_roots(p).seed == want
 
 
 class TestFindAllRoots:
