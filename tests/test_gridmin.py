@@ -111,9 +111,16 @@ class TestCertifiedMin:
         assert cm.gap <= 1e-6
 
     def test_constant(self):
-        # every cell ties with the center, whose Lipschitz bound is 0
         cm = certified_min((7,), SquareRegion(complex(-3, 2), 5.0), 1e-6)
-        assert cm == CertifiedMinimum(complex(-0.5, 4.5), 7.0, 0.0, 1)
+        assert cm.value == 7.0
+        assert cm.gap == 0.0
+
+    def test_tie_break_keeps_center(self):
+        # every cell ties with the center, whose Lipschitz bound is 0
+        for corner, side in ((complex(-3, 2), 5.0), (0j, 1.0), (complex(1, -4), 0.25)):
+            region = SquareRegion(corner, side)
+            cm = certified_min((7,), region, 1e-6)
+            assert cm == CertifiedMinimum(region.center, 7.0, 0.0, 1)
 
     def test_argmin_inside_region(self):
         rng = np.random.default_rng(23)
@@ -143,6 +150,15 @@ class TestCertifiedMin:
         relative = certified_min(QUAD, square, 1e-10, budget=50_000, rel_gap=0.1)
         assert relative.gap <= max(1e-10, 0.1 * relative.value)
         assert relative.evaluations <= absolute.evaluations
+
+    def test_against_dense_oracle(self):
+        # the true minimum m lies in [value - gap, value], and a dense grid
+        # sample is never below m
+        square = minimum_enclosing_square(QUAD)
+        cm = certified_min(QUAD, square, 1e-6)
+        oracle = dense_min_oracle(QUAD, square, n=1024)
+        assert oracle >= cm.value - cm.gap - 1e-9
+        assert cm.value <= oracle + cm.gap + 1e-9
 
     def test_soundness_against_dense_oracle(self):
         rng = np.random.default_rng(24)
