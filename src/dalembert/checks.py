@@ -44,9 +44,10 @@ def run_lemma_checks(p, samples: int = 1000, seed: int = 0) -> list[LemmaReport]
     ]
     pt = truncate(p)
     if len(pt) >= 2:
-        reports.append(_growth_sandwich(pt, rng, samples))
-        reports.append(_enclosure_domination(pt, rng, samples))
-        reports.append(_descent_decrease(pt, rng, samples))
+        cert = growth_certificate(pt)
+        reports.append(_growth_sandwich(pt, cert, rng, samples))
+        reports.append(_enclosure_domination(pt, cert, rng, samples))
+        reports.append(_descent_decrease(pt, cert, rng, samples))
     return reports
 
 
@@ -95,8 +96,7 @@ def _de_moivre_round_trip(rng, samples) -> LemmaReport:
     return LemmaReport("de-moivre-round-trip", samples, failures)
 
 
-def _growth_sandwich(pt, rng, samples) -> LemmaReport:
-    cert = growth_certificate(pt)
+def _growth_sandwich(pt, cert, rng, samples) -> LemmaReport:
     failures = 0
     for _ in range(samples):
         z = rect(rng.uniform(cert.threshold_radius, 10.0 * cert.threshold_radius),
@@ -108,8 +108,7 @@ def _growth_sandwich(pt, rng, samples) -> LemmaReport:
     return LemmaReport("growth-sandwich", samples, failures)
 
 
-def _enclosure_domination(pt, rng, samples) -> LemmaReport:
-    cert = growth_certificate(pt)
+def _enclosure_domination(pt, cert, rng, samples) -> LemmaReport:
     at_origin = norm(evaluate(pt, 0j))
     failures = 0
     for _ in range(samples):
@@ -120,8 +119,7 @@ def _enclosure_domination(pt, rng, samples) -> LemmaReport:
     return LemmaReport("enclosure-domination", samples, failures)
 
 
-def _descent_decrease(pt, rng, samples) -> LemmaReport:
-    cert = growth_certificate(pt)
+def _descent_decrease(pt, cert, rng, samples) -> LemmaReport:
     r = cert.enclosure_radius
     failures = 0
     done = 0

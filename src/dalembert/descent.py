@@ -3,10 +3,11 @@
 At any point z0 where a non-constant polynomial is nonzero there is a nearby
 z0 + zs with strictly smaller |p|.  The step comes from the shifted,
 constant-normalized polynomial q(h) = p(z0 + h) / p(z0): take the lowest
-exponent k >= 1 with a nonzero coefficient a_k, pick a step parameter s from
-the coefficient norms so that the tail of q cannot cancel the gain, and move
-along the kth root of -s/a_k.  Because only roots stop the iteration, walking
-downhill is a root finder.
+exponent k >= 1 with a nonzero coefficient a_k and move along the kth root
+of -s/a_k.  s starts at the full step 1, which for k = 1 is the Newton step
+-p(z0)/p'(z0), and halves until |p| strictly drops.  d'Alembert's lemma ends
+the halving: over exact reals every s <= step_parameter(q) decreases |p|.
+Because only roots stop the iteration, walking downhill is a root finder.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ class DescentStep:
     """Witness for a strict decrease of |p| from z0 to z0 + zs.
 
     k is the lowest exponent >= 1 with nonzero coefficient ak in the shifted,
-    constant-normalized polynomial, m the maximum coefficient norm, s the
-    accepted step parameter, and zs the kth root of -s/ak.  before and after
-    are |p| at z0 and z0 + zs; after < before always holds.
+    constant-normalized polynomial, s the accepted step parameter, and zs
+    the kth root of -s/ak.  before and after are |p| at z0 and z0 + zs;
+    after < before always holds.
     """
 
     k: int
     ak: complex
-    m: float
     s: float
     zs: complex
     before: float
@@ -82,13 +82,6 @@ def lowest_nonzero_exponent(p) -> int:
     raise AssertionError("truncate left a zero leading coefficient")
 
 
-def _step_size(k: int, ak: float, m: float, n: int) -> float:
-    """step_parameter from k, |a_k|, M and the degree n."""
-    # algebraically |a_k|^(k+1) / (M^k (n+1)^k); grouped to avoid overflow
-    bound = ak * (ak / m) ** k / float((n + 1) ** k)
-    return min(0.5, 0.5 * bound)
-
-
 def step_parameter(p) -> float:
     """Step parameter s in (0, 1) for a polynomial with constant term 1.
 
@@ -99,7 +92,10 @@ def step_parameter(p) -> float:
     if not q or q[0] != 1:
         raise ValueError("step_parameter expects a constant term of exactly 1")
     k = lowest_nonzero_exponent(q)
-    return _step_size(k, norm(q[k]), max_coeff_norm(q), len(q) - 1)
+    ak, m, n = norm(q[k]), max_coeff_norm(q), len(q) - 1
+    # algebraically |a_k|^(k+1) / (M^k (n+1)^k); grouped to avoid overflow
+    bound = ak * (ak / m) ** k / float((n + 1) ** k)
+    return min(0.5, 0.5 * bound)
 
 
 def _nonconstant(p) -> Poly:
@@ -118,19 +114,17 @@ def _step(pt: Poly, z0: complex, before: float) -> DescentStep:
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
     # q(h) = p(z0 + h) / p(z0) = 1 + q[0] h + q[1] h^2 + ...
     q = [c / a0 for c in shifted[1:]]
-    norms = [norm(c) for c in q]
-    nonzero = [i for i, v in enumerate(norms, start=1) if v != 0]
+    nonzero = [i for i, c in enumerate(q, start=1) if c != 0]
     if not nonzero:
         raise NotApplicableToConstant("the shifted polynomial is constant to working precision")
-    k, n = nonzero[0], nonzero[-1]  # n: the degree once trailing zeros drop
+    k = nonzero[0]
     ak = q[k - 1]
-    m = max([1.0] + norms)
-    s = _step_size(k, norms[k - 1], m, n)
+    s = 1.0
     while True:
         zs = nth_root(-s / ak, k)
         after = norm(evaluate(pt, z0 + zs))
         if after < before:
-            return DescentStep(k, ak, m, s, zs, before, after)
+            return DescentStep(k, ak, s, zs, before, after)
         s *= 0.5
         if s < _MIN_STEP:
             raise StepStalled(
@@ -141,9 +135,10 @@ def _step(pt: Poly, z0: complex, before: float) -> DescentStep:
 def descent_step(p, z0: complex) -> DescentStep:
     """One strict-decrease move away from z0.
 
-    The theoretical s guarantees a decrease over exact reals; rounding can
-    spoil it, so s is halved geometrically until |p| strictly drops.  Raises
-    AlreadyAtRoot when p(z0) = 0 and StepStalled when halving underflows.
+    Tries the full step s = 1 (Newton when k = 1) and halves s until |p|
+    strictly drops, which over exact reals happens by s = step_parameter(q);
+    rounding can delay it.  Raises AlreadyAtRoot when p(z0) = 0 and
+    StepStalled when halving underflows.
     """
     pt = _nonconstant(p)
     z0 = complex(z0)

@@ -16,6 +16,7 @@ first-minimum tie-break, so results are identical to sequential execution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,11 @@ class CertifiedMinimum:
 
 def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sum of coeffs[i] x^i at every x of an array (coefficients a0 first)."""
-    acc = np.zeros_like(xs)
+    # in place: one array per call, not two per coefficient
+    acc = np.zeros(xs.shape, dtype=np.result_type(coeffs, xs))
     for c in coeffs[::-1]:
-        acc = acc * xs + c
+        acc *= xs
+        acc += c
     return acc
 
 
@@ -125,12 +128,14 @@ def certified_min(
     would take the cell evaluations past budget; a budget stop is flagged on
     the result, not raised, and its gap is still valid.  rel_gap = 0 asks
     for an absolute gap of epsilon; a positive rel_gap also accepts a gap
-    small against the incumbent value.
+    small against the incumbent value.  budget must be an integer >= 1.
     """
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not (rel_gap >= 0):
         raise ValueError(f"rel_gap must be >= 0, got {rel_gap}")
+    if not (isinstance(budget, numbers.Integral) and budget >= 1):
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     coeffs = np.asarray(as_poly(p), dtype=complex)
     dnorm = _derivative_norms(coeffs)
 
@@ -170,7 +175,6 @@ def certified_min(
         keep = lower < best_val
         cx, cy, side, lower = child_x[keep], child_y[keep], child_side[keep], lower[keep]
 
-    gap = max(0.0, best_val - float(lower.min())) if lower.size else 0.0
     return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted)
 
 

@@ -46,6 +46,12 @@ class GrowthCertificate:
     sub_max: float
     degree: int
 
+    @property
+    def square(self) -> SquareRegion:
+        """The square [-R, R]^2, R = enclosure_radius: it traps every global minimizer."""
+        r = self.enclosure_radius
+        return SquareRegion(complex(-r, -r), 2.0 * r)
+
 
 def growth_certificate(p) -> GrowthCertificate:
     """Certificate for a non-constant polynomial (computed on its normalized form).
@@ -93,6 +99,4 @@ def minimum_enclosing_square(p) -> SquareRegion:
     All z outside it satisfy |p(z)| >= |p(0)|, so no exterior point can beat
     the center.
     """
-    cert = growth_certificate(p)
-    r = cert.enclosure_radius
-    return SquareRegion(complex(-r, -r), 2.0 * r)
+    return growth_certificate(p).square

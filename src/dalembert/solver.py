@@ -16,7 +16,7 @@ from .complexmath import norm
 from .descent import RootResult, descend
 from .errors import DegenerateZeroPolynomial, NoRootExists
 from .gridmin import CertifiedMinimum, certified_min
-from .growth import GrowthCertificate, growth_certificate, minimum_enclosing_square
+from .growth import GrowthCertificate, growth_certificate
 from .polynomial import Poly, deflate, from_roots, truncate
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
@@ -39,9 +39,8 @@ class SolveReport:
 def _solve_once(pt: Poly, tol: float, max_iter: int):
     """Root of a normalized non-constant polynomial, with its certificates."""
     cert = growth_certificate(pt)
-    square = minimum_enclosing_square(pt)
     # refine until the gap is small against the incumbent (or tol wins)
-    seed = certified_min(pt, square, tol, _SEED_BUDGET, rel_gap=0.1)
+    seed = certified_min(pt, cert.square, tol, _SEED_BUDGET, rel_gap=0.1)
     result = descend(pt, seed.argmin, tol, max_iter)
     return result, cert, seed
 

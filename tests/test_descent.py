@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dalembert.complexmath import cpow, norm
+from dalembert.complexmath import cpow, norm, nth_root
 from dalembert.descent import (
     descend,
     descent_step,
     lowest_nonzero_exponent,
     step_parameter,
 )
-from dalembert.errors import NotApplicableToConstant
+from dalembert.errors import NotApplicableToConstant, StepStalled
 from dalembert.polynomial import evaluate, scale_to_unit_constant, shift, truncate
 from helpers import random_poly, random_point
 
@@ -63,26 +63,30 @@ class TestStepParameter:
 
 class TestDescentStep:
     def test_one_plus_z_squared_at_origin(self):
+        # the full step lands on the root i (cos(pi/2) rounds to 6e-17)
         step = descent_step((1, 0, 1), 0j)
         assert step.k == 2
-        assert step.s == pytest.approx(1.0 / 18.0, rel=1e-15)
-        assert abs(step.zs - 1j / math.sqrt(18.0)) <= 1e-15
+        assert step.s == 1.0
+        assert abs(step.zs - 1j) <= 1e-15
         assert step.before == 1.0
-        assert step.after == pytest.approx(17.0 / 18.0, rel=1e-12)
+        assert step.after <= 1e-15
 
     def test_linear_moves_toward_root(self):
-        # p = z at z0 = 1 shifts and scales to 1 + z
+        # p = z at z0 = 1 shifts and scales to 1 + z; k = 1, so the full
+        # step is the Newton step and lands on the root exactly
         step = descent_step((0, 1), 1 + 0j)
         assert step.k == 1
-        assert step.s == 0.25
-        assert step.zs == -0.25 + 0j
-        assert step.after == 0.75
+        assert step.s == 1.0
+        assert step.zs == -1 + 0j
+        assert step.after == 0.0
 
     def test_sample_quadratic_at_origin(self):
+        # s = 1 gives |1 - 1 - 3| = 3; one halving gives |1 - 1/2 - 3/4|
         step = descent_step(QUAD, 0j)
         assert step.before == 1.0
-        assert step.after < 1.0
-        assert step.after == pytest.approx(0.9351851851851852, rel=1e-12)
+        assert step.s == 0.5
+        assert step.zs == 0.5j
+        assert step.after == 0.25
 
     def test_scaling_relation(self):
         # ak * zs^k = -s up to rounding
@@ -111,7 +115,8 @@ class TestDescentStep:
             assert step.after < step.before
 
     def test_tail_ratio_bound_when_unhalved(self):
-        # with the nominal s, r = (|zs|/|ak|) |tail(zs)| stays below 1
+        # with the nominal s = step_parameter(q), r = (|zs|/|ak|) |tail(zs)|
+        # stays below 1: the lemma behind the step's termination
         rng = np.random.default_rng(34)
         checked = 0
         for _ in range(300):
@@ -121,15 +126,31 @@ class TestDescentStep:
             z0 = random_point(rng, 2.0)
             if norm(evaluate(p, z0)) <= 1e-6:
                 continue
-            step = descent_step(p, z0)
             q = scale_to_unit_constant(truncate(shift(p, z0)))
-            if step.s != step_parameter(q):
-                continue  # the halving path is exempt from the bound
-            tail = q[step.k + 1 :]
-            r = (norm(step.zs) / norm(step.ak)) * norm(evaluate(tail, step.zs))
+            k = lowest_nonzero_exponent(q)
+            zs = nth_root(-step_parameter(q) / q[k], k)
+            tail = q[k + 1 :]
+            r = (norm(zs) / norm(q[k])) * norm(evaluate(tail, zs))
             assert r < 1.0 + 1e-9
             checked += 1
-        assert checked > 100
+        assert checked > 250
+
+    def test_step_never_shorter_than_the_papers(self):
+        # halving from 1 stops no later than the first s below the floor
+        rng = np.random.default_rng(36)
+        checked = 0
+        for _ in range(300):
+            p = truncate(random_poly(rng, int(rng.integers(1, 13))))
+            if len(p) < 2:
+                continue
+            z0 = random_point(rng, 2.0)
+            if norm(evaluate(p, z0)) <= 1e-6:
+                continue
+            step = descent_step(p, z0)
+            q = scale_to_unit_constant(truncate(shift(p, z0)))
+            assert step.s > step_parameter(q) / 2.0
+            checked += 1
+        assert checked > 250
 
     def test_rejects_constant_and_root(self):
         from dalembert.errors import AlreadyAtRoot
@@ -171,9 +192,13 @@ class TestDescend:
         assert result.residual > 1e-10
 
     def test_stall_at_float_exhaustion(self):
-        result = descend(QUAD, 1 + 1j, tol=1e-320, max_iter=100000)
+        cubic = (1 / 3, 1, 1, 1)  # irrational roots: |p| stalls above 0
+        result = descend(cubic, 1 + 1j, tol=1e-320, max_iter=100000)
         assert not result.converged
         assert result.iterations < 100000  # stalled out rather than looping
+        assert result.residual > 0.0
+        with pytest.raises(StepStalled):
+            descent_step(cubic, result.root)
 
     def test_starting_at_root_converges_immediately(self):
         result = descend((0, 1), 0j, 1e-10, 100)

@@ -103,6 +103,16 @@ class TestCertifiedMin:
             with pytest.raises(ValueError):
                 certified_min(QUAD, SquareRegion(0j, 1.0), 1e-6, rel_gap=rel_gap)
 
+    def test_rejects_bad_budget(self):
+        for budget in (0, -5, 2.5, 3.0, math.nan):
+            with pytest.raises(ValueError):
+                certified_min(QUAD, SquareRegion(0j, 1.0), 1e-6, budget=budget)
+
+    def test_budget_of_one_is_the_center_alone(self):
+        cm = certified_min(QUAD, SquareRegion(0j, 1.0), 1e-12, budget=np.int64(1))
+        assert cm.evaluations == 1
+        assert cm.budget_exhausted
+
     def test_root_at_center(self):
         p = (complex(-0.5, -0.5), 1 + 0j)  # z - (0.5 + 0.5i)
         cm = certified_min(p, SquareRegion(0j, 1.0), 1e-6)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
 from dalembert.gridmin import certified_min
 from dalembert.growth import minimum_enclosing_square
-from dalembert.polynomial import evaluate, max_coeff_norm
+from dalembert.polynomial import evaluate, from_roots, max_coeff_norm
 from dalembert.solver import find_all_roots, find_root
 from helpers import random_poly
 
@@ -77,6 +78,22 @@ class TestSeed:
         want = certified_min(p, minimum_enclosing_square(p), 1e-10, 50_000, rel_gap=0.1)
         assert find_all_roots(p).seed == want
 
+    def test_one_growth_certificate_per_factor(self, monkeypatch):
+        import dalembert.growth
+        import dalembert.solver
+
+        calls = []
+        original = dalembert.growth.growth_certificate
+
+        def counting(p):
+            calls.append(len(p) - 1)
+            return original(p)
+
+        monkeypatch.setattr(dalembert.growth, "growth_certificate", counting)
+        monkeypatch.setattr(dalembert.solver, "growth_certificate", counting)
+        find_all_roots((2 - 1j, 0.5, 0, -3j, 1))
+        assert calls == [4, 3, 2, 1]
+
 
 class TestFindAllRoots:
     def test_cube_roots_of_unity(self):
@@ -127,3 +144,30 @@ class TestFindAllRoots:
             find_all_roots((3,))
         with pytest.raises(DegenerateZeroPolynomial):
             find_all_roots((0,))
+
+
+class TestNoCrawl:
+    """Descent reaches tol within 100 steps per root on the hard families."""
+
+    CAP = 100
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            random_poly(np.random.default_rng(0), 40),
+            from_roots(1, [1.0] * 5),
+            from_roots(1, [1 + 1e-3 * cmath.exp(2j * math.pi * j / 5) for j in range(5)]),
+        ],
+        ids=["random-40", "(z-1)^5", "cluster-1e-3"],
+    )
+    def test_find_root(self, p):
+        result = find_root(p, tol=1e-10, max_iter=self.CAP)
+        assert result.converged
+        assert result.iterations < self.CAP
+
+    def test_find_all_roots_of_unity(self):
+        report = find_all_roots((-1,) + (0,) * 29 + (1,), tol=1e-10, max_iter=self.CAP)
+        assert len(report.roots) == 30
+        assert all(r.converged for r in report.roots)
+        for r in report.roots:
+            assert abs(abs(r.root) - 1.0) <= 1e-9
