@@ -122,6 +122,9 @@ def _step(pt: Poly, z0: complex, before: float) -> DescentStep:
     s = 1.0
     while True:
         zs = nth_root(-s / ak, k)
+        if z0 + zs == z0:
+            # every smaller s rounds back to z0 too, so nothing can decrease
+            raise StepStalled(f"the step rounds to nothing at s = {s}, z0 = {z0}")
         after = norm(evaluate(pt, z0 + zs))
         if after < before:
             return DescentStep(k, ak, s, zs, before, after)
@@ -138,7 +141,7 @@ def descent_step(p, z0: complex) -> DescentStep:
     Tries the full step s = 1 (Newton when k = 1) and halves s until |p|
     strictly drops, which over exact reals happens by s = step_parameter(q);
     rounding can delay it.  Raises AlreadyAtRoot when p(z0) = 0 and
-    StepStalled when halving underflows.
+    StepStalled once z0 + zs rounds to z0 or halving underflows.
     """
     pt = _nonconstant(p)
     z0 = complex(z0)

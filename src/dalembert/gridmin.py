@@ -11,13 +11,15 @@ enclosing disk times its half diagonal, and cells whose lower bound cannot
 beat the incumbent are pruned.  Cell evaluations within one expansion wave
 are vectorized (and could run in parallel); the reductions use a fixed
 first-minimum tie-break, so results are identical to sequential execution.
+The result keeps the centers of the cells still live at the stop; a sound
+search never prunes a cell that holds a global minimizer, such as a root.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +75,8 @@ class CertifiedMinimum:
     The true minimum over the searched region lies in [value - gap, value].
     budget_exhausted marks a branch-and-bound run that stopped on its cell
     budget before reaching the requested gap; the reported gap is still valid.
+    cells (read-only, not in ==, hash or repr) holds the centers of the
+    cells still live when the search stopped.
     """
 
     argmin: complex
@@ -80,6 +84,13 @@ class CertifiedMinimum:
     gap: float
     evaluations: int
     budget_exhausted: bool = False
+    cells: np.ndarray = field(default_factory=lambda: _frozen(np.empty(0, complex)),
+                              compare=False, repr=False)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -118,22 +129,17 @@ def certified_min(
     region: SquareRegion,
     epsilon: float,
     budget: int = 1_000_000,
-    rel_gap: float = 0.0,
 ) -> CertifiedMinimum:
     """Branch-and-bound minimum of |p| over the region.
 
     Cells whose lower bound f(center) - L_cell * (sqrt(2)/2) * side_cell
     reaches the incumbent are pruned, the rest split 2x2.  Stops after the
-    wave where gap <= max(epsilon, rel_gap * value), or when the next wave
-    would take the cell evaluations past budget; a budget stop is flagged on
-    the result, not raised, and its gap is still valid.  rel_gap = 0 asks
-    for an absolute gap of epsilon; a positive rel_gap also accepts a gap
-    small against the incumbent value.  budget must be an integer >= 1.
+    wave where gap <= epsilon, or when the next wave would take the cell
+    evaluations past budget; a budget stop is flagged on the result, not
+    raised, and its gap is still valid.  budget must be an integer >= 1.
     """
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not (rel_gap >= 0):
-        raise ValueError(f"rel_gap must be >= 0, got {rel_gap}")
     if not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     coeffs = np.asarray(as_poly(p), dtype=complex)
@@ -157,7 +163,7 @@ def certified_min(
 
     while True:
         gap = max(0.0, best_val - float(lower.min())) if lower.size else 0.0
-        if lower.size == 0 or gap <= max(epsilon, rel_gap * best_val):
+        if lower.size == 0 or gap <= epsilon:
             break
         if evaluations + 4 * cx.size > budget:
             budget_exhausted = True
@@ -175,7 +181,9 @@ def certified_min(
         keep = lower < best_val
         cx, cy, side, lower = child_x[keep], child_y[keep], child_side[keep], lower[keep]
 
-    return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted)
+    cells = np.empty(cx.size, dtype=complex)
+    cells.real, cells.imag = cx, cy  # cx + 1j * cy costs ~15x as much
+    return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted, _frozen(cells))
 
 
 _CHILD_DX = np.array([-1.0, 1.0, -1.0, 1.0])

@@ -200,6 +200,24 @@ class TestDescend:
         with pytest.raises(StepStalled):
             descent_step(cubic, result.root)
 
+    def test_stall_ends_at_once(self, monkeypatch):
+        # once z0 + zs rounds to z0, halving s further cannot help
+        import dalembert.descent
+
+        cubic = (1 / 3, 1, 1, 1)
+        stalled = descend(cubic, 1 + 1j, tol=1e-320, max_iter=100000).root
+        calls = []
+        original = dalembert.descent.evaluate
+
+        def counting(p, z):
+            calls.append(z)
+            return original(p, z)
+
+        monkeypatch.setattr(dalembert.descent, "evaluate", counting)
+        with pytest.raises(StepStalled):
+            descent_step(cubic, stalled)
+        assert len(calls) <= 5
+
     def test_starting_at_root_converges_immediately(self):
         result = descend((0, 1), 0j, 1e-10, 100)
         assert result.converged

@@ -98,11 +98,6 @@ class TestCertifiedMin:
         with pytest.raises(ValueError):
             certified_min(QUAD, SquareRegion(0j, 1.0), math.nan)
 
-    def test_rejects_bad_rel_gap(self):
-        for rel_gap in (-0.1, math.nan):
-            with pytest.raises(ValueError):
-                certified_min(QUAD, SquareRegion(0j, 1.0), 1e-6, rel_gap=rel_gap)
-
     def test_rejects_bad_budget(self):
         for budget in (0, -5, 2.5, 3.0, math.nan):
             with pytest.raises(ValueError):
@@ -154,13 +149,6 @@ class TestCertifiedMin:
                     assert cm.evaluations >= previous.evaluations
                 previous = cm
 
-    def test_rel_gap_accepts_a_gap_small_against_the_value(self):
-        square = minimum_enclosing_square(QUAD)
-        absolute = certified_min(QUAD, square, 1e-10, budget=50_000)
-        relative = certified_min(QUAD, square, 1e-10, budget=50_000, rel_gap=0.1)
-        assert relative.gap <= max(1e-10, 0.1 * relative.value)
-        assert relative.evaluations <= absolute.evaluations
-
     def test_against_dense_oracle(self):
         # the true minimum m lies in [value - gap, value], and a dense grid
         # sample is never below m
@@ -196,3 +184,46 @@ class TestCertifiedMin:
         a = certified_min(QUAD, square, 1e-8)
         b = certified_min(QUAD, square, 1e-8)
         assert a == b
+
+
+def _live_side(cells, region):
+    """Side of the live cells: they all come from one wave, so their centers
+    sit at odd multiples of half the side from the region's corner."""
+    offsets = np.concatenate([cells.real - region.corner.real, cells.imag - region.corner.imag])
+    for wave in range(64):
+        side = region.side / 2.0**wave
+        odd = offsets / (side / 2.0)
+        if np.all(np.abs(odd - np.round(odd)) <= 1e-3) and np.all(np.round(odd) % 2 == 1):
+            return side
+    raise AssertionError("live cell centers lie on no wave's grid")
+
+
+class TestLiveCells:
+    def test_every_root_lies_in_a_live_cell(self):
+        rng = np.random.default_rng(26)
+        polys = [QUAD] + [random_poly(rng, int(rng.integers(2, 9))) for _ in range(20)]
+        for p in polys:
+            square = minimum_enclosing_square(p)
+            cm = certified_min(p, square, 1e-6, 50_000)
+            side = _live_side(cm.cells, square)
+            for root in np.roots(np.asarray(p, dtype=complex)[::-1]):
+                d = cm.cells - root
+                inside = np.maximum(np.abs(d.real), np.abs(d.imag)) <= side / 2.0 * (1 + 1e-9)
+                assert inside.any(), (p, root)
+
+    def test_cells_are_read_only_and_not_compared(self):
+        square = minimum_enclosing_square(QUAD)
+        cm = certified_min(QUAD, square, 1e-10, 50_000)
+        assert cm.cells.size > 0
+        assert not cm.cells.flags.writeable
+        with pytest.raises(ValueError):
+            cm.cells[0] = 0j
+        bare = CertifiedMinimum(cm.argmin, cm.value, cm.gap, cm.evaluations, cm.budget_exhausted)
+        assert bare == cm
+        assert hash(bare) == hash(cm)
+        assert repr(bare) == repr(cm)
+        assert bare.cells.size == 0
+
+    def test_constant_leaves_no_live_cell(self):
+        cm = certified_min((7,), SquareRegion(0j, 1.0), 1e-6)
+        assert cm.cells.size == 0

@@ -75,10 +75,10 @@ class TestSeed:
         "p", [QUAD, (1, 0, 1), (-1, 0, 0, 1), (1, -2, 1), (2 - 1j, 0.5, 0, -3j, 1)]
     )
     def test_seed_is_the_public_branch_and_bound(self, p):
-        want = certified_min(p, minimum_enclosing_square(p), 1e-10, 50_000, rel_gap=0.1)
+        want = certified_min(p, minimum_enclosing_square(p), 1e-10, 50_000)
         assert find_all_roots(p).seed == want
 
-    def test_one_growth_certificate_per_factor(self, monkeypatch):
+    def test_one_certificate_and_one_seed_per_call(self, monkeypatch):
         import dalembert.growth
         import dalembert.solver
 
@@ -89,10 +89,20 @@ class TestSeed:
             calls.append(len(p) - 1)
             return original(p)
 
+        seeds = []
+        original_seed = dalembert.solver.certified_min
+
+        def counting_seed(*args):
+            seeds.append(len(args[0]) - 1)
+            return original_seed(*args)
+
         monkeypatch.setattr(dalembert.growth, "growth_certificate", counting)
         monkeypatch.setattr(dalembert.solver, "growth_certificate", counting)
-        find_all_roots((2 - 1j, 0.5, 0, -3j, 1))
-        assert calls == [4, 3, 2, 1]
+        monkeypatch.setattr(dalembert.solver, "certified_min", counting_seed)
+        report = find_all_roots((2 - 1j, 0.5, 0, -3j, 1))
+        assert calls == [4]
+        assert seeds == [4]
+        assert len(report.roots) == 4
 
 
 class TestFindAllRoots:
@@ -171,3 +181,88 @@ class TestNoCrawl:
         assert all(r.converged for r in report.roots)
         for r in report.roots:
             assert abs(abs(r.root) - 1.0) <= 1e-9
+
+
+def _matched(found, want, radius):
+    """found and want agree as multisets, each pair within radius."""
+    unused = list(want)
+    for z in found:
+        i = int(np.argmin([abs(z - w) for w in unused]))
+        if abs(z - unused[i]) > radius:
+            return False
+        unused.pop(i)
+    return not unused
+
+
+class TestDeflatedFactors:
+    """Later factors start from the first search's live cells."""
+
+    # at residual tol = 1e-10 a root of multiplicity m may sit ~tol^(1/m)
+    # away, and a root inside the 1e-3 cluster ~tol / |p'| ~ 3e-5 away
+    @pytest.mark.parametrize(
+        "p, radius",
+        [
+            ((-1,) + (0,) * 19 + (1,), 1e-9),
+            (from_roots(1, [1.0] * 4), 5e-3),
+            (
+                from_roots(
+                    1,
+                    [1 + 1e-3 * cmath.exp(2j * math.pi * j / 3) for j in range(3)]
+                    + [0.5 * cmath.exp(2j * math.pi * (j + 0.5) / 3) for j in range(3)],
+                ),
+                1e-4,
+            ),
+            (from_roots(1, range(1, 7)), 1e-8),
+        ],
+        ids=["z^20-1", "(z-1)^4", "cluster-3+3", "wilkinson-6"],
+    )
+    def test_hard_families_match_numpy(self, p, radius):
+        report = find_all_roots(p)
+        want = np.roots(np.asarray(p, dtype=complex)[::-1])
+        assert _matched([r.root for r in report.roots], list(want), radius)
+        assert report.reconstruction_error <= 1e-8 * max_coeff_norm(p)
+
+    def test_each_factor_starts_at_its_smallest_live_cell(self, monkeypatch):
+        import dalembert.solver
+
+        p = random_poly(np.random.default_rng(46), 7)
+        starts = []
+        original = dalembert.solver.descend
+
+        def recording(q, z0, *args):
+            if len(q) < len(p):  # a deflated factor, not p itself
+                starts.append((q, z0))
+            return original(q, z0, *args)
+
+        monkeypatch.setattr(dalembert.solver, "descend", recording)
+        cells = find_all_roots(p).seed.cells
+        assert len(starts) == 6
+        for q, z0 in starts:
+            values = np.abs(np.polyval(np.asarray(q, dtype=complex)[::-1], cells))
+            assert z0 in cells
+            assert abs(np.polyval(np.asarray(q, dtype=complex)[::-1], z0)) <= values.min() * (1 + 1e-9)
+
+    @pytest.mark.parametrize("cells", [np.empty(0, complex), np.array([1e308 + 1e308j])],
+                             ids=["no-live-cell", "overflowing-cell"])
+    def test_falls_back_to_the_seed(self, monkeypatch, cells):
+        import dataclasses
+
+        import dalembert.solver
+
+        original = dalembert.solver.certified_min
+
+        def with_cells(*args):
+            return dataclasses.replace(original(*args), cells=cells)
+
+        monkeypatch.setattr(dalembert.solver, "certified_min", with_cells)
+        report = find_all_roots(QUAD)
+        for want in QUAD_ROOTS:
+            assert min(abs(r.root - want) for r in report.roots) <= 1e-8
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_input_completes(self):
+        # |p| overflows on the enclosure square, so the search prunes every cell
+        p = tuple(1e300 * c for c in random_poly(np.random.default_rng(45), 8))
+        report = find_all_roots(p)
+        assert report.seed.cells.size == 0
+        assert len(report.roots) == 8
