@@ -87,7 +87,9 @@ def _parse_json_pairs(text: str) -> Poly:
         ok = (
             isinstance(pair, list)
             and len(pair) == 2
-            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in pair)
+            # bool is an int subclass, but true/false are not coefficients
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in pair)
         )
         if not ok:
             raise ParseError(f"entry {i} is not a finite [re, im] pair", i)

@@ -12,6 +12,7 @@ Because only roots stop the iteration, walking downhill is a root finder.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -156,10 +157,13 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
     """Iterate the descent step until |p| <= tol, max_iter steps, or float exhaustion.
 
     The residual trace is strictly decreasing.  Running out of iterations or
-    stalling is reported through converged=False, not raised.
+    stalling is reported through converged=False, not raised.  max_iter must
+    be an integer >= 0.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     pt = _nonconstant(p)
     z = complex(z0)
     residual = norm(evaluate(pt, z))

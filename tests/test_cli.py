@@ -40,6 +40,13 @@ class TestParsePolynomial:
             with pytest.raises(ParseError):
                 parse_polynomial(text)
 
+    def test_json_rejects_booleans(self):
+        # true/false are ints to Python, but not coefficients
+        for text, position in (('[[true, false], [1, 0]]', 1), ('[[1, 0], [0, true]]', 2)):
+            with pytest.raises(ParseError) as info:
+                parse_polynomial(text)
+            assert info.value.position == position
+
     def test_serialize_round_trip_examples(self):
         for p in [
             (1 + 0j, 1j, 3 + 0j),

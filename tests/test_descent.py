@@ -235,6 +235,16 @@ class TestDescend:
         with pytest.raises(ValueError):
             descend(QUAD, 0j, tol=math.nan)
 
+    def test_rejects_bad_max_iter(self):
+        for max_iter in (-3, -1, 2.5, 10.0, math.nan, math.inf, "10"):
+            with pytest.raises(ValueError):
+                descend(QUAD, 0j, max_iter=max_iter)
+
+    def test_max_iter_zero_makes_no_step(self):
+        result = descend(QUAD, 1 + 1j, max_iter=np.int64(0))
+        assert result.iterations == 0
+        assert not result.converged
+
     def test_trace_matches_repeated_descent_steps(self):
         rng = np.random.default_rng(35)
         for _ in range(30):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -33,9 +34,6 @@ class TestSquareRegion:
     def test_center_and_corners(self):
         region = SquareRegion(complex(-1, -1), 2.0)
         assert region.center == 0j
-        assert set(region.corners()) == {
-            complex(-1, -1), complex(1, -1), complex(-1, 1), complex(1, 1)
-        }
 
 
 class TestLipschitzBound:
@@ -127,6 +125,13 @@ class TestCertifiedMin:
             cm = certified_min((7,), region, 1e-6)
             assert cm == CertifiedMinimum(region.center, 7.0, 0.0, 1)
 
+    def test_later_tie_keeps_the_earlier_incumbent(self):
+        # z (z - (0.5+0.5i)) is 0 at the center and at the last center of the
+        # first wave; the update's strict < keeps the center
+        cm = certified_min((0, -(0.5 + 0.5j), 1), SquareRegion(complex(-1, -1), 2.0), 1e-6)
+        assert cm.argmin == 0j
+        assert cm.value == 0.0
+
     def test_argmin_inside_region(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
@@ -184,6 +189,48 @@ class TestCertifiedMin:
         a = certified_min(QUAD, square, 1e-8)
         b = certified_min(QUAD, square, 1e-8)
         assert a == b
+
+
+# a fixed degree-8 polynomial, coefficients uniform in the unit box
+DEG8 = (0.395 + 0.887j, -0.372 - 0.193j, -0.758 - 0.636j, -0.353 + 0.721j, 0.862 + 0.814j,
+        0.579 - 0.397j, -0.98 - 0.29j, -0.602 + 0.507j, -0.414 - 0.463j)
+# the enclosure squares of QUAD and DEG8 (minimum_enclosing_square)
+QUAD_SQUARE = SquareRegion(complex(-1.3333333333333333, -1.3333333333333333), 2.6666666666666665)
+DEG8_SQUARE = SquareRegion(complex(-30.54187007015051, -30.54187007015051), 61.08374014030102)
+
+
+class TestGoldenOutputs:
+    """The search's exact output bits: a rewrite of the loop must keep every
+    float, count and live cell (cells hashed as little-endian complex128)."""
+
+    @pytest.mark.parametrize(
+        "p, region, epsilon, budget, argmin, value, gap, evaluations, exhausted, cells",
+        [
+            (QUAD, QUAD_SQUARE, 1e-6, 1_000_000,
+             ("-0x1.5555555555555p-24", "-0x1.8901cd5555556p-1"),
+             "0x1.3464bb35c2a6bp-22", "0x1.523cdd2fc1600p-21", 1253, False,
+             "457c4ff08e0555e4c062eda713588b72189a41ea3208f07fc4c8adeb9aef54e4"),
+            (DEG8, DEG8_SQUARE, 1e-6, 50_000,
+             ("0x1.dce057e19bf6bp-1", "0x1.35c2e4bc2bb65p-2"),
+             "0x1.0b1bd2a173fe3p-31", "0x1.f26faea35e42ap-21", 39545, False,
+             "f960ea94912bb2afa31bcc242cf6b3f2f435025144a48a5e8a447161b28be44f"),
+            # stopped by its budget, after a wave that spends it exactly
+            (QUAD, QUAD_SQUARE, 1e-12, 229,
+             ("-0x1.5555555555555p-5", "-0x1.9555555555555p-1"),
+             "0x1.6aaaaaaaaaaa9p-3", "0x1.6b8b1d2cffb77p-2", 229, True,
+             "80297863887dd043bf5d6988754083de66a163ac34ac68bbd90fe5c6b8594afb"),
+        ],
+        ids=["quad", "deg8", "budget"],
+    )
+    def test_pinned(self, p, region, epsilon, budget, argmin, value, gap, evaluations,
+                    exhausted, cells):
+        cm = certified_min(p, region, epsilon, budget)
+        assert (cm.argmin.real.hex(), cm.argmin.imag.hex()) == argmin
+        assert cm.value.hex() == value
+        assert cm.gap.hex() == gap
+        assert cm.evaluations == evaluations
+        assert cm.budget_exhausted is exhausted
+        assert hashlib.sha256(cm.cells.astype("<c16").tobytes()).hexdigest() == cells
 
 
 def _live_side(cells, region):

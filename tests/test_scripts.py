@@ -10,6 +10,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -18,12 +29,19 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    done = subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True,
-        timeout=120,
-    )
+    done = _run(argv)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_output_digests_prints_one_line_per_call():
+    argv = ["scripts/output_digests.py", "--workload", "descent-deep", "--seed", "1"]
+    first, second = _run(argv), _run(argv)
+    assert first.returncode == 0, first.stdout + first.stderr
+    lines = first.stdout.splitlines()
+    assert len(lines) == 7  # the workload's seven find_root calls
+    for i, line in enumerate(lines):
+        index, _label, mode, digest = line.split()
+        assert (int(index), mode) == (i, "find_root")
+        assert len(digest) == 64 and int(digest, 16) >= 0
+    assert second.stdout == first.stdout
+

@@ -46,6 +46,11 @@ class TestFindRoot:
         assert result.converged
         assert abs(result.root) <= 1e-11
 
+    def test_rejects_bad_max_iter(self):
+        for max_iter in (-3, math.nan):
+            with pytest.raises(ValueError):
+                find_root((1, 0, 1), max_iter=max_iter)
+
     def test_residual_matches_reported_root(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
