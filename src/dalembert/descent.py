@@ -8,6 +8,9 @@ of -s/a_k.  s starts at the full step 1, which for k = 1 is the Newton step
 -p(z0)/p'(z0), and halves until |p| strictly drops.  d'Alembert's lemma ends
 the halving: over exact reals every s <= step_parameter(q) decreases |p|.
 Because only roots stop the iteration, walking downhill is a root finder.
+descend stops once the residual meets the tolerance or the rounding floor of
+Horner's rule, gamma_2n * sum |a_i| |z|^i (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., 5.1), below which a computed |p| says nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
 
 # Below this the halving loop has hit float exhaustion.
 _MIN_STEP = 1e-300
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -152,24 +156,44 @@ def descent_step(p, z0: complex) -> DescentStep:
     return _step(pt, z0, before)
 
 
+def _noise_floor(pt: Poly):
+    """z -> gamma_2n * sum |a_i| |z|^i, the rounding bound of Horner's rule at z."""
+    k = 2 * (len(pt) - 1) * _UNIT_ROUNDOFF
+    gamma = k / (1.0 - k)
+    absc = [norm(c) for c in reversed(pt)]
+
+    def at(z: complex) -> float:
+        # a bound in real arithmetic, not an evaluation of p
+        r, acc = norm(z), 0.0
+        for c in absc:
+            acc = acc * r + c
+        return gamma * acc
+
+    return at
+
+
 def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
             keep_trace: bool = True) -> RootResult:
-    """Iterate the descent step until |p| <= tol, max_iter steps, or float exhaustion.
+    """Iterate the descent step until converged, max_iter steps, or float exhaustion.
 
-    The residual trace is strictly decreasing.  Running out of iterations or
-    stalling is reported through converged=False, not raised.  max_iter must
-    be an integer >= 0.
+    Converged means |p(z)| <= max(tol, gamma_2n * sum |a_i| |z|^i): the
+    residual meets tol or has reached the rounding floor of evaluating p, so
+    it means the same for p and for any multiple of p.  The residual trace
+    is strictly decreasing.  Running out of iterations or stalling is
+    reported through converged=False, not raised.  max_iter must be an
+    integer >= 0.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     pt = _nonconstant(p)
+    floor = _noise_floor(pt)
     z = complex(z0)
     residual = norm(evaluate(pt, z))
     rows = [TraceRow(0, z, residual, 0.0, 0)]
     steps = 0
-    while residual > tol and steps < max_iter:
+    while residual > max(tol, floor(z)) and steps < max_iter:
         try:
             step = _step(pt, z, residual)
         except (StepStalled, AlreadyAtRoot):
@@ -182,6 +206,6 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
         root=z,
         residual=residual,
         iterations=steps,
-        converged=residual <= tol,
+        converged=residual <= max(tol, floor(z)),
         trace=tuple(rows) if keep_trace else None,
     )

@@ -4,7 +4,7 @@ find_root chains the three guarantees: the growth certificate confines every
 global minimizer of |p| to an explicit square, branch-and-bound produces a
 seed point whose value is provably near the global minimum, and the descent
 walks strictly downhill from the seed until the residual meets the
-tolerance.  find_all_roots runs that chain once, deflates by synthetic
+tolerance or the rounding floor of evaluating p.  find_all_roots runs that chain once, deflates by synthetic
 division and re-polishes every root against the original polynomial.  Every
 root is a global minimizer of |p|, so the cells that one branch-and-bound
 leaves live surround every root: each deflated factor starts its descent at
@@ -59,7 +59,9 @@ def _normalized_or_raise(p) -> Poly:
 
 
 def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
-    """One root of a non-constant polynomial, to residual |p(root)| <= tol.
+    """One root of a non-constant polynomial, to residual |p(root)| <= tol
+    or, where tol is below what evaluating p can resolve, to the rounding
+    floor gamma_2n * sum |a_i| |root|^i (see descend).
 
     A failure to converge within max_iter is reported on the result
     (converged=False, best point kept), not raised.

@@ -18,7 +18,7 @@ from dalembert.complexmath import cpow, norm, nth_root
 from dalembert.descent import descend, descent_step
 from dalembert.gridmin import SquareRegion, certified_min
 from dalembert.growth import growth_certificate, minimum_enclosing_square
-from dalembert.polynomial import evaluate, from_roots, max_coeff_norm
+from dalembert.polynomial import evaluate, max_coeff_norm
 from dalembert.solver import find_all_roots, find_root
 from helpers import dense_min_oracle, random_poly
 
@@ -196,14 +196,14 @@ def test_criterion_9_cli_contract(capsys):
         assert main(["1 bogus"]) == 1
         capsys.readouterr()
 
-        # exit code 2: not converged (absolute tol below the noise floor of
-        # a large-coefficient polynomial)
-        decade = serialize_polynomial(from_roots(1.0, [k + 0j for k in range(1, 11)]))
-        assert main(["--max-iter", "25", decade]) == 2
+        # exit code 2: not converged (1 + 2z + ... + 41 z^40 needs 8 steps
+        # from its seed; two are allowed)
+        ramp = " ".join(str(k) for k in range(1, 42))
+        assert main(["--max-iter", "2", ramp]) == 2
         capsys.readouterr()
 
         # trace CSV schema is exact
-        code = main(["--format", "csv", "--max-iter", "25", decade])
+        code = main(["--format", "csv", "--max-iter", "2", ramp])
         out = capsys.readouterr().out
         assert code == 2
         lines = out.strip().split("\n")

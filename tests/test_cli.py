@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from dalembert.cli import main, parse_polynomial, serialize_polynomial
 from dalembert.errors import EmptyPolynomial, ParseError
-from dalembert.polynomial import from_roots
 
 QUAD_TEXT = "1 1i 3"
+# 1 + 2z + ... + 41 z^40: the seed is far enough from a root that descent
+# needs 8 steps to converge
+RAMP41 = " ".join(str(k) for k in range(1, 42))
 
 
 def run_cli(capsys, *args):
@@ -106,12 +108,12 @@ class TestSolveMode:
         assert "zero polynomial" in err
 
     def test_not_converged_exits_two(self, capsys):
-        # well-separated roots but huge coefficients: the absolute tolerance
-        # 1e-10 sits below this polynomial's evaluation noise floor
-        decade = serialize_polynomial(from_roots(1.0, [k + 0j for k in range(1, 11)]))
-        code, out, _ = run_cli(capsys, "--max-iter", "25", decade)
+        # 1 + 2z + ... + 41 z^40: two steps from the seed leave |p| near 0.3
+        code, out, _ = run_cli(capsys, "--max-iter", "2", RAMP41)
         assert code == 2
-        assert json.loads(out)["converged"] is False
+        report = json.loads(out)
+        assert report["converged"] is False
+        assert report["iterations"] == 2
 
     def test_input_file(self, capsys, tmp_path):
         path = tmp_path / "poly.txt"
@@ -136,8 +138,7 @@ class TestSolveMode:
 
 class TestTraceCsv:
     def test_schema(self, capsys):
-        decade = serialize_polynomial(from_roots(1.0, [k + 0j for k in range(1, 11)]))
-        code, out, _ = run_cli(capsys, "--format", "csv", "--max-iter", "25", decade)
+        code, out, _ = run_cli(capsys, "--format", "csv", "--max-iter", "2", RAMP41)
         assert code == 2
         lines = out.strip().split("\n")
         assert lines[0] == "iter,re,im,residual,s,k"

@@ -11,10 +11,24 @@ from dalembert.descent import (
     step_parameter,
 )
 from dalembert.errors import NotApplicableToConstant, StepStalled
-from dalembert.polynomial import evaluate, scale_to_unit_constant, shift, truncate
+from dalembert.polynomial import evaluate, from_roots, scale_to_unit_constant, shift, truncate
 from helpers import random_poly, random_point
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
+
+
+def _walk_to_stall(p, z):
+    """Repeat descent_step from z until it raises StepStalled (at most 1000
+    steps); the stalled point and the residuals along the way."""
+    residuals = [norm(evaluate(p, z))]
+    for _ in range(1000):
+        try:
+            step = descent_step(p, z)
+        except StepStalled:
+            return z, residuals
+        z = z + step.zs
+        residuals.append(step.after)
+    raise AssertionError("no stall within 1000 steps")
 
 
 class TestLowestNonzeroExponent:
@@ -192,20 +206,22 @@ class TestDescend:
         assert result.residual > 1e-10
 
     def test_stall_at_float_exhaustion(self):
-        cubic = (1 / 3, 1, 1, 1)  # irrational roots: |p| stalls above 0
-        result = descend(cubic, 1 + 1j, tol=1e-320, max_iter=100000)
-        assert not result.converged
-        assert result.iterations < 100000  # stalled out rather than looping
-        assert result.residual > 0.0
+        # irrational roots: |p| stalls above 0.  descend stops at the noise
+        # floor before that, so the stall is reached step by step
+        cubic = (1 / 3, 1, 1, 1)
+        stalled, residuals = _walk_to_stall(cubic, 1 + 1j)
+        assert len(residuals) < 100  # stalled out rather than looping
+        assert all(a > b for a, b in zip(residuals, residuals[1:]))
+        assert residuals[-1] > 0.0
         with pytest.raises(StepStalled):
-            descent_step(cubic, result.root)
+            descent_step(cubic, stalled)
 
     def test_stall_ends_at_once(self, monkeypatch):
         # once z0 + zs rounds to z0, halving s further cannot help
         import dalembert.descent
 
         cubic = (1 / 3, 1, 1, 1)
-        stalled = descend(cubic, 1 + 1j, tol=1e-320, max_iter=100000).root
+        stalled, _ = _walk_to_stall(cubic, 1 + 1j)
         calls = []
         original = dalembert.descent.evaluate
 
@@ -217,6 +233,30 @@ class TestDescend:
         with pytest.raises(StepStalled):
             descent_step(cubic, stalled)
         assert len(calls) <= 5
+
+    def test_converges_at_the_noise_floor(self):
+        # tol = 1e-320 is below what evaluating p can resolve; descend stops
+        # once |p| <= gamma_2n * sum |a_i| |z|^i, before the stall
+        cubic = (1 / 3, 1, 1, 1)
+        _, residuals = _walk_to_stall(cubic, 1 + 1j)
+        result = descend(cubic, 1 + 1j, tol=1e-320, max_iter=100000)
+        assert result.converged
+        assert result.iterations < len(residuals) - 1
+        gamma = 6 * 2.0**-53 / (1 - 6 * 2.0**-53)
+        r = abs(result.root)
+        assert 1e-320 < result.residual <= gamma * (1 / 3 + r + r**2 + r**3)
+
+    def test_converged_means_the_same_for_a_multiple(self):
+        # the decade polynomial prod (z - k), k = 1..10, has coefficients up
+        # to 1.3e7: tol = 1e-10 is below its noise floor near most roots
+        decade = from_roots(1.0, range(1, 11))
+        for scale in (1.0, 1e-20, 1e20):
+            p = tuple(scale * c for c in decade)
+            for z0 in (0.5 + 0.1j, 4.7 - 0.2j, 9.6 + 0.3j):
+                result = descend(p, z0, 1e-10 * scale, 2000)
+                assert result.converged, (scale, z0)
+                assert result.iterations < 100
+                assert min(abs(result.root - k) for k in range(1, 11)) <= 1e-6
 
     def test_starting_at_root_converges_immediately(self):
         result = descend((0, 1), 0j, 1e-10, 100)
@@ -237,6 +277,12 @@ class TestDescend:
 
     def test_rejects_bad_max_iter(self):
         for max_iter in (-3, -1, 2.5, 10.0, math.nan, math.inf, "10"):
+            with pytest.raises(ValueError):
+                descend(QUAD, 0j, max_iter=max_iter)
+
+    def test_rejects_bool_max_iter(self):
+        # bool is an Integral, but True is not a step count
+        for max_iter in (True, False):
             with pytest.raises(ValueError):
                 descend(QUAD, 0j, max_iter=max_iter)
 

@@ -6,6 +6,7 @@ import pytest
 
 from dalembert.gridmin import CertifiedMinimum, SquareRegion, certified_min, lipschitz_bound
 from dalembert.growth import minimum_enclosing_square
+from dalembert.polynomial import from_roots
 from helpers import dense_min_oracle, random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
@@ -98,6 +99,12 @@ class TestCertifiedMin:
 
     def test_rejects_bad_budget(self):
         for budget in (0, -5, 2.5, 3.0, math.nan):
+            with pytest.raises(ValueError):
+                certified_min(QUAD, SquareRegion(0j, 1.0), 1e-6, budget=budget)
+
+    def test_rejects_bool_budget(self):
+        # bool is an Integral, but True is not a cell budget
+        for budget in (True, False):
             with pytest.raises(ValueError):
                 certified_min(QUAD, SquareRegion(0j, 1.0), 1e-6, budget=budget)
 
@@ -207,18 +214,19 @@ class TestGoldenOutputs:
         "p, region, epsilon, budget, argmin, value, gap, evaluations, exhausted, cells",
         [
             (QUAD, QUAD_SQUARE, 1e-6, 1_000_000,
-             ("-0x1.5555555555555p-24", "-0x1.8901cd5555556p-1"),
-             "0x1.3464bb35c2a6bp-22", "0x1.523cdd2fc1600p-21", 1253, False,
-             "457c4ff08e0555e4c062eda713588b72189a41ea3208f07fc4c8adeb9aef54e4"),
+             ("-0x1.2f0d2afd45800p-23", "0x1.bcae3e55f296fp-2"),
+             "0x1.5a01fc0b99a41p-21", "0x1.5a01fc0b99a41p-21", 147, False,
+             "b6d179708bb85bc25da38be5b0970f6dd9b3f70f78fffc6d710661aef0b3d332"),
             (DEG8, DEG8_SQUARE, 1e-6, 50_000,
-             ("0x1.dce057e19bf6bp-1", "0x1.35c2e4bc2bb65p-2"),
-             "0x1.0b1bd2a173fe3p-31", "0x1.f26faea35e42ap-21", 39545, False,
-             "f960ea94912bb2afa31bcc242cf6b3f2f435025144a48a5e8a447161b28be44f"),
-            # stopped by its budget, after a wave that spends it exactly
-            (QUAD, QUAD_SQUARE, 1e-12, 229,
-             ("-0x1.5555555555555p-5", "-0x1.9555555555555p-1"),
-             "0x1.6aaaaaaaaaaa9p-3", "0x1.6b8b1d2cffb77p-2", 229, True,
-             "80297863887dd043bf5d6988754083de66a163ac34ac68bbd90fe5c6b8594afb"),
+             ("0x1.14ff80e89b58cp-1", "0x1.e05986232ed9ap-2"),
+             "0x1.14da604196aa7p-22", "0x1.14da604196aa7p-22", 5130, False,
+             "d6a257701080761e30d6c97ce78e05868d89948156989703aaa2c6acf8382f51"),
+            # stopped by its budget, after a wave that spends it exactly and
+            # leaves nothing for that wave's Newton try
+            (QUAD, QUAD_SQUARE, 1e-12, 121,
+             ("-0x1.4141414141410p-6", "0x1.afafafafafafbp-2"),
+             "0x1.5555555555550p-4", "0x1.5555555555550p-4", 121, True,
+             "a1fa02f84573b2cb5ce66e8ce96adeb9da521a8f0cfcb6a91324315d0404bfa2"),
         ],
         ids=["quad", "deg8", "budget"],
     )
@@ -274,3 +282,114 @@ class TestLiveCells:
     def test_constant_leaves_no_live_cell(self):
         cm = certified_min((7,), SquareRegion(0j, 1.0), 1e-6)
         assert cm.cells.size == 0
+
+
+def _in_live_cell(root, cells, side):
+    d = cells - root
+    return bool((np.maximum(np.abs(d.real), np.abs(d.imag)) <= side / 2.0 * (1 + 1e-9)).any())
+
+
+def _stop_rule_cases():
+    rng = np.random.default_rng(27)
+    unit3 = np.exp(2j * np.pi * np.arange(3) / 3)
+    # three roots within 1e-3 of 1, three on |z| = 1/2
+    cluster = list(1 + 1e-3 * unit3) + list(0.5 * unit3 * np.exp(1j * np.pi / 3))
+    cases = [("quad", QUAD, None), ("(z-1)^4", from_roots(1.0, [1.0] * 4), [1.0] * 4),
+             ("cluster3+3", from_roots(1.0, cluster), cluster)]
+    cases += [(f"rand{i}", random_poly(rng, int(rng.integers(2, 13))), None) for i in range(20)]
+    return cases
+
+
+class TestStopRules:
+    """The search stops once value - max(0, lowest lower bound) <= epsilon,
+    with a Newton step from the incumbent each wave; the certificate must
+    still bracket the minimum and keep every root in a live cell."""
+
+    @pytest.mark.parametrize("epsilon, budget", [(1e-6, 50_000), (1e-10, 50_000), (1e-10, 300)])
+    def test_certificate_brackets_the_oracle(self, epsilon, budget):
+        for label, p, roots in _stop_rule_cases():
+            square = minimum_enclosing_square(p)
+            cm = certified_min(p, square, epsilon, budget)
+            coeffs = np.asarray(p, dtype=complex)[::-1]
+            if roots is None:
+                roots = np.roots(coeffs)
+            # the minimum over the square is at most |p| at any oracle root
+            # and at any dense grid point, and it is never below value - gap
+            at_roots = np.abs(np.polyval(coeffs, np.asarray(roots))).max()
+            oracle = min(at_roots, dense_min_oracle(p, square, n=128))
+            assert cm.value - cm.gap <= oracle + 1e-12, label
+            assert cm.gap >= 0.0, label
+            assert square.contains(cm.argmin), label
+            assert cm.value == pytest.approx(abs(np.polyval(coeffs, cm.argmin)), rel=1e-6,
+                                             abs=1e-14), label
+            assert cm.evaluations <= budget, label
+            assert cm.budget_exhausted or cm.gap <= epsilon, label
+            side = _live_side(cm.cells, square)
+            for root in roots:
+                assert _in_live_cell(root, cm.cells, side), (label, root)
+
+    def test_quad_seed_search_takes_few_waves(self, monkeypatch):
+        # bisection alone runs 38 waves to a 1e-10 gap (lower bounds near a
+        # root are negative); with the floor at 0 and the Newton incumbent
+        # the value meets epsilon after 7
+        import dalembert.gridmin
+
+        waves = []
+        original = dalembert.gridmin._cell_radius
+
+        def counting(centers, side):
+            waves.append(side)
+            return original(centers, side)
+
+        monkeypatch.setattr(dalembert.gridmin, "_cell_radius", counting)
+        cm = certified_min(QUAD, QUAD_SQUARE, 1e-10, 50_000)
+        assert cm.value <= 1e-10
+        assert not cm.budget_exhausted
+        assert len(waves) <= 10
+
+    def test_newton_try_is_counted_and_kept_in_the_region(self):
+        # a budget of 2 is the center and one Newton try from it
+        for p, region in ((QUAD, QUAD_SQUARE), (DEG8, DEG8_SQUARE), (QUAD, SquareRegion(1 + 1j, 0.5))):
+            cm = certified_min(p, region, 1e-12, budget=2)
+            assert cm.evaluations <= 2
+            assert region.contains(cm.argmin)
+            at_center = abs(np.polyval(np.asarray(p, dtype=complex)[::-1], region.center))
+            assert cm.value <= at_center * (1 + 1e-12)
+
+
+class TestNonFinite:
+    """Horner overflow: a NaN value never wins, a non-finite lower bound never
+    prunes its cell."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_wilkinson20_over_its_growth_square(self):
+        # the square growth_certificate gives Wilkinson-20 today, passed
+        # explicitly so that a tighter enclosure cannot hide the overflow;
+        # |p| overflows over most of it
+        p = from_roots(1.0, range(1, 21))
+        half = float.fromhex("0x1.deea03e6b5783p+68")  # 5.52e20
+        region = SquareRegion(complex(-half, -half), 2.0 * half)
+        cm = certified_min(p, region, 1e-6, 20_000)
+        # the roots 1..20 lie in the square, so the minimum is 0
+        assert cm.value - cm.gap <= 0.0
+        assert math.isfinite(cm.value)
+        assert cm.budget_exhausted
+        assert cm.evaluations <= 20_000
+        assert region.contains(cm.argmin)
+        side = _live_side(cm.cells, region)
+        for root in range(1, 21):
+            assert _in_live_cell(root, cm.cells, side), root
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_center_does_not_block_finite_values(self):
+        # 1 + z^40 is NaN at the center 1e9 + 1e9i (Horner overflows to
+        # inf, then inf * z is NaN) and finite near the corner 0
+        p = (1,) + (0,) * 39 + (1,)
+        region = SquareRegion(0j, 2e9)
+        with np.errstate(all="ignore"):
+            assert math.isnan(abs(np.polyval(np.asarray(p, dtype=complex)[::-1], region.center)))
+        cm = certified_min(p, region, 1e-6, 20_000)
+        assert math.isfinite(cm.value)
+        assert cm.argmin != region.center
+        assert region.contains(cm.argmin)
+        assert cm.value - cm.gap <= 0.0  # the root e^(i pi/40) is in the square

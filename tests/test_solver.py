@@ -180,6 +180,27 @@ class TestNoCrawl:
         assert result.converged
         assert result.iterations < self.CAP
 
+    def test_find_all_roots_wilkinson8(self, monkeypatch):
+        # residuals at the noise floor (~1e-6 near 5) count as converged:
+        # no polish crawls to max_iter chasing an absolute tol = 1e-10
+        import dalembert.solver
+
+        steps = []
+        original = dalembert.solver.descend
+
+        def counting(*args):
+            result = original(*args)
+            steps.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(dalembert.solver, "descend", counting)
+        p = from_roots(1, range(1, 9))
+        report = find_all_roots(p, tol=1e-10, max_iter=10000)
+        assert all(r.converged for r in report.roots)
+        want = np.roots(np.asarray(p, dtype=complex)[::-1])
+        assert _matched([r.root for r in report.roots], list(want), 1e-8)
+        assert sum(steps) <= 5 * self.CAP
+
     def test_find_all_roots_of_unity(self):
         report = find_all_roots((-1,) + (0,) * 29 + (1,), tol=1e-10, max_iter=self.CAP)
         assert len(report.roots) == 30
@@ -266,8 +287,12 @@ class TestDeflatedFactors:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_input_completes(self):
-        # |p| overflows on the enclosure square, so the search prunes every cell
+        # |p| overflows on most of the enclosure square; those cells bound
+        # nothing, so the search keeps them and stops on its budget with the
+        # trivial certificate [0, value]
         p = tuple(1e300 * c for c in random_poly(np.random.default_rng(45), 8))
         report = find_all_roots(p)
-        assert report.seed.cells.size == 0
+        assert report.seed.cells.size > 0
+        assert report.seed.budget_exhausted
+        assert report.seed.gap == report.seed.value
         assert len(report.roots) == 8
