@@ -248,7 +248,8 @@ class TestDescend:
 
     def test_converged_means_the_same_for_a_multiple(self):
         # the decade polynomial prod (z - k), k = 1..10, has coefficients up
-        # to 1.3e7: tol = 1e-10 is below its noise floor near most roots
+        # to 1.3e7: tol = 1e-10 is below its noise floor near most roots, so
+        # with tol scaled along with p the floor decides, at every scale
         decade = from_roots(1.0, range(1, 11))
         for scale in (1.0, 1e-20, 1e20):
             p = tuple(scale * c for c in decade)
