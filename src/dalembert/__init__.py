@@ -3,18 +3,20 @@
 The pipeline has three certified stages: a growth certificate confines every
 global minimizer of |p| to an explicit square, Lipschitz branch-and-bound
 produces a seed with a proven optimality gap, and a strictly norm-decreasing
-descent step (which can only terminate at a root) finishes the job.
+descent step (which can only terminate at a root) finishes the job.  The
+modules follow the proof: complexmath (norm and principal roots), polynomial
+(coefficient lists), growth (the enclosure square), gridmin (the minimum on
+a square), descent (d'Alembert's step) and solver (the whole pipeline).
 """
 
 from . import errors
-from .complexmath import Polar, cpow, format_complex, norm, nth_root, parse_complex, polar
+from .complexmath import format_complex, norm, nth_root, parse_complex
 from .descent import (
     DescentStep,
     RootResult,
     TraceRow,
     descend,
     descent_step,
-    lowest_nonzero_exponent,
     step_parameter,
 )
 from .gridmin import (
@@ -23,7 +25,7 @@ from .gridmin import (
     certified_min,
     lipschitz_bound,
 )
-from .growth import GrowthCertificate, check_bounds, growth_certificate, minimum_enclosing_square
+from .growth import GrowthCertificate, check_bounds, growth_certificate
 from .polynomial import (
     Poly,
     as_poly,
@@ -31,10 +33,7 @@ from .polynomial import (
     degree,
     evaluate,
     from_roots,
-    is_constant,
     max_coeff_norm,
-    multiply,
-    scale_to_unit_constant,
     shift,
     truncate,
 )
@@ -44,11 +43,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "Polar",
     "norm",
-    "polar",
     "nth_root",
-    "cpow",
     "parse_complex",
     "format_complex",
     "Poly",
@@ -56,17 +52,13 @@ __all__ = [
     "evaluate",
     "degree",
     "truncate",
-    "is_constant",
-    "scale_to_unit_constant",
     "shift",
     "max_coeff_norm",
     "deflate",
-    "multiply",
     "from_roots",
     "GrowthCertificate",
     "growth_certificate",
     "check_bounds",
-    "minimum_enclosing_square",
     "SquareRegion",
     "CertifiedMinimum",
     "lipschitz_bound",
@@ -74,7 +66,6 @@ __all__ = [
     "DescentStep",
     "TraceRow",
     "RootResult",
-    "lowest_nonzero_exponent",
     "step_parameter",
     "descent_step",
     "descend",

@@ -1,8 +1,11 @@
-"""Randomized replays of the library's core inequalities.
+"""Randomized replays of the lemmas that depend on the polynomial.
 
-Each lemma check draws a fixed-seed random sample and counts violations of
-the corresponding inequality, mirroring the property suites in tests/ but
-runnable from the CLI against any polynomial of interest.
+Each check draws a fixed-seed random sample and counts violations of one
+inequality on the given polynomial: the growth sandwich beyond the threshold
+radius, |p(z)| >= |p(0)| beyond the enclosure radius, and the strict
+decrease of a descent step inside the enclosure square.  They mirror the
+property suites in tests/ but run from the CLI on any polynomial of
+interest.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import random
 from cmath import rect
 from dataclasses import dataclass
 
-from .complexmath import cpow, norm, nth_root
+from .complexmath import norm
 from .descent import descent_step
 from .errors import StepStalled
 from .growth import check_bounds, growth_certificate
@@ -33,67 +36,16 @@ class LemmaReport:
 
 
 def run_lemma_checks(p, samples: int = 1000, seed: int = 0) -> list[LemmaReport]:
-    """Replay every applicable lemma on p; the polynomial-specific suites
-    need a non-constant polynomial and are skipped otherwise."""
-    rng = random.Random(seed)
-    reports = [
-        _norm_product(rng, samples),
-        _norm_triangle(rng, samples),
-        _norm_reverse_triangle(rng, samples),
-        _de_moivre_round_trip(rng, samples),
-    ]
+    """Replay every lemma on p; raises NotApplicableToConstant when p is
+    constant, since none of them applies."""
     pt = truncate(p)
-    if len(pt) >= 2:
-        cert = growth_certificate(pt)
-        reports.append(_growth_sandwich(pt, cert, rng, samples))
-        reports.append(_enclosure_domination(pt, cert, rng, samples))
-        reports.append(_descent_decrease(pt, cert, rng, samples))
-    return reports
-
-
-def _random_complex(rng: random.Random) -> complex:
-    scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    return complex(rng.uniform(-1.0, 1.0) * scale, rng.uniform(-1.0, 1.0) * scale)
-
-
-def _norm_product(rng, samples) -> LemmaReport:
-    failures = 0
-    for _ in range(samples):
-        x, y = _random_complex(rng), _random_complex(rng)
-        lhs, rhs = norm(x * y), norm(x) * norm(y)
-        if abs(lhs - rhs) > 1e-12 * (1.0 + rhs):
-            failures += 1
-    return LemmaReport("norm-product", samples, failures)
-
-
-def _norm_triangle(rng, samples) -> LemmaReport:
-    failures = 0
-    for _ in range(samples):
-        x, y = _random_complex(rng), _random_complex(rng)
-        slack = 1e-12 * (1.0 + norm(x) + norm(y))
-        if norm(x + y) > norm(x) + norm(y) + slack:
-            failures += 1
-    return LemmaReport("norm-triangle", samples, failures)
-
-
-def _norm_reverse_triangle(rng, samples) -> LemmaReport:
-    failures = 0
-    for _ in range(samples):
-        x, y = _random_complex(rng), _random_complex(rng)
-        slack = 1e-12 * (1.0 + norm(x) + norm(y))
-        if norm(x - y) < norm(x) - norm(y) - slack:
-            failures += 1
-    return LemmaReport("norm-reverse-triangle", samples, failures)
-
-
-def _de_moivre_round_trip(rng, samples) -> LemmaReport:
-    failures = 0
-    for _ in range(samples):
-        z = rect(10.0 ** rng.uniform(-6.0, 6.0), rng.uniform(-math.pi, math.pi))
-        n = rng.randint(1, 16)
-        if norm(cpow(nth_root(z, n), n) - z) > 1e-10 * norm(z):
-            failures += 1
-    return LemmaReport("de-moivre-round-trip", samples, failures)
+    cert = growth_certificate(pt)
+    rng = random.Random(seed)
+    return [
+        _growth_sandwich(pt, cert, rng, samples),
+        _enclosure_domination(pt, cert, rng, samples),
+        _descent_decrease(pt, cert, rng, samples),
+    ]
 
 
 def _growth_sandwich(pt, cert, rng, samples) -> LemmaReport:

@@ -13,8 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .checks import run_lemma_checks
 from .complexmath import format_complex, parse_complex
@@ -25,39 +23,11 @@ from .growth import GrowthCertificate, growth_certificate
 from .polynomial import Poly
 from .solver import find_all_roots, find_root
 
-__all__ = ["CliConfig", "parse_polynomial", "serialize_polynomial", "main"]
+__all__ = ["parse_polynomial", "serialize_polynomial", "main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    mode: str
-    tol: float
-    max_iter: int
-    epsilon: float
-    budget: int
-    trace: bool
-    poly_text: Optional[str]
-    input_path: Optional[str]
-    output_format: str
-    corner: Optional[complex]
-    side: Optional[float]
-    seed: int
-
-    def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError(f"--tol must be positive, got {self.tol}")
-        if not (self.epsilon > 0):
-            raise ValueError(f"--epsilon must be positive, got {self.epsilon}")
-        if self.max_iter < 0:
-            raise ValueError(f"--max-iter must be >= 0, got {self.max_iter}")
-        if self.budget < 1:
-            raise ValueError(f"--budget must be >= 1, got {self.budget}")
-        if (self.poly_text is None) == (self.input_path is None):
-            raise ValueError("give exactly one polynomial, inline or via --input")
 
 
 def parse_polynomial(text: str) -> Poly:
@@ -190,18 +160,18 @@ def _trace_csv(result: RootResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_solve(config: CliConfig, poly: Poly) -> tuple[int, str]:
-    result = find_root(poly, config.tol, config.max_iter)
+def _run_solve(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
+    result = find_root(poly, args.tol, args.max_iter)
     code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
-    if config.output_format == "csv":
+    if args.output_format == "csv":
         return code, _trace_csv(result)
-    return code, _to_json(_root_json(result, config.trace)) + "\n"
+    return code, _to_json(_root_json(result, args.trace)) + "\n"
 
 
-def _run_solve_all(config: CliConfig, poly: Poly) -> tuple[int, str]:
-    report = find_all_roots(poly, config.tol, config.max_iter)
+def _run_solve_all(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
+    report = find_all_roots(poly, args.tol, args.max_iter)
     out = {
-        "roots": [_root_json(r, config.trace) for r in report.roots],
+        "roots": [_root_json(r, args.trace) for r in report.roots],
         "reconstruction_error": report.reconstruction_error,
         "enclosure": _certificate_json(report.enclosure),
         "seed": _minimum_json(report.seed),
@@ -210,24 +180,24 @@ def _run_solve_all(config: CliConfig, poly: Poly) -> tuple[int, str]:
     return code, _to_json(out) + "\n"
 
 
-def _run_evt(config: CliConfig, poly: Poly) -> tuple[int, str]:
-    if config.corner is None or config.side is None:
+def _run_evt(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
+    if args.corner is None or args.side is None:
         raise ValueError("evt mode needs --corner re,im and --side s")
-    region = SquareRegion(config.corner, config.side)
-    cm = certified_min(poly, region, config.epsilon, config.budget)
+    region = SquareRegion(args.corner, args.side)
+    cm = certified_min(poly, region, args.epsilon, args.budget)
     code = EXIT_NOT_CONVERGED if cm.budget_exhausted else EXIT_OK
     return code, _to_json(_minimum_json(cm)) + "\n"
 
 
-def _run_bounds(config: CliConfig, poly: Poly) -> tuple[int, str]:
+def _run_bounds(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
     cert = growth_certificate(poly)
     return EXIT_OK, _to_json({"enclosure": _certificate_json(cert)}) + "\n"
 
 
-def _run_check(config: CliConfig, poly: Poly) -> tuple[int, str]:
-    reports = run_lemma_checks(poly, samples=1000, seed=config.seed)
+def _run_check(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
+    reports = run_lemma_checks(poly, samples=1000, seed=args.seed)
     out = {
-        "seed": config.seed,
+        "seed": args.seed,
         "samples": 1000,
         "lemmas": [
             {"name": r.name, "samples": r.samples, "failures": r.failures, "pass": r.passed}
@@ -269,40 +239,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    corner = None
+def _validate(args: argparse.Namespace) -> None:
+    """Check what argparse cannot, and parse --corner into a complex in place."""
     if args.corner is not None:
         parts = args.corner.split(",")
         if len(parts) != 2:
             raise ValueError(f"--corner must be re,im, got {args.corner!r}")
         try:
-            corner = complex(float(parts[0]), float(parts[1]))
+            args.corner = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ValueError(f"--corner must be re,im, got {args.corner!r}")
     if args.output_format == "csv" and args.mode != "solve":
         raise ValueError("csv output is only available for solve mode (the trace)")
-    return CliConfig(
-        mode=args.mode,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        epsilon=args.epsilon,
-        budget=args.budget,
-        trace=args.trace,
-        poly_text=args.poly,
-        input_path=args.input,
-        output_format=args.output_format,
-        corner=corner,
-        side=args.side,
-        seed=args.seed,
-    )
+    if not (args.tol > 0):
+        raise ValueError(f"--tol must be positive, got {args.tol}")
+    if not (args.epsilon > 0):
+        raise ValueError(f"--epsilon must be positive, got {args.epsilon}")
+    if args.max_iter < 0:
+        raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
+    if args.budget < 1:
+        raise ValueError(f"--budget must be >= 1, got {args.budget}")
+    if (args.poly is None) == (args.input is None):
+        raise ValueError("give exactly one polynomial, inline or via --input")
 
 
-def _load_polynomial(config: CliConfig) -> Poly:
-    if config.input_path is not None:
-        with open(config.input_path, "r", encoding="utf-8") as handle:
+def _load_polynomial(args: argparse.Namespace) -> Poly:
+    if args.input is not None:
+        with open(args.input, "r", encoding="utf-8") as handle:
             return parse_polynomial(handle.read())
-    assert config.poly_text is not None
-    return parse_polynomial(config.poly_text)
+    return parse_polynomial(args.poly)
 
 
 def main(argv=None) -> int:
@@ -312,9 +277,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; report 1
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        config = _config_from_args(args)
-        poly = _load_polynomial(config)
-        code, text = _MODES[config.mode](config, poly)
+        _validate(args)
+        code, text = _MODES[args.mode](args, _load_polynomial(args))
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

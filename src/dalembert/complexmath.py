@@ -1,4 +1,4 @@
-"""Euclidean norm, polar form, principal nth roots, and complex literals.
+"""Euclidean norm, principal nth roots, and complex literals.
 
 Everything works on Python's built-in complex type.  All functions are pure
 and total on finite inputs; NaN and infinity never enter or leave when the
@@ -10,26 +10,10 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from typing import NamedTuple
 
 from .errors import ParseError
 
-__all__ = [
-    "Polar",
-    "norm",
-    "polar",
-    "nth_root",
-    "cpow",
-    "parse_complex",
-    "format_complex",
-]
-
-
-class Polar(NamedTuple):
-    """Polar decomposition radius * (cos angle + i sin angle), angle in (-pi, pi]."""
-
-    radius: float
-    angle: float
+__all__ = ["norm", "nth_root", "parse_complex", "format_complex"]
 
 
 def norm(z: complex) -> float:
@@ -37,39 +21,23 @@ def norm(z: complex) -> float:
     return math.hypot(z.real, z.imag)
 
 
-def polar(z: complex) -> Polar:
-    """Polar form with the principal angle; polar(0) is defined as (0, 0)."""
-    z = complex(z)
-    if z == 0:
-        return Polar(0.0, 0.0)
-    radius, angle = cmath.polar(z)
-    if angle <= -math.pi:
-        angle = math.pi  # atan2 can return -pi; keep the angle in (-pi, pi]
-    return Polar(radius, angle)
-
-
 def nth_root(z: complex, n: int) -> complex:
-    """Principal nth root: radius^(1/n) at one nth of the principal angle."""
+    """Principal nth root: radius^(1/n) at one nth of the angle in (-pi, pi].
+
+    The root of 0 is 0, and a z on the negative real axis has angle pi
+    whatever the sign of its zero imaginary part.
+    """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     z = complex(z)
     if n == 1:
         return z
-    radius, angle = polar(z)
-    if radius == 0.0:
+    if z == 0:
         return 0j
+    radius, angle = cmath.polar(z)
+    if angle <= -math.pi:
+        angle = math.pi  # atan2 can return -pi; keep the angle in (-pi, pi]
     return cmath.rect(radius ** (1.0 / n), angle / n)
-
-
-def cpow(z: complex, n: int) -> complex:
-    """z**n by repeated multiplication; cpow(z, 0) == 1 for every z."""
-    if n < 0:
-        raise ValueError(f"n must be a natural number, got {n}")
-    out = complex(1.0)
-    z = complex(z)
-    for _ in range(n):
-        out *= z
-    return out
 
 
 _FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"

@@ -15,6 +15,7 @@ Numerical Algorithms, 2nd ed., 5.1), below which a computed |p| says nothing.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +28,6 @@ __all__ = [
     "DescentStep",
     "TraceRow",
     "RootResult",
-    "lowest_nonzero_exponent",
     "step_parameter",
     "descent_step",
     "descend",
@@ -76,17 +76,6 @@ class RootResult:
     trace: Optional[tuple[TraceRow, ...]] = None
 
 
-def lowest_nonzero_exponent(p) -> int:
-    """Smallest i >= 1 with a_i != 0 (exact comparison); at most the degree."""
-    q = truncate(p)
-    if len(q) <= 1:
-        raise NotApplicableToConstant("a constant polynomial has no nonzero exponent")
-    for i in range(1, len(q)):
-        if q[i] != 0:
-            return i
-    raise AssertionError("truncate left a zero leading coefficient")
-
-
 def step_parameter(p) -> float:
     """Step parameter s in (0, 1) for a polynomial with constant term 1.
 
@@ -96,7 +85,10 @@ def step_parameter(p) -> float:
     q = truncate(p)
     if not q or q[0] != 1:
         raise ValueError("step_parameter expects a constant term of exactly 1")
-    k = lowest_nonzero_exponent(q)
+    if len(q) == 1:
+        raise NotApplicableToConstant("a constant polynomial has no nonzero exponent")
+    # the lowest exponent k >= 1 with a_k != 0; a_n != 0 after truncate
+    k = next(i for i in range(1, len(q)) if q[i] != 0)
     ak, m, n = norm(q[k]), max_coeff_norm(q), len(q) - 1
     # algebraically |a_k|^(k+1) / (M^k (n+1)^k); grouped to avoid overflow
     bound = ak * (ak / m) ** k / float((n + 1) ** k)
@@ -176,10 +168,12 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
             keep_trace: bool = True) -> RootResult:
     """Iterate the descent step until converged, max_iter steps, or float exhaustion.
 
-    Converged means |p(z)| <= max(tol, gamma_2n * sum |a_i| |z|^i): the
-    residual meets tol or has reached the rounding floor of evaluating p, so
-    it means the same for p and for any multiple of p.  The residual trace
-    is strictly decreasing.  Running out of iterations or stalling is
+    Converged means a finite |p(z)| <= max(tol, gamma_2n * sum |a_i| |z|^i):
+    the residual meets tol or has reached the rounding floor of evaluating
+    p, so it means the same for p and for any multiple of p.  The residual
+    trace is strictly decreasing, so only the start can be non-finite; a
+    start where |p| overflows is returned at once, not converged, since no
+    step can be computed there.  Running out of iterations or stalling is
     reported through converged=False, not raised.  max_iter must be an
     integer >= 0.
     """
@@ -193,7 +187,7 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
     residual = norm(evaluate(pt, z))
     rows = [TraceRow(0, z, residual, 0.0, 0)]
     steps = 0
-    while residual > max(tol, floor(z)) and steps < max_iter:
+    while math.isfinite(residual) and residual > max(tol, floor(z)) and steps < max_iter:
         try:
             step = _step(pt, z, residual)
         except (StepStalled, AlreadyAtRoot):
@@ -206,6 +200,6 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
         root=z,
         residual=residual,
         iterations=steps,
-        converged=residual <= max(tol, floor(z)),
+        converged=math.isfinite(residual) and residual <= max(tol, floor(z)),
         trace=tuple(rows) if keep_trace else None,
     )

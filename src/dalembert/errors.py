@@ -5,10 +5,6 @@ class DegenerateZeroPolynomial(ValueError):
     """The identically-zero polynomial was given where a nonzero one is required."""
 
 
-class ZeroConstantTerm(ValueError):
-    """Constant-term normalization requested but a0 = 0 (0 is already a root)."""
-
-
 class CannotDeflateConstant(ValueError):
     """Synthetic division requires degree >= 1."""
 

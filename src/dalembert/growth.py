@@ -23,7 +23,6 @@ __all__ = [
     "GrowthCertificate",
     "growth_certificate",
     "check_bounds",
-    "minimum_enclosing_square",
     "BOUND_SLACK",
 ]
 
@@ -92,11 +91,3 @@ def check_bounds(p, z: complex, cert: GrowthCertificate) -> tuple[float, float, 
         )
     return lower, value, upper
 
-
-def minimum_enclosing_square(p) -> SquareRegion:
-    """Origin-centered square guaranteed to contain every global minimizer of |p|.
-
-    All z outside it satisfy |p(z)| >= |p(0)|, so no exterior point can beat
-    the center.
-    """
-    return growth_certificate(p).square

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .complexmath import norm
-from .errors import CannotDeflateConstant, DegenerateZeroPolynomial, ZeroConstantTerm
+from .errors import CannotDeflateConstant, DegenerateZeroPolynomial
 
 Poly = tuple[complex, ...]
 
@@ -21,12 +21,9 @@ __all__ = [
     "evaluate",
     "degree",
     "truncate",
-    "is_constant",
-    "scale_to_unit_constant",
     "shift",
     "max_coeff_norm",
     "deflate",
-    "multiply",
     "from_roots",
 ]
 
@@ -65,20 +62,6 @@ def degree(p: Sequence[complex]) -> int:
     if not q:
         raise DegenerateZeroPolynomial("the zero polynomial has no degree")
     return len(q) - 1
-
-
-def is_constant(p: Sequence[complex]) -> bool:
-    """True when the normalized form has at most one coefficient."""
-    return len(truncate(p)) <= 1
-
-
-def scale_to_unit_constant(p: Sequence[complex]) -> Poly:
-    """Divide through by a0 so the constant term is exactly 1."""
-    q = as_poly(p)
-    if not q or q[0] == 0:
-        raise ZeroConstantTerm("a0 = 0: the origin is already a root")
-    a0 = q[0]
-    return (complex(1.0),) + tuple(c / a0 for c in q[1:])
 
 
 def shift(p: Sequence[complex], z0: complex) -> Poly:
@@ -127,21 +110,14 @@ def deflate(p: Sequence[complex], r: complex) -> tuple[Poly, complex]:
     return tuple(b), rem
 
 
-def multiply(p: Sequence[complex], q: Sequence[complex]) -> Poly:
-    """Coefficient convolution; empty factors give the zero polynomial."""
-    a, b = as_poly(p), as_poly(q)
-    if not a or not b:
-        return ()
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
-
-
 def from_roots(lead: complex, roots: Iterable[complex]) -> Poly:
-    """Expand lead * prod (z - r_i)."""
+    """Expand lead * prod (z - r_i), convolving in one linear factor at a time."""
     out: Poly = (complex(lead),)
     for r in roots:
-        out = multiply(out, (-complex(r), complex(1.0)))
+        factor = (-complex(r), complex(1.0))
+        acc = [0j] * (len(out) + 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                acc[i + j] += a * b
+        out = tuple(acc)
     return out

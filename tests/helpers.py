@@ -29,3 +29,13 @@ def dense_min_oracle(p, region, n=512):
 def eval_sum_oracle(p, z):
     """Plain power-sum evaluation (not Horner), as an independent check."""
     return sum(c * z**i for i, c in enumerate(p))
+
+
+def unit_constant(p):
+    """p / a0 with the constant term set to exactly 1 (a0 must be nonzero)."""
+    return (1 + 0j,) + tuple(complex(c) / complex(p[0]) for c in p[1:])
+
+
+def lowest_exponent(q):
+    """Smallest k >= 1 with q[k] != 0 (q non-constant and truncated)."""
+    return next(k for k in range(1, len(q)) if q[k] != 0)

@@ -14,10 +14,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from dalembert.cli import main, parse_polynomial, serialize_polynomial
-from dalembert.complexmath import cpow, norm, nth_root
+from dalembert.complexmath import norm, nth_root
 from dalembert.descent import descend, descent_step
 from dalembert.gridmin import SquareRegion, certified_min
-from dalembert.growth import growth_certificate, minimum_enclosing_square
+from dalembert.growth import growth_certificate
 from dalembert.polynomial import evaluate, max_coeff_norm
 from dalembert.solver import find_all_roots, find_root
 from helpers import dense_min_oracle, random_poly
@@ -59,7 +59,7 @@ def test_criterion_2_de_moivre():
         for _ in range(10_000):
             z = rect(10.0 ** rng.uniform(-6.0, 6.0), rng.uniform(-math.pi, math.pi))
             n = rng.randint(1, 16)
-            w = cpow(nth_root(z, n), n)
+            w = nth_root(z, n) ** n
             assert norm(w - z) <= 1e-10 * norm(z)
 
 

@@ -211,17 +211,16 @@ class TestOtherModes:
         assert code == 0
         report = json.loads(out)
         assert report["pass"] is True
-        names = {entry["name"] for entry in report["lemmas"]}
-        assert {
-            "norm-product",
-            "norm-triangle",
-            "norm-reverse-triangle",
-            "de-moivre-round-trip",
-            "growth-sandwich",
-            "enclosure-domination",
-            "descent-decrease",
-        } <= names
+        names = [entry["name"] for entry in report["lemmas"]]
+        assert names == ["growth-sandwich", "enclosure-domination", "descent-decrease"]
         assert all(entry["samples"] == 1000 for entry in report["lemmas"])
+
+    def test_check_rejects_constant(self, capsys):
+        # every replay needs a non-constant polynomial, as bounds mode does
+        code, out, err = run_cli(capsys, "--mode", "check", "7")
+        assert code == 1
+        assert out == ""
+        assert "non-constant" in err
 
     def test_check_seed_changes_output(self, capsys):
         _, out_a, _ = run_cli(capsys, "--mode", "check", "--seed", "1", QUAD_TEXT)

@@ -1,17 +1,11 @@
+import cmath
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dalembert.complexmath import (
-    cpow,
-    format_complex,
-    norm,
-    nth_root,
-    parse_complex,
-    polar,
-)
+from dalembert.complexmath import format_complex, norm, nth_root, parse_complex
 from dalembert.errors import ParseError
 
 finite_reals = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -49,40 +43,54 @@ class TestNorm:
 
     @given(complexes, st.integers(0, 32))
     def test_power_law(self, z, n):
-        lhs, rhs = norm(cpow(z, n)), norm(z) ** n
+        lhs, rhs = norm(z**n), norm(z) ** n
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + rhs)
 
 
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
 class TestPolar:
+    """The polar form nth_root takes: the principal angle in (-pi, pi]."""
+
     def test_minus_one(self):
-        r, a = polar(-1 + 0j)
-        assert r == 1.0 and a == math.pi
+        # angle pi, not -pi: the principal square root is i, the cube root
+        # e^(i pi/3)
+        assert nth_root(-1 + 0j, 2) == cmath.rect(1.0, math.pi / 2)
+        assert nth_root(-1 + 0j, 3) == cmath.rect(1.0, math.pi / 3)
 
     def test_i(self):
-        r, a = polar(1j)
-        assert r == 1.0 and a == pytest.approx(math.pi / 2, abs=1e-15)
+        w = nth_root(1j, 2)
+        assert abs(w) == pytest.approx(1.0, rel=1e-15)
+        assert cmath.phase(w) == pytest.approx(math.pi / 4, abs=1e-15)
 
     def test_one_plus_i(self):
-        r, a = polar(1 + 1j)
-        assert r == pytest.approx(math.sqrt(2), rel=1e-15)
-        assert a == pytest.approx(math.pi / 4, abs=1e-15)
+        w = nth_root(1 + 1j, 2)
+        assert abs(w) == pytest.approx(2.0**0.25, rel=1e-15)
+        assert cmath.phase(w) == pytest.approx(math.pi / 8, abs=1e-15)
 
     def test_zero_is_total(self):
-        assert polar(0j) == (0.0, 0.0)
-        assert polar(complex(-0.0, 0.0)) == (0.0, 0.0)
+        for z in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            for n in (2, 3, 7):
+                assert _bits(nth_root(z, n)) == _bits(0j)
 
     def test_negative_real_axis_from_below(self):
-        # atan2 yields -pi here; the principal angle must stay in (-pi, pi]
-        r, a = polar(complex(-1.0, -0.0))
-        assert a == math.pi
+        # atan2 yields -pi for -1 - 0i; the angle is mapped to pi, so the
+        # root is the same as for -1 + 0i, bit for bit
+        for n in (2, 3, 5):
+            assert _bits(nth_root(complex(-1.0, -0.0), n)) == _bits(nth_root(-1 + 0j, n))
+        assert _bits(nth_root(complex(-4.0, -0.0), 2)) == _bits(nth_root(-4 + 0j, 2))
 
-    @given(complexes)
-    def test_angle_range_and_reconstruction(self, z):
-        r, a = polar(z)
-        assert r >= 0.0
-        assert -math.pi < a <= math.pi
-        w = complex(r * math.cos(a), r * math.sin(a))
-        assert abs(w - z) <= 1e-12 * (1.0 + abs(z))
+    @given(complexes, st.integers(2, 16))
+    def test_angle_range_and_reconstruction(self, z, n):
+        w = nth_root(z, n)
+        if z == 0:
+            assert w == 0j
+            return
+        # one nth of an angle in (-pi, pi], up to the rounding of rect/phase
+        assert abs(cmath.phase(w)) <= math.pi / n + 1e-15
+        assert abs(w**n - z) <= 1e-9 * (1.0 + abs(z))
 
 
 class TestNthRoot:
@@ -90,12 +98,12 @@ class TestNthRoot:
         assert nth_root(1 + 0j, 4) == 1 + 0j
 
     def test_sqrt_of_minus_one_is_i(self):
-        # polar(-1) = (1, pi), principal half angle pi/2
+        # -1 has the principal angle pi, half of it pi/2
         assert abs(nth_root(-1 + 0j, 2) - 1j) <= 1e-12
 
     def test_round_trip_negative_rational(self):
         w = nth_root(complex(-4.0 / 3.0, 0.0), 2)
-        assert abs(cpow(w, 2) - complex(-4.0 / 3.0, 0.0)) <= 1e-12
+        assert abs(w**2 - complex(-4.0 / 3.0, 0.0)) <= 1e-12
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
@@ -110,25 +118,8 @@ class TestNthRoot:
     @settings(max_examples=300)
     def test_de_moivre_round_trip(self, radius, angle, n):
         z = complex(radius * math.cos(angle), radius * math.sin(angle))
-        w = cpow(nth_root(z, n), n)
+        w = nth_root(z, n) ** n
         assert norm(w - z) <= 1e-10 * norm(z)
-
-
-class TestCpow:
-    def test_i_squared(self):
-        assert cpow(1j, 2) == -1 + 0j
-
-    def test_empty_product(self):
-        for z in (0j, 3 - 2j, complex(1e300, 1e300)):
-            assert cpow(z, 0) == 1 + 0j
-
-    def test_one_plus_i_fourth(self):
-        # direct multiplication oracle: (1+i)^2 = 2i, (2i)^2 = -4
-        assert cpow(1 + 1j, 4) == -4 + 0j
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            cpow(1j, -1)
 
 
 class TestLiterals:

@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dalembert.complexmath import cpow, norm, nth_root
-from dalembert.descent import (
-    descend,
-    descent_step,
-    lowest_nonzero_exponent,
-    step_parameter,
-)
+from dalembert.complexmath import norm, nth_root
+from dalembert.descent import descend, descent_step, step_parameter
 from dalembert.errors import NotApplicableToConstant, StepStalled
-from dalembert.polynomial import evaluate, from_roots, scale_to_unit_constant, shift, truncate
-from helpers import random_poly, random_point
+from dalembert.polynomial import evaluate, from_roots, shift, truncate
+from helpers import lowest_exponent, random_point, random_poly, unit_constant
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
 
@@ -32,15 +27,21 @@ def _walk_to_stall(p, z):
 
 
 class TestLowestNonzeroExponent:
+    """The exponent k that step_parameter takes: the lowest k >= 1 with a_k != 0."""
+
     def test_examples(self):
-        assert lowest_nonzero_exponent((1, 0, 0, 5)) == 3
-        assert lowest_nonzero_exponent(QUAD) == 1
-        assert lowest_nonzero_exponent((1, 0, 2, 7)) == 2
+        # s is half of |a_k|^(k+1) / (M^k (n+1)^k), which pins k
+        # k = 3: 5^4 / (5^3 4^3) = 5/64
+        assert step_parameter((1, 0, 0, 5)) == pytest.approx(5.0 / 128.0, rel=1e-15)
+        # k = 1: 1^2 / (3 * 3) = 1/9
+        assert step_parameter(QUAD) == pytest.approx(1.0 / 18.0, rel=1e-15)
+        # k = 2: 2^3 / (7^2 4^2) = 1/98
+        assert step_parameter((1, 0, 2, 7)) == pytest.approx(1.0 / 196.0, rel=1e-15)
 
     def test_rejects_constants(self):
-        for p in ((7,), (7, 0, 0), (), (0, 0)):
+        for p in ((1,), (1, 0, 0)):
             with pytest.raises(NotApplicableToConstant):
-                lowest_nonzero_exponent(p)
+                step_parameter(p)
 
 
 class TestStepParameter:
@@ -66,9 +67,9 @@ class TestStepParameter:
             p = truncate(random_poly(rng, int(rng.integers(1, 9))))
             if len(p) < 2 or p[0] == 0:
                 continue
-            q = scale_to_unit_constant(p)
+            q = unit_constant(p)
             s = step_parameter(q)
-            k = lowest_nonzero_exponent(q)
+            k = lowest_exponent(q)
             m = max(norm(c) for c in q)
             n = len(q) - 1
             assert 0.0 < s < 1.0
@@ -113,7 +114,7 @@ class TestDescentStep:
             if norm(evaluate(p, z0)) <= 1e-9:
                 continue
             step = descent_step(p, z0)
-            lhs = step.ak * cpow(step.zs, step.k)
+            lhs = step.ak * step.zs**step.k
             assert abs(lhs - complex(-step.s, 0.0)) <= 1e-10 * (1.0 + step.s)
 
     def test_strict_decrease(self):
@@ -140,8 +141,8 @@ class TestDescentStep:
             z0 = random_point(rng, 2.0)
             if norm(evaluate(p, z0)) <= 1e-6:
                 continue
-            q = scale_to_unit_constant(truncate(shift(p, z0)))
-            k = lowest_nonzero_exponent(q)
+            q = unit_constant(truncate(shift(p, z0)))
+            k = lowest_exponent(q)
             zs = nth_root(-step_parameter(q) / q[k], k)
             tail = q[k + 1 :]
             r = (norm(zs) / norm(q[k])) * norm(evaluate(tail, zs))
@@ -161,7 +162,7 @@ class TestDescentStep:
             if norm(evaluate(p, z0)) <= 1e-6:
                 continue
             step = descent_step(p, z0)
-            q = scale_to_unit_constant(truncate(shift(p, z0)))
+            q = unit_constant(truncate(shift(p, z0)))
             assert step.s > step_parameter(q) / 2.0
             checked += 1
         assert checked > 250
@@ -258,6 +259,19 @@ class TestDescend:
                 assert result.converged, (scale, z0)
                 assert result.iterations < 100
                 assert min(abs(result.root - k) for k in range(1, 11)) <= 1e-6
+
+    def test_overflowing_start_is_not_converged(self):
+        # |p(1e200)| overflows to inf, and so does the noise floor there:
+        # an infinite residual must not pass the floor test
+        result = descend((1, 0, 1), 1e200)
+        assert not math.isfinite(result.residual)
+        assert result.converged is False
+        assert result.iterations == 0
+        # from a start where p is finite (1e200 * 2i) it walks to the root i
+        result = descend((1, 0, 1), 1e100 + 1e100j)
+        assert result.converged
+        assert result.residual <= 1e-10
+        assert abs(result.root - 1j) <= 1e-9
 
     def test_starting_at_root_converges_immediately(self):
         result = descend((0, 1), 0j, 1e-10, 100)

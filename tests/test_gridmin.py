@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dalembert.gridmin import CertifiedMinimum, SquareRegion, certified_min, lipschitz_bound
-from dalembert.growth import minimum_enclosing_square
+from dalembert.growth import growth_certificate
 from dalembert.polynomial import from_roots
 from helpers import dense_min_oracle, random_poly
 
@@ -75,14 +75,14 @@ class TestCertifiedMin:
         assert not cm.budget_exhausted
 
     def test_sample_quadratic_over_enclosure(self):
-        square = minimum_enclosing_square(QUAD)
+        square = growth_certificate(QUAD).square
         cm = certified_min(QUAD, square, 1e-4)
         # a root lies inside the enclosure square, so the minimum is 0
         assert cm.value <= 1e-4
         assert cm.gap <= 1e-4
 
     def test_budget_exhaustion_flagged_and_still_sound(self):
-        square = minimum_enclosing_square(QUAD)
+        square = growth_certificate(QUAD).square
         cm = certified_min(QUAD, square, 1e-12, budget=20)
         assert cm.budget_exhausted
         assert cm.evaluations <= 20
@@ -164,7 +164,7 @@ class TestCertifiedMin:
     def test_against_dense_oracle(self):
         # the true minimum m lies in [value - gap, value], and a dense grid
         # sample is never below m
-        square = minimum_enclosing_square(QUAD)
+        square = growth_certificate(QUAD).square
         cm = certified_min(QUAD, square, 1e-6)
         oracle = dense_min_oracle(QUAD, square, n=1024)
         assert oracle >= cm.value - cm.gap - 1e-9
@@ -192,7 +192,7 @@ class TestCertifiedMin:
         assert (cm.value <= values + cm.gap + 1e-12).all()
 
     def test_deterministic(self):
-        square = minimum_enclosing_square(QUAD)
+        square = growth_certificate(QUAD).square
         a = certified_min(QUAD, square, 1e-8)
         b = certified_min(QUAD, square, 1e-8)
         assert a == b
@@ -201,7 +201,7 @@ class TestCertifiedMin:
 # a fixed degree-8 polynomial, coefficients uniform in the unit box
 DEG8 = (0.395 + 0.887j, -0.372 - 0.193j, -0.758 - 0.636j, -0.353 + 0.721j, 0.862 + 0.814j,
         0.579 - 0.397j, -0.98 - 0.29j, -0.602 + 0.507j, -0.414 - 0.463j)
-# the enclosure squares of QUAD and DEG8 (minimum_enclosing_square)
+# the enclosure squares of QUAD and DEG8 (growth_certificate(p).square)
 QUAD_SQUARE = SquareRegion(complex(-1.3333333333333333, -1.3333333333333333), 2.6666666666666665)
 DEG8_SQUARE = SquareRegion(complex(-30.54187007015051, -30.54187007015051), 61.08374014030102)
 
@@ -258,7 +258,7 @@ class TestLiveCells:
         rng = np.random.default_rng(26)
         polys = [QUAD] + [random_poly(rng, int(rng.integers(2, 9))) for _ in range(20)]
         for p in polys:
-            square = minimum_enclosing_square(p)
+            square = growth_certificate(p).square
             cm = certified_min(p, square, 1e-6, 50_000)
             side = _live_side(cm.cells, square)
             for root in np.roots(np.asarray(p, dtype=complex)[::-1]):
@@ -267,7 +267,7 @@ class TestLiveCells:
                 assert inside.any(), (p, root)
 
     def test_cells_are_read_only_and_not_compared(self):
-        square = minimum_enclosing_square(QUAD)
+        square = growth_certificate(QUAD).square
         cm = certified_min(QUAD, square, 1e-10, 50_000)
         assert cm.cells.size > 0
         assert not cm.cells.flags.writeable
@@ -308,7 +308,7 @@ class TestStopRules:
     @pytest.mark.parametrize("epsilon, budget", [(1e-6, 50_000), (1e-10, 50_000), (1e-10, 300)])
     def test_certificate_brackets_the_oracle(self, epsilon, budget):
         for label, p, roots in _stop_rule_cases():
-            square = minimum_enclosing_square(p)
+            square = growth_certificate(p).square
             cm = certified_min(p, square, epsilon, budget)
             coeffs = np.asarray(p, dtype=complex)[::-1]
             if roots is None:

@@ -6,7 +6,7 @@ import pytest
 
 from dalembert.complexmath import norm
 from dalembert.errors import BelowThreshold, NotApplicableToConstant
-from dalembert.growth import check_bounds, growth_certificate, minimum_enclosing_square
+from dalembert.growth import check_bounds, growth_certificate
 from dalembert.polynomial import evaluate
 from helpers import random_poly
 
@@ -90,18 +90,18 @@ class TestCheckBounds:
 
 class TestEnclosure:
     def test_sample_quadratic_square(self):
-        sq = minimum_enclosing_square(QUAD)
+        sq = growth_certificate(QUAD).square
         assert sq.corner.real == pytest.approx(-4.0 / 3.0, abs=1e-15)
         assert sq.corner.imag == pytest.approx(-4.0 / 3.0, abs=1e-15)
         assert sq.side == pytest.approx(8.0 / 3.0, abs=1e-15)
 
     def test_pure_square(self):
-        sq = minimum_enclosing_square((0, 0, 1))
+        sq = growth_certificate((0, 0, 1)).square
         assert sq.corner == complex(-1, -1)
         assert sq.side == 2.0
 
     def test_linear_contains_its_root(self):
-        sq = minimum_enclosing_square((10, 1))
+        sq = growth_certificate((10, 1)).square
         assert sq.corner == complex(-20, -20)
         assert sq.side == 40.0
         assert sq.contains(-10 + 0j)

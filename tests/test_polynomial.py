@@ -4,20 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dalembert.complexmath import norm
+from dalembert.descent import descend, descent_step
 from dalembert.errors import (
+    AlreadyAtRoot,
     CannotDeflateConstant,
     DegenerateZeroPolynomial,
-    ZeroConstantTerm,
+    NotApplicableToConstant,
 )
+from dalembert.growth import growth_certificate
 from dalembert.polynomial import (
     deflate,
     degree,
     evaluate,
     from_roots,
-    is_constant,
     max_coeff_norm,
-    multiply,
-    scale_to_unit_constant,
     shift,
     truncate,
 )
@@ -93,47 +93,60 @@ class TestDegreeAndTruncate:
                 assert evaluate(q, z) == evaluate(p, z)
 
     def test_is_constant(self):
-        assert is_constant((7,))
-        assert is_constant((7, 0, 0))
-        assert not is_constant(QUAD)
-        assert is_constant(())
+        # constant means at most one coefficient after truncate; what needs a
+        # non-constant polynomial refuses exactly those
+        for p in ((7,), (7, 0, 0), ()):
+            with pytest.raises(NotApplicableToConstant):
+                growth_certificate(p)
+            with pytest.raises(NotApplicableToConstant):
+                descend(p, 0j)
+        assert growth_certificate(QUAD).degree == 2
+        assert descend(QUAD, 0j).converged
 
 
 class TestScale:
+    """Division by a0, which the descent step applies to p(z0 + h): the
+    step's ak is the coefficient a_k / a_0 of the shifted polynomial."""
+
     def test_real_case(self):
-        assert scale_to_unit_constant((2, 4)) == (1 + 0j, 2 + 0j)
+        assert descent_step((2, 4), 0j).ak == 2 + 0j
 
     def test_inverse_of_i(self):
-        q = scale_to_unit_constant((1j, 1))
-        assert q[0] == 1 + 0j
-        assert abs(q[1] - (-1j)) <= 1e-15
+        step = descent_step((1j, 1), 0j)
+        assert abs(step.ak - (-1j)) <= 1e-15
 
     def test_already_unit(self):
-        assert scale_to_unit_constant(QUAD) == QUAD
+        assert descent_step(QUAD, 0j).ak == 1j
 
     def test_rejects_zero_constant(self):
-        with pytest.raises(ZeroConstantTerm):
-            scale_to_unit_constant((0, 1))
-        with pytest.raises(ZeroConstantTerm):
-            scale_to_unit_constant(())
+        # a0 = 0: the origin is already a root
+        for p in ((0, 1), (0, 0, 1)):
+            with pytest.raises(AlreadyAtRoot):
+                descent_step(p, 0j)
 
     def test_constant_term_exactly_one(self):
+        # at z0 = 0 the shifted polynomial is p itself
         rng = np.random.default_rng(3)
         for _ in range(50):
-            p = random_poly(rng, int(rng.integers(1, 7)))
-            if p[0] == 0:
+            p = truncate(random_poly(rng, int(rng.integers(1, 7))))
+            if len(p) < 2 or p[0] == 0:
                 continue
-            assert scale_to_unit_constant(p)[0] == 1 + 0j
+            step = descent_step(p, 0j)
+            assert step.ak == complex(p[step.k]) / complex(p[0])
 
     def test_norm_relation_at_evaluation_level(self):
+        # before and after are |p| at z0 and z0 + zs, not |q|: after / before
+        # is |q(zs)| for q(h) = p(z0 + h) / p(z0)
         rng = np.random.default_rng(4)
         for _ in range(50):
-            p = random_poly(rng, int(rng.integers(1, 7)))
-            q = scale_to_unit_constant(p)
-            z = random_point(rng, 2.0)
-            lhs = norm(evaluate(q, z)) * norm(p[0])
-            rhs = norm(evaluate(p, z))
-            assert abs(lhs - rhs) <= 1e-10 * (1.0 + rhs)
+            p = truncate(random_poly(rng, int(rng.integers(1, 7))))
+            z0 = random_point(rng, 2.0)
+            if len(p) < 2 or norm(evaluate(p, z0)) <= 1e-6:
+                continue
+            step = descent_step(p, z0)
+            q = shift(p, z0)
+            ratio = norm(evaluate(q, step.zs)) / norm(q[0])
+            assert abs(step.after / step.before - ratio) <= 1e-10 * (1.0 + ratio)
 
 
 class TestShift:
@@ -209,7 +222,7 @@ class TestDeflate:
             p = truncate(random_poly(rng, int(rng.integers(1, 9))))
             r = random_point(rng, 2.0)
             q, rem = deflate(p, r)
-            rebuilt = list(multiply((-r, 1 + 0j), q))
+            rebuilt = list(np.convolve((-r, 1 + 0j), q))
             rebuilt[0] += rem
             assert len(rebuilt) == len(p)
             for a, b in zip(rebuilt, p):

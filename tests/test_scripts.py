@@ -33,6 +33,17 @@ def test_script_exits_zero(argv):
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+def test_replay_lemmas_prints_three_lemmas_per_polynomial():
+    done = _run(["scripts/replay_lemmas.py", "--samples", "20"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    blocks = [b.splitlines() for b in done.stdout.strip().split("\n\n")]
+    assert len(blocks) == 6  # the script's battery
+    for block in blocks:
+        names = [line.split()[0] for line in block[1:]]
+        assert names == ["growth-sandwich", "enclosure-domination", "descent-decrease"]
+        assert all(line.endswith("pass") for line in block[1:])
+
+
 def test_output_digests_prints_one_line_per_call():
     argv = ["scripts/output_digests.py", "--workload", "descent-deep", "--seed", "1"]
     first, second = _run(argv), _run(argv)

@@ -7,7 +7,7 @@ import pytest
 from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
 from dalembert.gridmin import certified_min
-from dalembert.growth import minimum_enclosing_square
+from dalembert.growth import growth_certificate
 from dalembert.polynomial import evaluate, from_roots, max_coeff_norm
 from dalembert.solver import find_all_roots, find_root
 from helpers import random_poly
@@ -69,7 +69,7 @@ class TestFindRoot:
         rng = np.random.default_rng(42)
         for _ in range(25):
             p = truncate(random_poly(rng, int(rng.integers(1, 9))))
-            square = minimum_enclosing_square(p)
+            square = growth_certificate(p).square
             _, _, seed = _solve_once(p, 1e-10, 10000)
             assert square.contains(seed.argmin)
             assert seed.value <= norm(evaluate(p, 0j)) + seed.gap + 1e-12
@@ -80,7 +80,7 @@ class TestSeed:
         "p", [QUAD, (1, 0, 1), (-1, 0, 0, 1), (1, -2, 1), (2 - 1j, 0.5, 0, -3j, 1)]
     )
     def test_seed_is_the_public_branch_and_bound(self, p):
-        want = certified_min(p, minimum_enclosing_square(p), 1e-10, 50_000)
+        want = certified_min(p, growth_certificate(p).square, 1e-10, 50_000)
         assert find_all_roots(p).seed == want
 
     def test_one_certificate_and_one_seed_per_call(self, monkeypatch):
@@ -136,7 +136,7 @@ class TestFindAllRoots:
         report = find_all_roots(QUAD)
         assert report.enclosure.enclosure_radius == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert report.seed.gap >= 0.0
-        square = minimum_enclosing_square(QUAD)
+        square = growth_certificate(QUAD).square
         assert square.contains(report.seed.argmin)
 
     def test_root_count_matches_degree(self):
