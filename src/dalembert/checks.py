@@ -82,7 +82,7 @@ def _descent_decrease(pt, cert, rng, samples) -> LemmaReport:
         done += 1
         try:
             step = descent_step(pt, z0)
-        except StepStalled:
+        except (StepStalled, OverflowError):
             failures += 1
             continue
         if not step.after < step.before:

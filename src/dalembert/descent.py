@@ -7,6 +7,9 @@ exponent k >= 1 with a nonzero coefficient a_k and move along the kth root
 of -s/a_k.  s starts at the full step 1, which for k = 1 is the Newton step
 -p(z0)/p'(z0), and halves until |p| strictly drops.  d'Alembert's lemma ends
 the halving: over exact reals every s <= step_parameter(q) decreases |p|.
+q's first coefficient is p'(z0)/p(z0), so one O(n) Horner loop for p and p'
+gives the step whenever p'(z0) != 0; the O(n^2) Taylor shift of p is built
+only when it is 0 (k >= 2).
 Because only roots stop the iteration, walking downhill is a root finder.
 descend stops once the residual meets the tolerance or the rounding floor of
 Horner's rule, gamma_2n * sum |a_i| |z|^i (Higham, Accuracy and Stability of
@@ -22,7 +25,7 @@ from typing import Optional
 
 from .complexmath import norm, nth_root
 from .errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
-from .polynomial import Poly, evaluate, max_coeff_norm, shift, truncate
+from .polynomial import Poly, evaluate, evaluate_with_derivative, max_coeff_norm, shift, truncate
 
 __all__ = [
     "DescentStep",
@@ -104,18 +107,20 @@ def _nonconstant(p) -> Poly:
 
 def _step(pt: Poly, z0: complex, before: float) -> DescentStep:
     """descent_step for a normalized non-constant pt, given before = |p(z0)|."""
-    shifted = shift(pt, z0)
-    a0 = shifted[0]
+    a0, d = evaluate_with_derivative(pt, z0)
     if a0 == 0:
-        # cancellation made the shifted constant term exactly zero
+        # cancellation made p(z0) exactly zero
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
-    # q(h) = p(z0 + h) / p(z0) = 1 + q[0] h + q[1] h^2 + ...
-    q = [c / a0 for c in shifted[1:]]
-    nonzero = [i for i, c in enumerate(q, start=1) if c != 0]
-    if not nonzero:
-        raise NotApplicableToConstant("the shifted polynomial is constant to working precision")
-    k = nonzero[0]
-    ak = q[k - 1]
+    # q(h) = p(z0 + h) / p(z0) = 1 + (p'(z0) / p(z0)) h + ...; the Taylor
+    # shift is needed only when that first coefficient is zero (k >= 2)
+    k, ak = 1, d / a0
+    if ak == 0:
+        q = [c / a0 for c in shift(pt, z0)[1:]]
+        nonzero = [i for i, c in enumerate(q, start=1) if c != 0]
+        if not nonzero:
+            raise NotApplicableToConstant("the shifted polynomial is constant to working precision")
+        k = nonzero[0]
+        ak = q[k - 1]
     s = 1.0
     while True:
         zs = nth_root(-s / ak, k)
@@ -137,14 +142,17 @@ def descent_step(p, z0: complex) -> DescentStep:
 
     Tries the full step s = 1 (Newton when k = 1) and halves s until |p|
     strictly drops, which over exact reals happens by s = step_parameter(q);
-    rounding can delay it.  Raises AlreadyAtRoot when p(z0) = 0 and
-    StepStalled once z0 + zs rounds to z0 or halving underflows.
+    rounding can delay it.  Raises AlreadyAtRoot when p(z0) = 0,
+    OverflowError when |p(z0)| is not finite, and StepStalled once z0 + zs
+    rounds to z0 or halving underflows.
     """
     pt = _nonconstant(p)
     z0 = complex(z0)
     before = norm(evaluate(pt, z0))
     if before == 0.0:
         raise AlreadyAtRoot(f"p({z0}) = 0 already")
+    if not math.isfinite(before):
+        raise OverflowError(f"|p| overflows at z0 = {z0}")
     return _step(pt, z0, before)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexmath import norm
-from .polynomial import as_poly, evaluate
+from .polynomial import as_poly, evaluate, evaluate_with_derivative
 
 __all__ = [
     "SquareRegion",
@@ -184,11 +184,8 @@ def certified_min(
 
 
 def _newton(coeffs: list, z: complex):
-    """z - p(z)/p'(z), with p and p' from one Horner loop; None where p'(z) = 0."""
-    val = der = 0j
-    for c in reversed(coeffs):
-        der = der * z + val
-        val = val * z + c
+    """z - p(z)/p'(z); None where p'(z) = 0."""
+    val, der = evaluate_with_derivative(coeffs, z)
     return z - val / der if der else None
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "Poly",
     "as_poly",
     "evaluate",
+    "evaluate_with_derivative",
     "degree",
     "truncate",
     "shift",
@@ -40,6 +41,22 @@ def evaluate(p: Sequence[complex], z: complex) -> complex:
     for c in reversed(p):
         acc = acc * z + complex(c)
     return acc
+
+
+def evaluate_with_derivative(p: Poly, z: complex) -> tuple[complex, complex]:
+    """p(z) and p'(z) from one Horner loop, for coefficients given as complex.
+
+    The loop runs the first two passes of shift's synthetic division and
+    keeps only their last entries, so the pair equals shift(p, z)[:2] bit
+    for bit at O(n) cost instead of O(n^2).
+    """
+    if len(p) < 2:
+        return (p[0] if p else 0j), 0j
+    val = der = p[-1]
+    for c in p[-2:0:-1]:
+        val = c + z * val
+        der = val + z * der
+    return p[0] + z * val, der
 
 
 def truncate(p: Sequence[complex], epsilon: float = 0.0) -> Poly:

@@ -5,8 +5,8 @@ import pytest
 
 from dalembert.complexmath import norm, nth_root
 from dalembert.descent import descend, descent_step, step_parameter
-from dalembert.errors import NotApplicableToConstant, StepStalled
-from dalembert.polynomial import evaluate, from_roots, shift, truncate
+from dalembert.errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
+from dalembert.polynomial import as_poly, evaluate, from_roots, shift, truncate
 from helpers import lowest_exponent, random_point, random_poly, unit_constant
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
@@ -24,6 +24,25 @@ def _walk_to_stall(p, z):
         z = z + step.zs
         residuals.append(step.after)
     raise AssertionError("no stall within 1000 steps")
+
+
+def _taylor_step(p, z0):
+    """(k, ak, s, zs, after) from the full Taylor shift q(h) = p(z0 + h) / p(z0):
+    the lowest k >= 1 with q_k != 0, and s halved from 1 until |p| drops."""
+    shifted = shift(p, z0)
+    q = [c / shifted[0] for c in shifted[1:]]
+    k = next(i for i, c in enumerate(q, start=1) if c != 0)
+    ak, s, before = q[k - 1], 1.0, norm(shifted[0])
+    while True:
+        zs = nth_root(-s / ak, k)
+        after = norm(evaluate(p, z0 + zs))
+        if after < before:
+            return k, ak, s, zs, after
+        s *= 0.5
+
+
+def _bits(*values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
 
 class TestLowestNonzeroExponent:
@@ -167,9 +186,51 @@ class TestDescentStep:
             checked += 1
         assert checked > 250
 
-    def test_rejects_constant_and_root(self):
-        from dalembert.errors import AlreadyAtRoot
+    def test_matches_the_taylor_shift_step(self):
+        # p(z0) and p'(z0) from one Horner loop give the same step, bit for
+        # bit, as the full O(n^2) Taylor shift
+        rng = np.random.default_rng(37)
+        checked = 0
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-5.0, 5.0)
+            p = as_poly(scale * c for c in random_poly(rng, int(rng.integers(1, 61))))
+            z0 = random_point(rng, 2.0)
+            if norm(evaluate(p, z0)) <= 1e-6 * scale:
+                continue
+            step = descent_step(p, z0)
+            assert _bits(step.k, step.ak, step.s, step.zs, step.after) == \
+                _bits(*_taylor_step(p, z0))
+            checked += 1
+        assert checked > 150
 
+    def test_shift_only_where_the_derivative_vanishes(self, monkeypatch):
+        import dalembert.descent
+
+        calls = []
+        original = dalembert.descent.shift
+
+        def counting(p, z0):
+            calls.append(z0)
+            return original(p, z0)
+
+        monkeypatch.setattr(dalembert.descent, "shift", counting)
+        # p'(0) = i for QUAD: k = 1 from p and p' alone
+        assert descent_step(QUAD, 0j).k == 1
+        assert calls == []
+        # p'(0) = 0 for 1 + z^2: the shifted polynomial gives k = 2
+        step = descent_step((1, 0, 1), 0j)
+        assert (step.k, step.ak) == (2, 1 + 0j)
+        assert calls == [0j]
+
+    def test_overflow_is_reported(self):
+        # |p(1e200)| overflows: no step can be computed there, and p is not
+        # constant
+        with pytest.raises(OverflowError, match="1e\\+200"):
+            descent_step((1, 0, 1), 1e200)
+        with pytest.raises(OverflowError):
+            descent_step((1, 0, 1), 1e160 + 1e160j)
+
+    def test_rejects_constant_and_root(self):
         with pytest.raises(NotApplicableToConstant):
             descent_step((5,), 0j)
         with pytest.raises(AlreadyAtRoot):

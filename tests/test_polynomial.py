@@ -13,9 +13,11 @@ from dalembert.errors import (
 )
 from dalembert.growth import growth_certificate
 from dalembert.polynomial import (
+    as_poly,
     deflate,
     degree,
     evaluate,
+    evaluate_with_derivative,
     from_roots,
     max_coeff_norm,
     shift,
@@ -180,6 +182,29 @@ class TestShift:
             z = random_point(rng, 2.0)
             va, vb = evaluate(a, z), evaluate(b, z)
             assert abs(va - vb) <= 1e-9 * (1.0 + abs(vb))
+
+
+def _bits(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+class TestEvaluateWithDerivative:
+    def test_is_the_first_two_shifted_coefficients(self):
+        # bit for bit, at any scale: the descent's O(n) step relies on it
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-5.0, 5.0)
+            p = as_poly(scale * c for c in random_poly(rng, int(rng.integers(1, 61))))
+            z = random_point(rng, 3.0)
+            assert _bits(evaluate_with_derivative(p, z)) == _bits(shift(p, z)[:2])
+
+    def test_examples(self):
+        assert evaluate_with_derivative(QUAD, 1 + 0j) == (4 + 1j, 6 + 1j)
+        assert evaluate_with_derivative((2 + 0j, 5 + 0j), 3j) == (2 + 15j, 5 + 0j)
+
+    def test_constant_and_empty(self):
+        assert evaluate_with_derivative((7 + 0j,), 2 + 1j) == (7 + 0j, 0j)
+        assert evaluate_with_derivative((), 2 + 1j) == (0j, 0j)
 
 
 class TestMaxCoeffNorm:
