@@ -14,16 +14,18 @@ evaluated at once.  The incumbent update uses a fixed first-minimum
 tie-break, so results are identical to evaluating cell by cell.
 |p| is never below 0, so the gap is value - max(0, lowest lower bound):
 near a root the lower bounds go negative and the gap is simply the value.
-Each wave also tries one Newton step from the incumbent, which drives the
-value toward 0 far faster than bisection alone.  A NaN value never becomes
-the incumbent, and a cell whose lower bound is not finite (Horner overflow)
-is never pruned.
+Each wave also tries the descent's damped Newton step from the incumbent,
+z - s p(z)/p'(z) for s = 1, 1/2, 1/4, ... until |p| strictly drops, which
+drives the value toward 0 far faster than bisection alone.  A NaN value
+never becomes the incumbent, and a cell whose lower bound is not finite
+(Horner overflow) is never pruned.
 The result keeps the centers of the cells still live at the stop; a sound
 search never prunes a cell that holds a global minimizer, such as a root.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexmath import norm
+from .descent import _MIN_STEP
 from .polynomial import as_poly, evaluate, evaluate_with_derivative
 
 __all__ = [
@@ -131,8 +134,9 @@ def certified_min(
 
     Cells whose lower bound f(center) - L_cell * (sqrt(2)/2) * side_cell
     reaches the incumbent are pruned, the rest split 2x2.  After each wave
-    the Newton step from the incumbent replaces it if the step stays in the
-    region and strictly lowers |p|; the try costs one evaluation.  The gap
+    the damped Newton step from the incumbent replaces it with the first
+    try, s = 1, 1/2, 1/4, ..., that stays in the region and strictly lowers
+    |p|; each try in the region costs one evaluation, within budget.  The gap
     is value - max(0, lowest live lower bound).  Stops after the wave where
     gap <= epsilon, or when the next wave would take the evaluations past
     budget; a budget stop is flagged on the result, not raised, and its gap
@@ -162,13 +166,8 @@ def certified_min(
         if evaluations == 0 or vals[i] < best_val:
             best_val, best_pt = float(vals[i]), complex(cells[i])
         evaluations += vals.size
-        if evaluations < budget:
-            z = _newton(scalar, best_pt)
-            if z is not None and region.contains(z):
-                evaluations += 1
-                val = norm(evaluate(scalar, z))
-                if val < best_val:
-                    best_val, best_pt = val, z
+        best_pt, best_val, evaluations = _damped_newton(
+            scalar, region, best_pt, best_val, evaluations, budget)
         keep = lower < best_val
         cells, lower = cells[keep], lower[keep]
         # |p| >= 0, so no lower bound below 0 is needed
@@ -183,10 +182,31 @@ def certified_min(
     return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted, _frozen(cells))
 
 
-def _newton(coeffs: list, z: complex):
-    """z - p(z)/p'(z); None where p'(z) = 0."""
+def _damped_newton(coeffs: list, region: SquareRegion, z: complex, value: float,
+                   evaluations: int, budget: int):
+    """The descent's damped step from the incumbent z: z - s p(z)/p'(z) for
+    s = 1, 1/2, 1/4, ... until |p| strictly drops below value.
+
+    A try inside the region costs one evaluation; one outside it is halved
+    for free.  Returns the (point, value, evaluations) the search goes on
+    with, z and value themselves when no try beats them.
+    """
     val, der = evaluate_with_derivative(coeffs, z)
-    return z - val / der if der else None
+    if not der:
+        return z, value, evaluations
+    step, s = val / der, 1.0
+    while evaluations < budget and cmath.isfinite(step) and s >= _MIN_STEP:
+        w = z - step
+        if w == z:
+            # every smaller step rounds back to z too
+            break
+        if region.contains(w):
+            evaluations += 1
+            w_val = norm(evaluate(coeffs, w))
+            if w_val < value:
+                return w, w_val, evaluations
+        step, s = step * 0.5, s * 0.5
+    return z, value, evaluations
 
 
 # offsets of the four children's centers, in quarters of the parent's side

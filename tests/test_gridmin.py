@@ -214,19 +214,19 @@ class TestGoldenOutputs:
         "p, region, epsilon, budget, argmin, value, gap, evaluations, exhausted, cells",
         [
             (QUAD, QUAD_SQUARE, 1e-6, 1_000_000,
-             ("-0x1.2f0d2afd45800p-23", "0x1.bcae3e55f296fp-2"),
-             "0x1.5a01fc0b99a41p-21", "0x1.5a01fc0b99a41p-21", 147, False,
-             "b6d179708bb85bc25da38be5b0970f6dd9b3f70f78fffc6d710661aef0b3d332"),
+             ("0x0.0p+0", "0x1.bcae45b3dc2eep-2"),
+             "0x1.f2ce000000000p-33", "0x1.f2ce000000000p-33", 82, False,
+             "c89a34590fafd83372b5877d7b41a879dc7013c12a761294b53eb9612c3c4fe4"),
             (DEG8, DEG8_SQUARE, 1e-6, 50_000,
-             ("0x1.14ff80e89b58cp-1", "0x1.e05986232ed9ap-2"),
-             "0x1.14da604196aa7p-22", "0x1.14da604196aa7p-22", 5130, False,
-             "d6a257701080761e30d6c97ce78e05868d89948156989703aaa2c6acf8382f51"),
+             ("0x1.14ff7e4727607p-1", "0x1.e05987fb761d8p-2"),
+             "0x1.f8601bc4e9d9cp-27", "0x1.f8601bc4e9d9cp-27", 348, False,
+             "3b452359844af75284de4088ac1613f0a2989cc4e3d75bb33555cbcc4da3cef8"),
             # stopped by its budget, after a wave that spends it exactly and
             # leaves nothing for that wave's Newton try
-            (QUAD, QUAD_SQUARE, 1e-12, 121,
-             ("-0x1.4141414141410p-6", "0x1.afafafafafafbp-2"),
-             "0x1.5555555555550p-4", "0x1.5555555555550p-4", 121, True,
-             "a1fa02f84573b2cb5ce66e8ce96adeb9da521a8f0cfcb6a91324315d0404bfa2"),
+            (QUAD, QUAD_SQUARE, 1e-12, 122,
+             ("0x0.0p+0", "0x1.bcae45b3dc2eep-2"),
+             "0x1.f2ce000000000p-33", "0x1.f2ce000000000p-33", 122, True,
+             "23d23f758041c64946ac9d63ab086641e8727e4bb6ef260fd0397be78756642d"),
         ],
         ids=["quad", "deg8", "budget"],
     )
@@ -355,6 +355,19 @@ class TestStopRules:
             assert region.contains(cm.argmin)
             at_center = abs(np.polyval(np.asarray(p, dtype=complex)[::-1], region.center))
             assert cm.value <= at_center * (1 + 1e-12)
+
+    def test_newton_try_is_damped(self):
+        # from the center 0 of 1 + z + 2z^4 the full Newton step -1 raises
+        # |p| from 1 to 2; the half step -1/2 lowers it to 5/8
+        p, region = (1, 1, 0, 0, 2), SquareRegion(-2 - 2j, 4.0)
+        cm = certified_min(p, region, 1e-12, budget=3)
+        assert (cm.argmin, cm.value, cm.evaluations) == (-0.5 + 0j, 0.625, 3)
+        # each try costs one evaluation and stays within the budget
+        cm = certified_min(p, region, 1e-12, budget=2)
+        assert (cm.argmin, cm.value, cm.evaluations) == (0j, 1.0, 2)
+        cm = certified_min(p, region, 1e-6, 50_000)
+        assert cm.value <= 1e-6
+        assert not cm.budget_exhausted
 
 
 class TestNonFinite:
