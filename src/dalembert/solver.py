@@ -8,12 +8,13 @@ tolerance or the rounding floor of evaluating p.  find_all_roots runs that chain
 division and re-polishes every root against the original polynomial.  Every
 root is a global minimizer of |p|, so the cells that one branch-and-bound
 leaves live surround every root: each deflated factor starts its descent at
-the live cell center where it is smallest, with no search of its own.
+the live cell center where it is smallest, with no search of its own, and
+tries the other centers in order only if that descent does not converge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,35 +72,55 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     return result
 
 
-def _start(work: Poly, seed: CertifiedMinimum) -> complex:
-    """The live seed cell center with the smallest finite |work| (ties: the
-    first); seed.argmin if no center gives a finite value."""
+def _starts(work: Poly, seed: CertifiedMinimum):
+    """The live seed cell centers by increasing finite |work| (ties: the
+    first), or seed.argmin alone if no center gives a finite value.  The
+    order past the first is sorted only if it is asked for."""
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
         vals = np.abs(_horner(np.asarray(work, dtype=complex), seed.cells))
     finite = np.flatnonzero(np.isfinite(vals))
-    return complex(seed.cells[finite[np.argmin(vals[finite])]]) if finite.size else seed.argmin
+    if not finite.size:
+        yield seed.argmin
+        return
+    yield complex(seed.cells[finite[np.argmin(vals[finite])]])
+    # a stable sort puts argmin's pick first
+    for i in finite[np.argsort(vals[finite], kind="stable")][1:]:
+        yield complex(seed.cells[i])
+
+
+def _factor_root(work: Poly, seed: CertifiedMinimum, tol: float, max_iter: int) -> RootResult:
+    """The first converged descent on work from _starts, else the first one.
+
+    A descent can stall at a critical point of work; its estimate, polished
+    on p, would be a root found already."""
+    results = (descend(work, z, tol, max_iter) for z in _starts(work, seed))
+    first = next(results)
+    return first if first.converged else next((r for r in results if r.converged), first)
 
 
 def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     """All degree(p) roots: find_root's chain once, then synthetic division.
 
     Each deflated factor descends from the seed's live cell center where it
-    is smallest, and each estimate is polished by descending on the original
-    polynomial, which undoes deflation drift.  reconstruction_error is the
-    largest coefficient-wise distance between a_n * prod (z - r_i) and the
-    normalized input; it is reported, never raised.
+    is smallest, or from the next ones in order of its value until a descent
+    converges, and each estimate is polished by descending on the original
+    polynomial, which undoes deflation drift.  A root whose factor
+    converges from no live center is reported with converged=False.
+    reconstruction_error is the largest coefficient-wise distance between
+    a_n * prod (z - r_i) and the normalized input; it is reported, never
+    raised.
     """
     pt = _normalized_or_raise(p)
     result, enclosure, seed = _solve_once(pt, tol, max_iter)
-    roots: list[RootResult] = []
+    roots = [descend(pt, result.root, tol, max_iter)]
     work: Poly = pt
     while True:
-        polished = descend(pt, result.root, tol, max_iter)
-        roots.append(polished)
-        work, _rem = deflate(work, polished.root)
+        work, _rem = deflate(work, roots[-1].root)
         if len(work) <= 1:
             break
-        result = descend(work, _start(work, seed), tol, max_iter)
+        result = _factor_root(work, seed, tol, max_iter)
+        polished = descend(pt, result.root, tol, max_iter)
+        roots.append(polished if result.converged else replace(polished, converged=False))
     rebuilt = from_roots(pt[-1], [r.root for r in roots])
     error = max(norm(a - b) for a, b in zip(rebuilt, pt))
     return SolveReport(tuple(roots), error, enclosure, seed)

@@ -285,6 +285,39 @@ class TestDeflatedFactors:
         for want in QUAD_ROOTS:
             assert min(abs(r.root - want) for r in report.roots) <= 1e-8
 
+    @staticmethod
+    def _unity8_from(monkeypatch, cells):
+        """find_all_roots of z^8 - 1 with the seed's live cells replaced by
+        cells and its argmin by the root -(1 + i)/sqrt(2)."""
+        import dataclasses
+
+        import dalembert.solver
+
+        original = dalembert.solver.certified_min
+
+        def with_cells(*args):
+            return dataclasses.replace(original(*args), argmin=-(1 + 1j) / math.sqrt(2.0),
+                                       cells=np.array(cells))
+
+        monkeypatch.setattr(dalembert.solver, "certified_min", with_cells)
+        return find_all_roots((-1,) + (0,) * 7 + (1,))
+
+    def test_a_stalled_factor_retries_the_other_live_cells(self, monkeypatch):
+        # from a diagonal center, z^4 - 1 (the factor left once the four
+        # diagonal roots are out) descends to its critical point 0 and
+        # stalls; polished on p, that estimate would be a diagonal root again
+        report = self._unity8_from(monkeypatch, [0.5 + 0.5j, -0.5 + 0.5j, -0.5 - 0.5j, 0.5 - 0.5j])
+        want = [cmath.exp(2j * math.pi * j / 8) for j in range(8)]
+        assert all(r.converged for r in report.roots)
+        assert _matched([r.root for r in report.roots], want, 1e-8)
+
+    def test_a_factor_that_converges_from_no_live_cell_is_flagged(self, monkeypatch):
+        report = self._unity8_from(monkeypatch, [0.5 + 0.5j])
+        # z^6 + i z^4 - z^2 - i, left once the first two roots are out,
+        # stalls at its critical point 0 from the one center; with no other
+        # center to try, its polished estimate repeats a root found already
+        assert [r.converged for r in report.roots[:3]] == [True, True, False]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_input_completes(self):
         # |p| overflows on most of the enclosure square; those cells bound
