@@ -46,9 +46,9 @@ def evaluate(p: Sequence[complex], z: complex) -> complex:
 def evaluate_with_derivative(p: Poly, z: complex) -> tuple[complex, complex]:
     """p(z) and p'(z) from one Horner loop, for coefficients given as complex.
 
-    The loop runs the first two passes of shift's synthetic division and
-    keeps only their last entries, so the pair equals shift(p, z)[:2] bit
-    for bit at O(n) cost instead of O(n^2).
+    The loop runs the first two passes of shift's synthetic division side
+    by side and keeps only the value each pass ends on, so the pair equals
+    shift(p, z)[:2] bit for bit at O(n) cost instead of O(n^2).
     """
     if len(p) < 2:
         return (p[0] if p else 0j), 0j
