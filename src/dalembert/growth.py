@@ -8,6 +8,13 @@ norm(z) >= threshold_radius satisfies the sandwich
 and every z with norm(z) >= enclosure_radius additionally satisfies
 |p(z)| >= |p(0)|.  The square [-R, R]^2 with R = enclosure_radius therefore
 traps every global minimizer of |p|.
+
+The threshold is the smaller of two sufficient radii: the paper's
+max(1, 2 A n / |a_n|), A = max_{i<n} |a_i|, and max(1, 3 F) with
+F = max_{i<n} (|a_i| / |a_n|)^(1/(n-i)), Fujiwara's root bound (Tohoku
+Math. J. 10, 1916) scaled to the sandwich's factor 1/2.  So the square is
+never larger than the paper's, and on wide coefficient ranges, such as
+Wilkinson's polynomials, it is many times smaller.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ BOUND_SLACK = 1e-9
 class GrowthCertificate:
     """Radii activating the growth bounds for one polynomial.
 
-    threshold_radius activates both halves of the sandwich;
-    enclosure_radius additionally forces |p(z)| >= |p(0)| outside it.
-    lead_norm is |a_n|, sub_max the largest |a_i| with i < n.
+    threshold_radius activates both halves of the sandwich and is at most
+    the paper's max(1, 2 A n / |a_n|); enclosure_radius additionally forces
+    |p(z)| >= |p(0)| outside it.  lead_norm is |a_n|, sub_max the largest
+    |a_i| with i < n (the paper's A).
     """
 
     threshold_radius: float
@@ -55,9 +63,24 @@ class GrowthCertificate:
 def growth_certificate(p) -> GrowthCertificate:
     """Certificate for a non-constant polynomial (computed on its normalized form).
 
-    threshold_radius = max(1, 2 A n / |a_n|) makes A n <= (|a_n|/2) |z| hold
-    together with |z| >= 1, which is all the sandwich needs;
-    enclosure_radius additionally dominates 2 |a_0| / |a_n|.
+    The sandwich holds at |z| = r as soon as the tail is small against the
+    leading term, sum_{i<n} |a_i| r^i <= (1/2) |a_n| r^n (both halves follow
+    from it).  Two radii give that:
+
+    - the paper's max(1, 2 A n / |a_n|): with r >= 1 the tail is at most
+      A n r^(n-1), and A n <= (|a_n|/2) r;
+    - max(1, 3 F), F = max_{i<n} (|a_i| / |a_n|)^(1/(n-i)): every
+      |a_i| / |a_n| <= F^(n-i), so the tail over |a_n| r^n is at most
+      sum_{k>=1} (F/r)^k <= sum_{k>=1} 3^-k = 1/2.
+
+    threshold_radius is the smaller of the two, so it never exceeds the
+    paper's radius and never falls below 1, the lemma's |z| >= 1.  Beyond
+    it |p(z)| >= (1/2) |a_n| r^n, which is >= |a_0| = |p(0)| once
+    r >= (2 |a_0| / |a_n|)^(1/n); enclosure_radius is the larger of that
+    and the threshold.  Both radii above already reach it (3 F >= 3 (|a_0| /
+    |a_n|)^(1/n), and the paper's >= 2 |a_0| / |a_n| >= its n-th root when
+    that is >= 1), so the two radii agree.  Rounding the n-th roots moves
+    the 1/2 by a few ulps, far inside BOUND_SLACK.
     """
     q = truncate(p)
     if len(q) < 2:
@@ -65,8 +88,9 @@ def growth_certificate(p) -> GrowthCertificate:
     n = len(q) - 1
     lead = norm(q[-1])
     sub = max_coeff_norm(q, exclude_leading=True)
-    threshold = max(1.0, 2.0 * sub * n / lead)
-    enclosure = max(threshold, 2.0 * norm(q[0]) / lead)
+    fujiwara = max((norm(c) / lead) ** (1.0 / (n - i)) for i, c in enumerate(q[:-1]))
+    threshold = min(max(1.0, 2.0 * sub * n / lead), max(1.0, 3.0 * fujiwara))
+    enclosure = max(threshold, (2.0 * norm(q[0]) / lead) ** (1.0 / n))
     return GrowthCertificate(threshold, enclosure, lead, sub, n)
 
 

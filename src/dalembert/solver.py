@@ -92,8 +92,9 @@ def _factor_root(work: Poly, seed: CertifiedMinimum, tol: float, max_iter: int) 
     """The first converged descent on work from _starts, else the first one.
 
     A descent can stall at a critical point of work; its estimate, polished
-    on p, would be a root found already."""
-    results = (descend(work, z, tol, max_iter) for z in _starts(work, seed))
+    on p, would be a root found already.  Only the root and the converged
+    flag are read, so no trace is kept."""
+    results = (descend(work, z, tol, max_iter, keep_trace=False) for z in _starts(work, seed))
     first = next(results)
     return first if first.converged else next((r for r in results if r.converged), first)
 
@@ -105,7 +106,9 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     is smallest, or from the next ones in order of its value until a descent
     converges, and each estimate is polished by descending on the original
     polynomial, which undoes deflation drift.  A root whose factor
-    converges from no live center is reported with converged=False.
+    converges from no live center is reported with converged=False, and so
+    is every later one: the quotients after it come from deflating by a
+    point that is not a root of its factor.
     reconstruction_error is the largest coefficient-wise distance between
     a_n * prod (z - r_i) and the normalized input; it is reported, never
     raised.
@@ -114,13 +117,15 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     result, enclosure, seed = _solve_once(pt, tol, max_iter)
     roots = [descend(pt, result.root, tol, max_iter)]
     work: Poly = pt
+    failed = False
     while True:
         work, _rem = deflate(work, roots[-1].root)
         if len(work) <= 1:
             break
         result = _factor_root(work, seed, tol, max_iter)
+        failed = failed or not result.converged
         polished = descend(pt, result.root, tol, max_iter)
-        roots.append(polished if result.converged else replace(polished, converged=False))
+        roots.append(replace(polished, converged=False) if failed else polished)
     rebuilt = from_roots(pt[-1], [r.root for r in roots])
     error = max(norm(a - b) for a, b in zip(rebuilt, pt))
     return SolveReport(tuple(roots), error, enclosure, seed)

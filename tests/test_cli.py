@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dalembert.cli import main, parse_polynomial, serialize_polynomial
 from dalembert.errors import EmptyPolynomial, ParseError
+from dalembert.polynomial import from_roots
 
 QUAD_TEXT = "1 1i 3"
 # 1 + 2z + ... + 41 z^40: the seed is far enough from a root that descent
@@ -214,6 +215,18 @@ class TestOtherModes:
         names = [entry["name"] for entry in report["lemmas"]]
         assert names == ["growth-sandwich", "enclosure-domination", "descent-decrease"]
         assert all(entry["samples"] == 1000 for entry in report["lemmas"])
+
+    @pytest.mark.parametrize(
+        "text",
+        [serialize_polynomial(from_roots(1, range(1, 21))), "1e300 1 1"],
+        ids=["wilkinson-20", "1e300-constant"],
+    )
+    def test_check_passes_where_the_papers_radius_overflows(self, capsys, text):
+        # the paper's radius (2.4e20 and 4e300) puts the sampled |p| beyond
+        # the float range; the certificate's radius (630 and 3e150) does not
+        code, out, _ = run_cli(capsys, "--mode", "check", text)
+        assert code == 0
+        assert [entry["failures"] for entry in json.loads(out)["lemmas"]] == [0, 0, 0]
 
     def test_check_rejects_constant(self, capsys):
         # every replay needs a non-constant polynomial, as bounds mode does

@@ -7,10 +7,26 @@ import pytest
 from dalembert.complexmath import norm
 from dalembert.errors import BelowThreshold, NotApplicableToConstant
 from dalembert.growth import check_bounds, growth_certificate
-from dalembert.polynomial import evaluate
+from dalembert.polynomial import evaluate, from_roots
 from helpers import random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
+
+
+def _lemma_battery():
+    """Random polynomials of degree 1-60 whose coefficients are scaled one
+    by one by 1e-5 to 1e5, then (z-1)^5, z^n and z^n + 1e-12."""
+    rng = np.random.default_rng(11)
+    polys = []
+    for _ in range(240):
+        degree = int(rng.integers(1, 61))
+        scales = 10.0 ** rng.uniform(-5.0, 5.0, degree + 1)
+        polys.append(tuple(c * s for c, s in zip(random_poly(rng, degree), scales)))
+    polys.append(from_roots(1, [1.0] * 5))
+    for n in (1, 2, 7, 30):
+        polys.append((0,) * n + (1,))
+        polys.append((1e-12,) + (0,) * (n - 1) + (1,))
+    return polys
 
 
 class TestCertificate:
@@ -39,14 +55,46 @@ class TestCertificate:
                 growth_certificate(p)
 
     def test_invariants_on_random_polys(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            p = random_poly(rng, int(rng.integers(1, 11)))
+        # the radius never exceeds the paper's max(1, 2 A n / |a_n|) and
+        # never falls below the lemma's |z| >= 1
+        for p in _lemma_battery():
             cert = growth_certificate(p)
-            assert cert.threshold_radius >= 1.0
-            assert cert.threshold_radius >= 2.0 * cert.sub_max * cert.degree / cert.lead_norm
-            assert cert.enclosure_radius >= cert.threshold_radius
-            assert cert.enclosure_radius >= 2.0 * norm(p[0]) / cert.lead_norm
+            paper = max(1.0, 2.0 * cert.sub_max * cert.degree / cert.lead_norm)
+            assert 1.0 <= cert.threshold_radius <= paper
+            assert cert.threshold_radius <= cert.enclosure_radius <= max(
+                paper, 2.0 * norm(p[0]) / cert.lead_norm)
+
+    def test_lemmas_hold_beyond_the_radii(self):
+        rng = np.random.default_rng(14)
+        checked = 0
+        for p in _lemma_battery():
+            cert = growth_certificate(p)
+            at_origin = norm(evaluate(p, 0j))
+
+            def beyond(radius):
+                """A random z with radius <= |z| <= 4 radius, or None where
+                |z|^n or |a_n| |z|^n would overflow a float (nothing to compare)."""
+                r = rng.uniform(radius, 4.0 * radius)
+                if max(0.0, math.log(cert.lead_norm)) + cert.degree * math.log(r) > 700.0:
+                    return None
+                return rect(r, rng.uniform(-math.pi, math.pi))
+
+            for _ in range(10):
+                z = beyond(cert.threshold_radius)
+                if z is not None:
+                    check_bounds(p, z, cert)
+                    checked += 1
+                z = beyond(cert.enclosure_radius)
+                if z is not None:
+                    assert norm(evaluate(p, z)) >= at_origin - 1e-9 * (1.0 + at_origin)
+                    checked += 1
+        assert checked >= 4000
+
+    def test_square_holds_every_root(self):
+        for p in _lemma_battery():
+            sq = growth_certificate(p).square
+            for root in np.roots(np.asarray(p, dtype=complex)[::-1]):
+                assert sq.contains(complex(root)), (p, root)
 
 
 class TestCheckBounds:
@@ -70,6 +118,17 @@ class TestCheckBounds:
         cert = growth_certificate(QUAD)
         lower, value, upper = check_bounds(QUAD, 1.34 + 0j, cert)
         assert lower <= value <= upper
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_radius_three_is_tight_for_equal_tails(self, n):
+        # z^n - (z^(n-1) + ... + 1) has F = 1 and threshold 3: at z = 3 the
+        # tail takes (1 - 3^-n) / 2 of the leading term, and a tenth
+        # further in the lower bound already fails
+        p = (-1,) * n + (1,)
+        cert = growth_certificate(p)
+        assert cert.threshold_radius == 3.0
+        check_bounds(p, 3 + 0j, cert)
+        assert norm(evaluate(p, 2.7 + 0j)) < 0.5 * 2.7**n
 
     def test_below_threshold_rejected(self):
         cert = growth_certificate(QUAD)

@@ -51,6 +51,15 @@ class TestFindRoot:
             with pytest.raises(ValueError):
                 find_root((1, 0, 1), max_iter=max_iter)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wilkinson20_searches_without_overflow(self):
+        # over the paper's square (side 1.1e21) |p| overflows in numpy
+        p = from_roots(1, range(1, 21))
+        assert growth_certificate(p).square.side <= 2.0 * 630.0
+        result = find_root(p)
+        assert result.converged
+        assert min(abs(result.root - k) for k in range(1, 21)) <= 1e-6
+
     def test_residual_matches_reported_root(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
@@ -188,8 +197,8 @@ class TestNoCrawl:
         steps = []
         original = dalembert.solver.descend
 
-        def counting(*args):
-            result = original(*args)
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
             steps.append(result.iterations)
             return result
 
@@ -255,10 +264,10 @@ class TestDeflatedFactors:
         starts = []
         original = dalembert.solver.descend
 
-        def recording(q, z0, *args):
+        def recording(q, z0, *args, **kwargs):
             if len(q) < len(p):  # a deflated factor, not p itself
                 starts.append((q, z0))
-            return original(q, z0, *args)
+            return original(q, z0, *args, **kwargs)
 
         monkeypatch.setattr(dalembert.solver, "descend", recording)
         cells = find_all_roots(p).seed.cells
@@ -315,8 +324,31 @@ class TestDeflatedFactors:
         report = self._unity8_from(monkeypatch, [0.5 + 0.5j])
         # z^6 + i z^4 - z^2 - i, left once the first two roots are out,
         # stalls at its critical point 0 from the one center; with no other
-        # center to try, its polished estimate repeats a root found already
-        assert [r.converged for r in report.roots[:3]] == [True, True, False]
+        # center to try, its polished estimate repeats a root found already,
+        # and every quotient after that deflation is corrupted
+        assert [r.converged for r in report.roots] == [True, True] + [False] * 6
+        converged = [r.root for r in report.roots if r.converged]
+        assert all(abs(a - b) > 1e-8 for i, a in enumerate(converged) for b in converged[:i])
+
+    def test_factor_descents_keep_no_trace(self, monkeypatch):
+        import dalembert.solver
+
+        p = random_poly(np.random.default_rng(47), 6)
+        kept = []
+        original = dalembert.solver.descend
+
+        def recording(q, z0, *args, **kwargs):
+            result = original(q, z0, *args, **kwargs)
+            kept.append((len(q) < len(p), result.trace is not None))
+            return result
+
+        monkeypatch.setattr(dalembert.solver, "descend", recording)
+        report = find_all_roots(p)
+        # the polished roots keep their traces; the factors' descents, whose
+        # root and flag alone are read, do not
+        assert all(r.trace is not None for r in report.roots)
+        assert kept.count((True, False)) == 5
+        assert (True, True) not in kept
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_input_completes(self):
