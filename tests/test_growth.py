@@ -29,6 +29,15 @@ def _lemma_battery():
     return polys
 
 
+def _beyond(rng, cert, radius):
+    """A random z with radius <= |z| <= 4 radius, or None where |z|^n or
+    |a_n| |z|^n would overflow a float (nothing to compare)."""
+    r = rng.uniform(radius, 4.0 * radius)
+    if max(0.0, math.log(cert.lead_norm)) + cert.degree * math.log(r) > 700.0:
+        return None
+    return rect(r, rng.uniform(-math.pi, math.pi))
+
+
 class TestCertificate:
     def test_sample_quadratic(self):
         cert = growth_certificate(QUAD)
@@ -70,21 +79,12 @@ class TestCertificate:
         for p in _lemma_battery():
             cert = growth_certificate(p)
             at_origin = norm(evaluate(p, 0j))
-
-            def beyond(radius):
-                """A random z with radius <= |z| <= 4 radius, or None where
-                |z|^n or |a_n| |z|^n would overflow a float (nothing to compare)."""
-                r = rng.uniform(radius, 4.0 * radius)
-                if max(0.0, math.log(cert.lead_norm)) + cert.degree * math.log(r) > 700.0:
-                    return None
-                return rect(r, rng.uniform(-math.pi, math.pi))
-
             for _ in range(10):
-                z = beyond(cert.threshold_radius)
+                z = _beyond(rng, cert, cert.threshold_radius)
                 if z is not None:
                     check_bounds(p, z, cert)
                     checked += 1
-                z = beyond(cert.enclosure_radius)
+                z = _beyond(rng, cert, cert.enclosure_radius)
                 if z is not None:
                     assert norm(evaluate(p, z)) >= at_origin - 1e-9 * (1.0 + at_origin)
                     checked += 1
