@@ -17,6 +17,10 @@ BATTERY = [
     ("shifted linear", "10 1"),
     ("double root", "1 -2 1"),
     ("degree six", "0.3-0.4i 1 0 -2i 0 0.5 1.25i"),
+    # |p| <= 1e-6 on the whole enclosure square
+    ("tiny scale", "1e-300 0 0 0 0 0 0 0 1e-300"),
+    # |z|^8 leaves the float range on the sampled radii, |a_8| |z|^8 does not
+    ("tiny leading term", "1 0 0 0 0 0 0 0 1e-300"),
 ]
 
 

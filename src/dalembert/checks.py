@@ -19,7 +19,7 @@ from .complexmath import norm
 from .descent import descent_step
 from .errors import StepStalled
 from .growth import check_bounds, growth_certificate
-from .polynomial import evaluate, truncate
+from .polynomial import evaluate, max_coeff_norm, truncate
 
 __all__ = ["LemmaReport", "run_lemma_checks"]
 
@@ -73,11 +73,14 @@ def _enclosure_domination(pt, cert, rng, samples) -> LemmaReport:
 
 def _descent_decrease(pt, cert, rng, samples) -> LemmaReport:
     r = cert.enclosure_radius
+    # relative to the largest coefficient, which |p| reaches somewhere on
+    # |z| = 1 (Cauchy's estimate), so some of the square is always drawn
+    near_root = 1e-6 * max_coeff_norm(pt)
     failures = 0
     done = 0
     while done < samples:
         z0 = complex(rng.uniform(-r, r), rng.uniform(-r, r))
-        if norm(evaluate(pt, z0)) <= 1e-6:
+        if norm(evaluate(pt, z0)) <= near_root:
             continue  # too close to a root for a meaningful decrease test
         done += 1
         try:

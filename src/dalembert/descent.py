@@ -9,7 +9,11 @@ of -s/a_k.  s starts at the full step 1, which for k = 1 is the Newton step
 the halving: over exact reals every s <= step_parameter(q) decreases |p|.
 q's first coefficient is p'(z0)/p(z0), so one O(n) Horner loop for p and p'
 gives the step whenever p'(z0) != 0; the O(n^2) Taylor shift of p is built
-only when it is 0 (k >= 2).
+only when it is 0 (k >= 2), or when the k = 1 halving stalls while |p(z0)|
+is above the noise floor below.  From a real start with real coefficients
+every k = 1 try stays on the real axis, so it can stall near a critical
+point on it with |p| far from 0; the step then comes from the next nonzero
+coefficient of q (k >= 2), again kept only on a strict drop.
 Because only roots stop the iteration, walking downhill is a root finder.
 descend stops once the residual meets the tolerance or the rounding floor of
 Horner's rule, gamma_2n * sum |a_i| |z|^i (Higham, Accuracy and Stability of
@@ -45,10 +49,11 @@ _UNIT_ROUNDOFF = 2.0**-53
 class DescentStep:
     """Witness for a strict decrease of |p| from z0 to z0 + zs.
 
-    k is the lowest exponent >= 1 with nonzero coefficient ak in the shifted,
-    constant-normalized polynomial, s the accepted step parameter, and zs
-    the kth root of -s/ak.  before and after are |p| at z0 and z0 + zs;
-    after < before always holds.
+    k is the exponent of the coefficient ak of the shifted,
+    constant-normalized polynomial that gave the step: the lowest nonzero
+    one, or, when the k = 1 step stalls above the noise floor, the next.
+    s is the accepted step parameter, and zs the kth root of -s/ak.  before
+    and after are |p| at z0 and z0 + zs; after < before always holds.
     """
 
     k: int
@@ -112,15 +117,38 @@ def _step(pt: Poly, z0: complex, before: float) -> DescentStep:
         # cancellation made p(z0) exactly zero
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
     # q(h) = p(z0 + h) / p(z0) = 1 + (p'(z0) / p(z0)) h + ...; the Taylor
-    # shift is needed only when that first coefficient is zero (k >= 2)
-    k, ak = 1, d / a0
-    if ak == 0:
-        q = [c / a0 for c in shift(pt, z0)[1:]]
-        nonzero = [i for i, c in enumerate(q, start=1) if c != 0]
-        if not nonzero:
-            raise NotApplicableToConstant("the shifted polynomial is constant to working precision")
-        k = nonzero[0]
-        ak = q[k - 1]
+    # shift is needed only when that first coefficient is zero (k >= 2) or
+    # its step stalls
+    ak = d / a0
+    if ak != 0:
+        try:
+            return _halve(pt, z0, before, 1, ak)
+        except StepStalled:
+            # from a real start with real coefficients every k = 1 try stays
+            # on the real axis; above the noise floor the next term can leave it
+            if before <= _noise_floor(pt)(z0):
+                raise
+            k, ak = _next_term(pt, z0, a0, 2)
+            if k is None:
+                raise
+            return _halve(pt, z0, before, k, ak)
+    k, ak = _next_term(pt, z0, a0, 1)
+    if k is None:
+        raise NotApplicableToConstant("the shifted polynomial is constant to working precision")
+    return _halve(pt, z0, before, k, ak)
+
+
+def _next_term(pt: Poly, z0: complex, a0: complex, start: int):
+    """The lowest k >= start with a nonzero coefficient of q(h) = p(z0 + h) /
+    a0, and that coefficient; (None, None) if there is none."""
+    q = [c / a0 for c in shift(pt, z0)]
+    k = next((i for i in range(start, len(q)) if q[i] != 0), None)
+    return (k, q[k]) if k is not None else (None, None)
+
+
+def _halve(pt: Poly, z0: complex, before: float, k: int, ak: complex) -> DescentStep:
+    """The step z0 + (-s/ak)^(1/k) for the first s = 1, 1/2, ... that
+    strictly lowers |p| below before."""
     s = 1.0
     while True:
         zs = nth_root(-s / ak, k)
@@ -142,7 +170,9 @@ def descent_step(p, z0: complex) -> DescentStep:
 
     Tries the full step s = 1 (Newton when k = 1) and halves s until |p|
     strictly drops, which over exact reals happens by s = step_parameter(q);
-    rounding can delay it.  Raises AlreadyAtRoot when p(z0) = 0,
+    rounding can delay it.  A k = 1 halving that stalls while |p(z0)| is
+    above the noise floor is retried with the next nonzero Taylor
+    coefficient.  Raises AlreadyAtRoot when p(z0) = 0,
     OverflowError when |p(z0)| is not finite, and StepStalled once z0 + zs
     rounds to z0 or halving underflows.
     """

@@ -15,10 +15,12 @@ tie-break, so results are identical to evaluating cell by cell.
 |p| is never below 0, so the gap is value - max(0, lowest lower bound):
 near a root the lower bounds go negative and the gap is simply the value.
 Each wave also tries the descent's damped Newton step from the incumbent,
-z - s p(z)/p'(z) for s = 1, 1/2, 1/4, ... until |p| strictly drops, which
-drives the value toward 0 far faster than bisection alone.  A NaN value
-never becomes the incumbent, and a cell whose lower bound is not finite
-(Horner overflow) is never pruned.
+z - s p(z)/p'(z) for s = 1, 1/2, 1/4, ... until |p| strictly drops, and
+repeats it from each point it keeps until a step finds no drop.  That
+drives the value to the noise floor far faster than bisection alone, also
+at a multiple root, where each Newton step gains only a constant factor.
+A NaN value never becomes the incumbent, and a cell whose lower bound is
+not finite (Horner overflow) is never pruned.
 The result keeps the centers of the cells still live at the stop; a sound
 search never prunes a cell that holds a global minimizer, such as a root.
 """
@@ -136,8 +138,9 @@ def certified_min(
     reaches the incumbent are pruned, the rest split 2x2.  After each wave
     the damped Newton step from the incumbent replaces it with the first
     try, s = 1, 1/2, 1/4, ..., that stays in the region and strictly lowers
-    |p|; each try in the region costs one evaluation, within budget.  The gap
-    is value - max(0, lowest live lower bound).  Stops after the wave where
+    |p|, and is repeated from there until a step finds no drop; each try in
+    the region costs one evaluation, within budget.  The gap is
+    value - max(0, lowest live lower bound).  Stops after the wave where
     gap <= epsilon, or when the next wave would take the evaluations past
     budget; a budget stop is flagged on the result, not raised, and its gap
     is still valid.  budget must be an integer >= 1 (budget=1 evaluates the
@@ -184,29 +187,33 @@ def certified_min(
 
 def _damped_newton(coeffs: list, region: SquareRegion, z: complex, value: float,
                    evaluations: int, budget: int):
-    """The descent's damped step from the incumbent z: z - s p(z)/p'(z) for
-    s = 1, 1/2, 1/4, ... until |p| strictly drops below value.
+    """The descent's damped steps from the incumbent z: z - s p(z)/p'(z) for
+    s = 1, 1/2, 1/4, ... until |p| strictly drops below value, repeated from
+    each accepted point until a step finds no drop.
 
     A try inside the region costs one evaluation; one outside it is halved
     for free.  Returns the (point, value, evaluations) the search goes on
     with, z and value themselves when no try beats them.
     """
-    val, der = evaluate_with_derivative(coeffs, z)
-    if not der:
-        return z, value, evaluations
-    step, s = val / der, 1.0
-    while evaluations < budget and cmath.isfinite(step) and s >= _MIN_STEP:
-        w = z - step
-        if w == z:
-            # every smaller step rounds back to z too
-            break
-        if region.contains(w):
-            evaluations += 1
-            w_val = norm(evaluate(coeffs, w))
-            if w_val < value:
-                return w, w_val, evaluations
-        step, s = step * 0.5, s * 0.5
-    return z, value, evaluations
+    while True:
+        val, der = evaluate_with_derivative(coeffs, z)
+        if not der:
+            return z, value, evaluations
+        step, s = val / der, 1.0
+        while evaluations < budget and cmath.isfinite(step) and s >= _MIN_STEP:
+            w = z - step
+            if w == z:
+                # every smaller step rounds back to z too
+                return z, value, evaluations
+            if region.contains(w):
+                evaluations += 1
+                w_val = norm(evaluate(coeffs, w))
+                if w_val < value:
+                    break
+            step, s = step * 0.5, s * 0.5
+        else:
+            return z, value, evaluations
+        z, value = w, w_val
 
 
 # offsets of the four children's centers, in quarters of the parent's side

@@ -106,7 +106,11 @@ def check_bounds(p, z: complex, cert: GrowthCertificate) -> tuple[float, float, 
         raise BelowThreshold(
             f"norm(z) = {nz} is below the certificate threshold {cert.threshold_radius}"
         )
-    scale = cert.lead_norm * nz**cert.degree
+    # |a_n| nz^n as a running product: nz >= 1, so no partial product
+    # overflows where the whole does not (nz^n alone can, when |a_n| is tiny)
+    scale = cert.lead_norm
+    for _ in range(cert.degree):
+        scale *= nz
     lower, upper = 0.5 * scale, 1.5 * scale
     value = norm(evaluate(truncate(p), z))
     if lower > value + BOUND_SLACK * (1.0 + value) or value > upper + BOUND_SLACK * (1.0 + upper):

@@ -10,6 +10,8 @@ root is a global minimizer of |p|, so the cells that one branch-and-bound
 leaves live surround every root: each deflated factor starts its descent at
 the live cell center where it is smallest, with no search of its own, and
 tries the other centers in order only if that descent does not converge.
+When the search's Newton steps close its gap in the first wave, its one
+live cell is the whole square, and every factor starts at its center.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ def _starts(work: Poly, seed: CertifiedMinimum):
 def _factor_root(work: Poly, seed: CertifiedMinimum, tol: float, max_iter: int) -> RootResult:
     """The first converged descent on work from _starts, else the first one.
 
-    A descent can stall at a critical point of work; its estimate, polished
-    on p, would be a root found already.  Only the root and the converged
-    flag are read, so no trace is kept."""
+    A descent that does not converge (max_iter, or a stall no Taylor term
+    leaves) gives an estimate that, polished on p, can be a root found
+    already.  Only the root and the converged flag are read, so no trace is
+    kept."""
     results = (descend(work, z, tol, max_iter, keep_trace=False) for z in _starts(work, seed))
     first = next(results)
     return first if first.converged else next((r for r in results if r.converged), first)

@@ -9,9 +9,18 @@ from dalembert.errors import EmptyPolynomial, ParseError
 from dalembert.polynomial import from_roots
 
 QUAD_TEXT = "1 1i 3"
-# 1 + 2z + ... + 41 z^40: the seed is far enough from a root that descent
-# needs 8 steps to converge
+# 1 + 2z + ... + 41 z^40: descent from the center 0 of its growth square
+# needs 21 steps to converge
 RAMP41 = " ".join(str(k) for k in range(1, 42))
+
+
+@pytest.fixture
+def center_seed(monkeypatch):
+    """A seed search of one evaluation, the square's center: the Newton run
+    of a full search leaves no step for descent to take."""
+    import dalembert.solver
+
+    monkeypatch.setattr(dalembert.solver, "_SEED_BUDGET", 1)
 
 
 def run_cli(capsys, *args):
@@ -108,8 +117,8 @@ class TestSolveMode:
         assert code == 1
         assert "zero polynomial" in err
 
-    def test_not_converged_exits_two(self, capsys):
-        # 1 + 2z + ... + 41 z^40: two steps from the seed leave |p| near 0.3
+    def test_not_converged_exits_two(self, capsys, center_seed):
+        # 1 + 2z + ... + 41 z^40: two steps from the center leave |p| near 0.4
         code, out, _ = run_cli(capsys, "--max-iter", "2", RAMP41)
         assert code == 2
         report = json.loads(out)
@@ -138,7 +147,7 @@ class TestSolveMode:
 
 
 class TestTraceCsv:
-    def test_schema(self, capsys):
+    def test_schema(self, capsys, center_seed):
         code, out, _ = run_cli(capsys, "--format", "csv", "--max-iter", "2", RAMP41)
         assert code == 2
         lines = out.strip().split("\n")
@@ -202,7 +211,7 @@ class TestOtherModes:
         code, out, _ = run_cli(
             capsys,
             "--mode", "evt", "--corner=-1.34,-1.34", "--side", "2.68",
-            "--epsilon", "1e-9", "--budget", "50", QUAD_TEXT,
+            "--epsilon", "1e-9", "--budget", "4", QUAD_TEXT,
         )
         assert code == 2
         assert json.loads(out)["budget_exhausted"] is True

@@ -222,6 +222,16 @@ class TestDescentStep:
         assert (step.k, step.ak) == (2, 1 + 0j)
         assert calls == [0j]
 
+    def test_stalled_newton_step_takes_the_next_term(self):
+        # 1 + z^2 at a real z0 near its critical point 0: every real step
+        # leaves |p| at 1 or above, so halving the Newton step stalls; the
+        # z^2 term of the shifted polynomial points along the imaginary axis
+        z0 = 2.0**-27
+        step = descent_step((1, 0, 1), z0)
+        assert (step.k, step.s) == (2, 1.0)
+        assert step.after < step.before == 1.0
+        assert step.after == norm(evaluate((1, 0, 1), z0 + step.zs))
+
     def test_overflow_is_reported(self):
         # |p(1e200)| overflows: no step can be computed there, and p is not
         # constant
@@ -295,6 +305,23 @@ class TestDescend:
         with pytest.raises(StepStalled):
             descent_step(cubic, stalled)
         assert len(calls) <= 5
+
+    @pytest.mark.parametrize(
+        "p, z0",
+        [((1, 0, 1), 0.5), ((1 + 1e-8, -2, 1), 0j), ((-1j, 0, -1, 0, 1j, 0, 1), 0.5 + 0.5j)],
+        ids=["1+z^2", "double-root-split-1e-4i", "diagonal-critical-point"],
+    )
+    def test_steps_off_a_critical_line(self, p, z0):
+        # every Newton step from these starts stays on a line (the real axis
+        # or the diagonal) on which |p| has a positive minimum at a critical
+        # point; the k = 1 halving stalls there, and the next Taylor term
+        # leaves the line
+        result = descend(p, z0, 1e-10, 10000)
+        assert result.converged
+        assert result.residual <= 1e-10
+        assert any(row.k >= 2 for row in result.trace)
+        residuals = [row.residual for row in result.trace]
+        assert all(a > b for a, b in zip(residuals, residuals[1:]))
 
     def test_converges_at_the_noise_floor(self):
         # tol = 1e-320 is below what evaluating p can resolve; descend stops

@@ -82,10 +82,12 @@ class TestCertifiedMin:
         assert cm.gap <= 1e-4
 
     def test_budget_exhaustion_flagged_and_still_sound(self):
+        # the Newton run from the center reaches 1e-12 after 7 evaluations;
+        # a budget of 5 cuts it off at |p| ~ 3e-5
         square = growth_certificate(QUAD).square
-        cm = certified_min(QUAD, square, 1e-12, budget=20)
+        cm = certified_min(QUAD, square, 1e-12, budget=5)
         assert cm.budget_exhausted
-        assert cm.evaluations <= 20
+        assert cm.evaluations <= 5
         oracle = dense_min_oracle(QUAD, square, n=512)
         assert oracle >= cm.value - cm.gap - 1e-9
 
@@ -213,20 +215,23 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "p, region, epsilon, budget, argmin, value, gap, evaluations, exhausted, cells",
         [
+            # the Newton run from the center reaches a root within the first
+            # wave, whose one cell is left live
             (QUAD, QUAD_SQUARE, 1e-6, 1_000_000,
-             ("0x0.0p+0", "0x1.bcae45b3dc2eep-2"),
-             "0x1.f2ce000000000p-33", "0x1.f2ce000000000p-33", 82, False,
-             "c89a34590fafd83372b5877d7b41a879dc7013c12a761294b53eb9612c3c4fe4"),
+             ("0x0.0p+0", "0x1.bcae45b2c77efp-2"),
+             "0x0.0p+0", "0x0.0p+0", 8, False,
+             "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
             (DEG8, DEG8_SQUARE, 1e-6, 50_000,
-             ("0x1.14ff7e4727607p-1", "0x1.e05987fb761d8p-2"),
-             "0x1.f8601bc4e9d9cp-27", "0x1.f8601bc4e9d9cp-27", 348, False,
-             "3b452359844af75284de4088ac1613f0a2989cc4e3d75bb33555cbcc4da3cef8"),
-            # stopped by its budget, after a wave that spends it exactly and
-            # leaves nothing for that wave's Newton try
-            (QUAD, QUAD_SQUARE, 1e-12, 122,
-             ("0x0.0p+0", "0x1.bcae45b3dc2eep-2"),
-             "0x1.f2ce000000000p-33", "0x1.f2ce000000000p-33", 122, True,
-             "23d23f758041c64946ac9d63ab086641e8727e4bb6ef260fd0397be78756642d"),
+             ("0x1.14ff7e20383a2p-1", "0x1.e05987d9b4ac2p-2"),
+             "0x1.0000000000000p-53", "0x1.0000000000000p-53", 11, False,
+             "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
+            # a square with no root, whose minimum 2.06 sits at its corner
+            # 0.5 + 0.5i: stopped by its budget after eight waves, part way
+            # through a Newton run
+            (QUAD, SquareRegion(0.5 + 0.5j, 1.0), 1e-12, 100,
+             ("0x1.000000002b040p-1", "0x1.0125209d60703p-1"),
+             "0x1.086fe02c307e4p+1", "0x1.05f675c562200p-7", 100, True,
+             "8b331ff24b6a2574b69639709568a10871006f3699232c0aff33444ba8fa3b36"),
         ],
         ids=["quad", "deg8", "budget"],
     )
@@ -300,6 +305,11 @@ def _stop_rule_cases():
     return cases
 
 
+# four roots within 1e-3 of 1, eight on |z| = 1/2
+_CLUSTER4_8 = (list(1 + 1e-3 * np.exp(2j * np.pi * np.arange(4) / 4))
+               + list(0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)))
+
+
 class TestStopRules:
     """The search stops once value - max(0, lowest lower bound) <= epsilon,
     with a Newton step from the incumbent each wave; the certificate must
@@ -347,6 +357,22 @@ class TestStopRules:
         assert not cm.budget_exhausted
         assert len(waves) <= 10
 
+    @pytest.mark.parametrize("roots", [[1.0] * 3, [1.0] * 4, [1.0] * 5, _CLUSTER4_8],
+                             ids=["(z-1)^3", "(z-1)^4", "(z-1)^5", "cluster4+8"])
+    def test_multiple_roots_close_their_gap(self, roots):
+        # one damped Newton step per wave converges only linearly at a
+        # multiple root, and these searches ran to their 50k budget; run to
+        # the noise floor, the steps close the gap within a few hundred
+        p = from_roots(1.0, roots)
+        square = growth_certificate(p).square
+        cm = certified_min(p, square, 1e-10, 50_000)
+        assert not cm.budget_exhausted
+        assert cm.gap <= 1e-10
+        assert cm.evaluations <= 1_000
+        side = _live_side(cm.cells, square)
+        for root in roots:
+            assert _in_live_cell(root, cm.cells, side), root
+
     def test_newton_try_is_counted_and_kept_in_the_region(self):
         # a budget of 2 is the center and one Newton try from it
         for p, region in ((QUAD, QUAD_SQUARE), (DEG8, DEG8_SQUARE), (QUAD, SquareRegion(1 + 1j, 0.5))):
@@ -383,10 +409,12 @@ class TestNonFinite:
         half = float.fromhex("0x1.deea03e6b5783p+68")  # 5.52e20
         region = SquareRegion(complex(-half, -half), 2.0 * half)
         cm = certified_min(p, region, 1e-6, 20_000)
-        # the roots 1..20 lie in the square, so the minimum is 0
+        # the roots 1..20 lie in the square, so the minimum is 0; the Newton
+        # run from the center reaches a root, which closes the gap
         assert cm.value - cm.gap <= 0.0
         assert math.isfinite(cm.value)
-        assert cm.budget_exhausted
+        assert not cm.budget_exhausted
+        assert cm.gap <= 1e-6
         assert cm.evaluations <= 20_000
         assert region.contains(cm.argmin)
         side = _live_side(cm.cells, region)

@@ -130,6 +130,17 @@ class TestCheckBounds:
         check_bounds(p, 3 + 0j, cert)
         assert norm(evaluate(p, 2.7 + 0j)) < 0.5 * 2.7**n
 
+    def test_tiny_leading_coefficient(self):
+        # 1 + 1e-300 z^8: |z|^8 overflows beyond |z| ~ 1.3e38, while the
+        # bound 1e-300 |z|^8 is still ~1e4 at ten times the threshold
+        p = (1,) + (0,) * 7 + (1e-300,)
+        cert = growth_certificate(p)
+        for radius in (cert.threshold_radius, 5.0 * cert.threshold_radius,
+                       10.0 * cert.threshold_radius):
+            lower, value, upper = check_bounds(p, complex(0, radius), cert)
+            assert math.isfinite(upper)
+            assert lower <= value <= upper
+
     def test_below_threshold_rejected(self):
         cert = growth_certificate(QUAD)
         with pytest.raises(BelowThreshold):

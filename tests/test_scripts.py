@@ -37,11 +37,24 @@ def test_replay_lemmas_prints_three_lemmas_per_polynomial():
     done = _run(["scripts/replay_lemmas.py", "--samples", "20"])
     assert done.returncode == 0, done.stdout + done.stderr
     blocks = [b.splitlines() for b in done.stdout.strip().split("\n\n")]
-    assert len(blocks) == 6  # the script's battery
+    assert len(blocks) == 8  # the script's battery
     for block in blocks:
         names = [line.split()[0] for line in block[1:]]
         assert names == ["growth-sandwich", "enclosure-domination", "descent-decrease"]
         assert all(line.endswith("pass") for line in block[1:])
+
+
+def test_replay_lemmas_passes_at_extreme_scales():
+    # the descent replay once redrew every start on the tiny-scale
+    # polynomial without end, and the sandwich replay counted the float
+    # overflow of |z|^8 on the tiny-leading-term one as failures
+    done = _run(["scripts/replay_lemmas.py", "--samples", "200"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    blocks = {b.splitlines()[0]: b.splitlines()[1:] for b in done.stdout.strip().split("\n\n")}
+    for head in ("tiny scale  (1e-300 0 0 0 0 0 0 0 1e-300)",
+                 "tiny leading term  (1 0 0 0 0 0 0 0 1e-300)"):
+        assert [line.split()[1] for line in blocks[head]] == ["200"] * 3, head
+        assert all(line.endswith("pass") for line in blocks[head]), head
 
 
 def test_output_digests_prints_one_line_per_call():

@@ -321,14 +321,43 @@ class TestDeflatedFactors:
         assert _matched([r.root for r in report.roots], want, 1e-8)
 
     def test_a_factor_that_converges_from_no_live_cell_is_flagged(self, monkeypatch):
+        import dalembert.solver
+
+        original = dalembert.solver.descend
+
+        def failing(q, z0, tol, max_iter, **kwargs):
+            # z^6 + i z^4 - z^2 - i, left once the first two roots are out,
+            # takes no step from the one center and so does not converge
+            return original(q, z0, tol, 0 if len(q) == 7 else max_iter, **kwargs)
+
+        monkeypatch.setattr(dalembert.solver, "descend", failing)
         report = self._unity8_from(monkeypatch, [0.5 + 0.5j])
-        # z^6 + i z^4 - z^2 - i, left once the first two roots are out,
-        # stalls at its critical point 0 from the one center; with no other
-        # center to try, its polished estimate repeats a root found already,
-        # and every quotient after that deflation is corrupted
+        # with no other center to try, its estimate is deflated out all the
+        # same, and every quotient after that deflation is corrupted
         assert [r.converged for r in report.roots] == [True, True] + [False] * 6
         converged = [r.root for r in report.roots if r.converged]
         assert all(abs(a - b) > 1e-8 for i, a in enumerate(converged) for b in converged[:i])
+
+    def test_many_live_cells_on_a_critical_line(self, monkeypatch):
+        # z^4 - 1, left once the four diagonal roots are out, has p' = 0 only
+        # at 0; descent from a diagonal center steps off that critical point,
+        # so the first center converges and no other is tried
+        import dalembert.solver
+
+        calls = []
+        original = dalembert.solver.descend
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dalembert.solver, "descend", counting)
+        diagonal = np.linspace(-0.9, 0.9, 1000) * (1 + 1j)
+        report = self._unity8_from(monkeypatch, diagonal)
+        want = [cmath.exp(2j * math.pi * j / 8) for j in range(8)]
+        assert all(r.converged for r in report.roots)
+        assert _matched([r.root for r in report.roots], want, 1e-8)
+        assert len(calls) <= 50
 
     def test_factor_descents_keep_no_trace(self, monkeypatch):
         import dalembert.solver
