@@ -212,6 +212,7 @@ def _damped_newton(coeffs: list, region: SquareRegion, z: complex, value: float,
                     break
             step, s = step * 0.5, s * 0.5
         else:
+            # no try lowered |p|, or the budget is spent
             return z, value, evaluations
         z, value = w, w_val
 
