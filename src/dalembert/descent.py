@@ -110,8 +110,9 @@ def _nonconstant(p) -> Poly:
     return pt
 
 
-def _step(pt: Poly, z0: complex, before: float) -> DescentStep:
-    """descent_step for a normalized non-constant pt, given before = |p(z0)|."""
+def _step(pt: Poly, z0: complex, before: float) -> tuple:
+    """descent_step's fields (k, ak, s, zs, before, after) as a plain tuple,
+    for a normalized non-constant pt, given before = |p(z0)|."""
     a0, d = evaluate_with_derivative(pt, z0)
     if a0 == 0:
         # cancellation made p(z0) exactly zero
@@ -146,9 +147,10 @@ def _next_term(pt: Poly, z0: complex, a0: complex, start: int):
     return (k, q[k]) if k is not None else (None, None)
 
 
-def _halve(pt: Poly, z0: complex, before: float, k: int, ak: complex) -> DescentStep:
+def _halve(pt: Poly, z0: complex, before: float, k: int, ak: complex) -> tuple:
     """The step z0 + (-s/ak)^(1/k) for the first s = 1, 1/2, ... that
-    strictly lowers |p| below before."""
+    strictly lowers |p| below before, as the tuple (k, ak, s, zs, before,
+    after)."""
     s = 1.0
     while True:
         zs = nth_root(-s / ak, k)
@@ -157,7 +159,7 @@ def _halve(pt: Poly, z0: complex, before: float, k: int, ak: complex) -> Descent
             raise StepStalled(f"the step rounds to nothing at s = {s}, z0 = {z0}")
         after = norm(evaluate(pt, z0 + zs))
         if after < before:
-            return DescentStep(k, ak, s, zs, before, after)
+            return k, ak, s, zs, before, after
         s *= 0.5
         if s < _MIN_STEP:
             raise StepStalled(
@@ -183,7 +185,7 @@ def descent_step(p, z0: complex) -> DescentStep:
         raise AlreadyAtRoot(f"p({z0}) = 0 already")
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
-    return _step(pt, z0, before)
+    return DescentStep(*_step(pt, z0, before))
 
 
 def _noise_floor(pt: Poly):
@@ -213,7 +215,8 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
     start where |p| overflows is returned at once, not converged, since no
     step can be computed there.  Running out of iterations or stalling is
     reported through converged=False, not raised.  max_iter must be an
-    integer >= 0.
+    integer >= 0.  The steps are plain tuples; a TraceRow is built for each
+    only when keep_trace is set, and with it unset the result's trace is None.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -223,17 +226,17 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
     floor = _noise_floor(pt)
     z = complex(z0)
     residual = norm(evaluate(pt, z))
-    rows = [TraceRow(0, z, residual, 0.0, 0)]
+    rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
     steps = 0
     while math.isfinite(residual) and residual > max(tol, floor(z)) and steps < max_iter:
         try:
-            step = _step(pt, z, residual)
+            k, _ak, s, zs, _before, residual = _step(pt, z, residual)
         except (StepStalled, AlreadyAtRoot):
             break
-        z = z + step.zs
-        residual = step.after
+        z = z + zs
         steps += 1
-        rows.append(TraceRow(steps, z, residual, step.s, step.k))
+        if keep_trace:
+            rows.append(TraceRow(steps, z, residual, s, k))
     return RootResult(
         root=z,
         residual=residual,

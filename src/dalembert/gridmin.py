@@ -50,7 +50,11 @@ HALF_DIAGONAL = math.sqrt(2.0) / 2.0
 
 @dataclass(frozen=True)
 class SquareRegion:
-    """The square [x0, x0+side] x [y0, y0+side]; corner = x0 + i y0 (lower left)."""
+    """The square [x0, x0+side] x [y0, y0+side]; corner = x0 + i y0 (lower left).
+
+    The corner, the side and the far corner (x0+side) + i (y0+side) must all
+    be finite floats, so every cell center and bound in it is representable.
+    """
 
     corner: complex
     side: float
@@ -62,6 +66,10 @@ class SquareRegion:
             raise ValueError(f"side must be positive and finite, got {self.side}")
         if not (math.isfinite(self.corner.real) and math.isfinite(self.corner.imag)):
             raise ValueError(f"corner must be finite, got {self.corner}")
+        far = self.corner + complex(self.side, self.side)
+        if not (math.isfinite(far.real) and math.isfinite(far.imag)):
+            raise ValueError(f"the far corner {far} of the square at {self.corner} "
+                             f"with side {self.side} is not representable")
 
     def contains(self, z: complex) -> bool:
         x0, y0 = self.corner.real, self.corner.imag

@@ -11,11 +11,13 @@ leaves live surround every root: each deflated factor starts its descent at
 the live cell center where it is smallest, with no search of its own, and
 tries the other centers in order only if that descent does not converge.
 When the search's Newton steps close its gap in the first wave, its one
-live cell is the whole square, and every factor starts at its center.
+live cell is the whole square, and every factor starts at its center, which
+is then used as it is, with no ranking.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +27,7 @@ from .descent import RootResult, descend
 from .errors import DegenerateZeroPolynomial, NoRootExists
 from .gridmin import CertifiedMinimum, _horner, certified_min
 from .growth import GrowthCertificate, growth_certificate
-from .polynomial import Poly, deflate, from_roots, truncate
+from .polynomial import Poly, deflate, evaluate, from_roots, truncate
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
 
@@ -77,7 +79,13 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
 def _starts(work: Poly, seed: CertifiedMinimum):
     """The live seed cell centers by increasing finite |work| (ties: the
     first), or seed.argmin alone if no center gives a finite value.  The
-    order past the first is sorted only if it is asked for."""
+    order past the first is sorted only if it is asked for.  A single live
+    cell needs no ranking: its center is used as it is, evaluated once
+    without numpy."""
+    if seed.cells.size == 1:
+        center = complex(seed.cells[0])
+        yield center if math.isfinite(norm(evaluate(work, center))) else seed.argmin
+        return
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
         vals = np.abs(_horner(np.asarray(work, dtype=complex), seed.cells))
     finite = np.flatnonzero(np.isfinite(vals))

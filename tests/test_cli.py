@@ -207,6 +207,14 @@ class TestOtherModes:
         assert code == 1
         assert "--corner" in err
 
+    def test_evt_rejects_an_unrepresentable_square(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--mode", "evt", "--corner=1e308,1e308", "--side", "1e308", "1 1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "far corner" in err
+
     def test_evt_budget_exhaustion_exits_two(self, capsys):
         code, out, _ = run_cli(
             capsys,

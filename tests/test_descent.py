@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dalembert.complexmath import norm, nth_root
-from dalembert.descent import descend, descent_step, step_parameter
+from dalembert.descent import DescentStep, descend, descent_step, step_parameter
 from dalembert.errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
 from dalembert.polynomial import as_poly, evaluate, from_roots, shift, truncate
 from helpers import lowest_exponent, random_point, random_poly, unit_constant
@@ -240,6 +240,11 @@ class TestDescentStep:
         with pytest.raises(OverflowError):
             descent_step((1, 0, 1), 1e160 + 1e160j)
 
+    def test_returns_a_descent_step(self):
+        step = descent_step(QUAD, 0j)
+        assert isinstance(step, DescentStep)
+        assert step.after < step.before
+
     def test_rejects_constant_and_root(self):
         with pytest.raises(NotApplicableToConstant):
             descent_step((5,), 0j)
@@ -369,6 +374,20 @@ class TestDescend:
     def test_no_trace_when_disabled(self):
         result = descend(QUAD, 1 + 1j, 1e-8, 100, keep_trace=False)
         assert result.trace is None
+
+    def test_untraced_descent_matches_traced(self):
+        rng = np.random.default_rng(47)
+        polys = [QUAD, from_roots(1, [1.0] * 4), from_roots(1, range(1, 7))]
+        polys += [random_poly(rng, int(rng.integers(2, 13))) for _ in range(6)]
+        starts = [0j, 0.5 + 0.5j, -2 + 1j, 3.5, 7 - 2j]
+        for p in polys:
+            for z0 in starts + [random_point(rng, 3.0)]:
+                traced = descend(p, z0, 1e-10, 500)
+                untraced = descend(p, z0, 1e-10, 500, keep_trace=False)
+                # repr tells -0.0 from 0.0, so equal reprs are equal bits
+                fields = lambda r: repr((r.root, r.residual, r.iterations, r.converged))
+                assert fields(untraced) == fields(traced)
+                assert len(traced.trace) == traced.iterations + 1
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,13 @@ class TestSquareRegion:
             with pytest.raises(ValueError):
                 SquareRegion(0j, side)
 
+    def test_rejects_an_unrepresentable_far_corner(self):
+        # corner and side are finite, but corner + side overflows on an axis
+        for corner in (1e308 + 1e308j, 1e308 + 0j, 1e308j):
+            with pytest.raises(ValueError, match="far corner"):
+                SquareRegion(corner, 1e308)
+        assert SquareRegion(-1e308 - 1e308j, 1e308).center == -5e307 - 5e307j
+
     def test_contains_boundary(self):
         region = SquareRegion(0j, 1.0)
         assert region.contains(0j)

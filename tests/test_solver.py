@@ -248,8 +248,12 @@ class TestDeflatedFactors:
                 1e-4,
             ),
             (from_roots(1, range(1, 7)), 1e-8),
+            # the degree-4 factor stalls from two of the 16 live centers and
+            # converges from the third; starting every factor at the square
+            # center or at the seed's argmin leaves four roots unconverged
+            ((-1,) + (0,) * 7 + (1,), 1e-9),
         ],
-        ids=["z^20-1", "(z-1)^4", "cluster-3+3", "wilkinson-6"],
+        ids=["z^20-1", "(z-1)^4", "cluster-3+3", "wilkinson-6", "z^8-1"],
     )
     def test_hard_families_match_numpy(self, p, radius):
         report = find_all_roots(p)
@@ -277,8 +281,9 @@ class TestDeflatedFactors:
             assert z0 in cells
             assert abs(np.polyval(np.asarray(q, dtype=complex)[::-1], z0)) <= values.min() * (1 + 1e-9)
 
-    @pytest.mark.parametrize("cells", [np.empty(0, complex), np.array([1e308 + 1e308j])],
-                             ids=["no-live-cell", "overflowing-cell"])
+    @pytest.mark.parametrize("cells", [np.empty(0, complex), np.array([1e308 + 1e308j]),
+                                       np.array([complex("nan")])],
+                             ids=["no-live-cell", "overflowing-cell", "nan-cell"])
     def test_falls_back_to_the_seed(self, monkeypatch, cells):
         import dataclasses
 
