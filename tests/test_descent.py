@@ -380,12 +380,15 @@ class TestDescend:
         polys = [QUAD, from_roots(1, [1.0] * 4), from_roots(1, range(1, 7))]
         polys += [random_poly(rng, int(rng.integers(2, 13))) for _ in range(6)]
         starts = [0j, 0.5 + 0.5j, -2 + 1j, 3.5, 7 - 2j]
+
+        def fields(r):
+            # repr tells -0.0 from 0.0, so equal reprs are equal bits
+            return repr((r.root, r.residual, r.iterations, r.converged))
+
         for p in polys:
             for z0 in starts + [random_point(rng, 3.0)]:
                 traced = descend(p, z0, 1e-10, 500)
                 untraced = descend(p, z0, 1e-10, 500, keep_trace=False)
-                # repr tells -0.0 from 0.0, so equal reprs are equal bits
-                fields = lambda r: repr((r.root, r.residual, r.iterations, r.converged))
                 assert fields(untraced) == fields(traced)
                 assert len(traced.trace) == traced.iterations + 1
 
