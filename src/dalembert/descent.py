@@ -110,10 +110,11 @@ def _nonconstant(p) -> Poly:
     return pt
 
 
-def _step(pt: Poly, z0: complex, before: float) -> tuple:
-    """descent_step's fields (k, ak, s, zs, before, after) as a plain tuple,
-    for a normalized non-constant pt, given before = |p(z0)|."""
-    a0, d = evaluate_with_derivative(pt, z0)
+def _step(pt: Poly, z0: complex, before: float, pair=None) -> tuple:
+    """descent_step's fields (k, ak, s, zs, before, after) and the pair
+    (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt,
+    given before = |p(z0)| and, if known, the pair (p(z0), p'(z0))."""
+    a0, d = pair if pair is not None else evaluate_with_derivative(pt, z0)
     if a0 == 0:
         # cancellation made p(z0) exactly zero
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
@@ -150,16 +151,18 @@ def _next_term(pt: Poly, z0: complex, a0: complex, start: int):
 def _halve(pt: Poly, z0: complex, before: float, k: int, ak: complex) -> tuple:
     """The step z0 + (-s/ak)^(1/k) for the first s = 1, 1/2, ... that
     strictly lowers |p| below before, as the tuple (k, ak, s, zs, before,
-    after)."""
+    after, pair), pair being (p, p') at z0 + zs.  Each try is one Horner
+    loop for p and p', so the accepted one starts the next step."""
     s = 1.0
     while True:
         zs = nth_root(-s / ak, k)
         if z0 + zs == z0:
             # every smaller s rounds back to z0 too, so nothing can decrease
             raise StepStalled(f"the step rounds to nothing at s = {s}, z0 = {z0}")
-        after = norm(evaluate(pt, z0 + zs))
+        pair = evaluate_with_derivative(pt, z0 + zs)
+        after = norm(pair[0])
         if after < before:
-            return k, ak, s, zs, before, after
+            return k, ak, s, zs, before, after, pair
         s *= 0.5
         if s < _MIN_STEP:
             raise StepStalled(
@@ -185,7 +188,7 @@ def descent_step(p, z0: complex) -> DescentStep:
         raise AlreadyAtRoot(f"p({z0}) = 0 already")
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
-    return DescentStep(*_step(pt, z0, before))
+    return DescentStep(*_step(pt, z0, before)[:6])
 
 
 def _noise_floor(pt: Poly):
@@ -227,10 +230,10 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
     z = complex(z0)
     residual = norm(evaluate(pt, z))
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
-    steps = 0
+    steps, pair = 0, None
     while math.isfinite(residual) and residual > max(tol, floor(z)) and steps < max_iter:
         try:
-            k, _ak, s, zs, _before, residual = _step(pt, z, residual)
+            k, _ak, s, zs, _before, residual, pair = _step(pt, z, residual, pair)
         except (StepStalled, AlreadyAtRoot):
             break
         z = z + zs

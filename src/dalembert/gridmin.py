@@ -36,7 +36,7 @@ import numpy as np
 
 from .complexmath import norm
 from .descent import _MIN_STEP
-from .polynomial import as_poly, evaluate, evaluate_with_derivative
+from .polynomial import as_poly, evaluate_with_derivative
 
 __all__ = [
     "SquareRegion",
@@ -106,9 +106,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum of coeffs[i] x^i at every x of an array (coefficients a0 first)."""
+    """sum of coeffs[i] x^i at every x of an array (coefficients a0 first).
+
+    One point runs as a Python scalar loop, which rounds like numpy's loop
+    over a 1-element array (numpy's loops over more elements may fuse the
+    multiply-add, so they stay in numpy) at a fraction of its cost.  A
+    non-finite scalar result is redone in numpy, so an overflow is still
+    reported by numpy's RuntimeWarning.
+    """
+    dtype = np.result_type(coeffs, xs)
+    if xs.size == 1:
+        x, acc = xs.item(), np.zeros((), dtype).item()
+        for c in reversed(coeffs.tolist()):
+            acc = acc * x + c
+        if cmath.isfinite(acc):
+            return np.array(acc, dtype).reshape(xs.shape)
     # in place: one array per call, not two per coefficient
-    acc = np.zeros(xs.shape, dtype=np.result_type(coeffs, xs))
+    acc = np.zeros(xs.shape, dtype=dtype)
     for c in coeffs[::-1]:
         acc *= xs
         acc += c
@@ -203,8 +217,8 @@ def _damped_newton(coeffs: list, region: SquareRegion, z: complex, value: float,
     for free.  Returns the (point, value, evaluations) the search goes on
     with, z and value themselves when no try beats them.
     """
+    val, der = evaluate_with_derivative(coeffs, z)
     while True:
-        val, der = evaluate_with_derivative(coeffs, z)
         if not der:
             return z, value, evaluations
         step, s = val / der, 1.0
@@ -215,14 +229,16 @@ def _damped_newton(coeffs: list, region: SquareRegion, z: complex, value: float,
                 return z, value, evaluations
             if region.contains(w):
                 evaluations += 1
-                w_val = norm(evaluate(coeffs, w))
-                if w_val < value:
+                w_val, w_der = evaluate_with_derivative(coeffs, w)
+                w_norm = norm(w_val)
+                if w_norm < value:
                     break
             step, s = step * 0.5, s * 0.5
         else:
             # no try lowered |p|, or the budget is spent
             return z, value, evaluations
-        z, value = w, w_val
+        # the accepted try's (p, p') pair gives the next step
+        z, value, val, der = w, w_norm, w_val, w_der
 
 
 # offsets of the four children's centers, in quarters of the parent's side

@@ -432,3 +432,26 @@ class TestDescend:
             assert [row.s for row in result.trace[1:]] == [
                 descent_step(p, row.point).s for row in result.trace[:-1]
             ]
+
+    @pytest.mark.parametrize("family", ["random", "(z-1)^5", "wilkinson-20", "critical-point"])
+    def test_carried_pair_matches_fresh_steps(self, family):
+        # descend starts each step from the (p, p') pair of the try it
+        # accepted; descent_step computes the pair afresh at the same point
+        rng = np.random.default_rng(36)
+        if family == "random":
+            # starts far out, so that some steps halve
+            cases = [(random_poly(rng, d), random_point(rng, 4.0)) for d in (20, 40, 60)]
+        elif family == "(z-1)^5":
+            cases = [(from_roots(1.0, [1.0] * 5), 1.5 + 0.5j)]
+        elif family == "wilkinson-20":
+            cases = [(from_roots(1.0, range(1, 21)), 21.5 + 0.5j)]
+        else:
+            # p'(1) = 0: the first step is a k = 2 one
+            cases = [((5, -3, 0, 1), 1 + 0j)]
+        for p, z0 in cases:
+            result = descend(p, z0, 1e-10, 60)
+            assert result.iterations > 0
+            for row, after in zip(result.trace[:-1], result.trace[1:]):
+                step = descent_step(p, row.point)
+                assert _bits(row.point + step.zs, step.after, step.s, step.k) == _bits(
+                    after.point, after.residual, after.s, after.k)

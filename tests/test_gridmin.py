@@ -1,10 +1,19 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dalembert.gridmin import CertifiedMinimum, SquareRegion, certified_min, lipschitz_bound
+from dalembert.gridmin import (
+    CertifiedMinimum,
+    SquareRegion,
+    _cell_radius,
+    _derivative_norms,
+    _horner,
+    certified_min,
+    lipschitz_bound,
+)
 from dalembert.growth import growth_certificate
 from dalembert.polynomial import from_roots
 from helpers import dense_min_oracle, random_poly
@@ -441,3 +450,89 @@ class TestNonFinite:
         assert cm.argmin != region.center
         assert region.contains(cm.argmin)
         assert cm.value - cm.gap <= 0.0  # the root e^(i pi/40) is in the square
+
+
+def _numpy_horner(coeffs, xs):
+    """Horner's rule as numpy's in-place loop over an array of points."""
+    acc = np.zeros(np.shape(xs), dtype=np.result_type(coeffs, xs))
+    for c in coeffs[::-1]:
+        acc *= xs
+        acc += c
+    return acc
+
+
+def _same_array(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestOnePointHorner:
+    """_horner at one point runs a scalar loop; it must round exactly like
+    numpy's loop over a 1-element array, which the first wave of every search
+    and lipschitz_bound rely on."""
+
+    POINTS = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+              -1.5 + 0j, complex(2.0, -0.0), 0.3 - 0.7j]
+
+    @pytest.mark.parametrize("shape", [(), (1,)])
+    def test_complex_coefficients_match_numpy(self, shape):
+        rng = np.random.default_rng(12)
+        for degree in range(-1, 61):
+            p = random_poly(rng, degree) if degree >= 0 else ()
+            # signed zero coefficients, and a zero leading one
+            p = tuple(complex(-0.0, c.imag) if i % 7 == 3 else c for i, c in enumerate(p))
+            coeffs = np.asarray(p, dtype=complex)
+            for z in self.POINTS + [complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(5)]:
+                xs = np.full(shape, z)
+                assert _same_array(_horner(coeffs, xs), _numpy_horner(coeffs, xs)), (degree, z)
+
+    @pytest.mark.parametrize("shape", [(), (1,)])
+    def test_signed_zeros_match_numpy(self, shape):
+        # all-zero coefficients keep the zeros' signs to the result, so a
+        # loop that skipped numpy's 0 * x start would show here
+        zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        for n in range(1, 4):
+            for combo in itertools.product(zeros, repeat=n):
+                coeffs = np.asarray(combo, dtype=complex)
+                for z in self.POINTS:
+                    xs = np.full(shape, z)
+                    assert _same_array(_horner(coeffs, xs), _numpy_horner(coeffs, xs)), (combo, z)
+
+    @pytest.mark.parametrize("shape", [(), (1,)])
+    def test_derivative_norms_match_numpy(self, shape):
+        rng = np.random.default_rng(13)
+        for degree in range(0, 61):
+            dnorm = _derivative_norms(np.asarray(random_poly(rng, degree), dtype=complex))
+            for center in self.POINTS + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(5)]:
+                r = _cell_radius(np.full(shape, center), float(rng.uniform(0.0, 4.0)))
+                assert _same_array(_horner(dnorm, r), _numpy_horner(dnorm, r)), (degree, center)
+            assert _same_array(_horner(dnorm, np.full(shape, 0.0)),
+                               _numpy_horner(dnorm, np.full(shape, 0.0)))
+
+    def test_numpy_scalar_point(self):
+        # lipschitz_bound passes the numpy scalar _cell_radius returns
+        dnorm = _derivative_norms(np.asarray(DEG8, dtype=complex))
+        r = _cell_radius(DEG8_SQUARE.center, DEG8_SQUARE.side)
+        assert _same_array(_horner(dnorm, r), _numpy_horner(dnorm, r))
+
+    @pytest.mark.parametrize("shape", [(), (1,)])
+    @pytest.mark.parametrize(
+        "coeffs, point, check",
+        [
+            # Wilkinson-20's derivative norms at the radius of its growth
+            # square: sum i |a_i| r^(i-1) overflows to inf
+            (_derivative_norms(np.asarray(from_roots(1.0, range(1, 21)), dtype=complex)),
+             7.8e20, math.isinf),
+            # 1 + z^40 at 1e9 + 1e9i: Horner overflows to inf, then inf * z is NaN
+            (np.asarray((1,) + (0,) * 39 + (1,), dtype=complex), 1e9 + 1e9j,
+             lambda v: math.isnan(abs(v))),
+        ],
+        ids=["wilkinson20-dnorm", "1+z^40"],
+    )
+    def test_overflow_is_reported_by_numpy(self, shape, coeffs, point, check):
+        xs = np.full(shape, point)
+        with pytest.warns(RuntimeWarning):
+            got = _horner(coeffs, xs)
+        with np.errstate(all="ignore"):
+            want = _numpy_horner(coeffs, xs)
+        assert _same_array(got, want)
+        assert check(got.item())

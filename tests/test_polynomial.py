@@ -198,6 +198,26 @@ class TestEvaluateWithDerivative:
             z = random_point(rng, 3.0)
             assert _bits(evaluate_with_derivative(p, z)) == _bits(shift(p, z)[:2])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_value_matches_evaluate_in_norm(self, scale):
+        # the damped steps judge each try by this value's norm: it must be
+        # norm(evaluate) bit for bit, also where Horner overflows; evaluate's
+        # 0j * z start changes only the signs of zeros
+        rng = np.random.default_rng(9)
+        polys = [random_poly(rng, d) for d in range(1, 61)] + [
+            from_roots(1.0, [1.0] * 5),
+            from_roots(1.0, range(1, 21)),
+            (-1,) + (0,) * 19 + (1,),
+        ]
+        far = [1e20, -1e20j, 1e100 + 1e100j, 1e200, -1e300 - 1e-300j]
+        for p in polys:
+            p = as_poly(scale * c for c in p)
+            points = [random_point(rng, 3.0) for _ in range(20)]
+            points += [1 + 1e-9j, 20.5 + 0j, 0j, complex(-0.0, -0.0)] + far
+            for z in points:
+                assert (norm(evaluate(p, z)).hex()
+                        == norm(evaluate_with_derivative(p, z)[0]).hex()), (len(p), scale, z)
+
     def test_examples(self):
         assert evaluate_with_derivative(QUAD, 1 + 0j) == (4 + 1j, 6 + 1j)
         assert evaluate_with_derivative((2 + 0j, 5 + 0j), 3j) == (2 + 15j, 5 + 0j)
