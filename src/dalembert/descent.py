@@ -8,7 +8,9 @@ of -s/a_k.  s starts at the full step 1, which for k = 1 is the Newton step
 -p(z0)/p'(z0), and halves until |p| strictly drops.  d'Alembert's lemma ends
 the halving: over exact reals every s <= step_parameter(q) decreases |p|.
 q's first coefficient is p'(z0)/p(z0), so one O(n) Horner loop for p and p'
-gives the step whenever p'(z0) != 0; the O(n^2) Taylor shift of p is built
+gives the step whenever p'(z0) != 0.  Each try of the halving runs that loop
+at its point, so the try that is kept already holds the next step's p and
+p', and a step costs one loop per try.  The O(n^2) Taylor shift of p is built
 only when it is 0 (k >= 2), or when the k = 1 halving stalls while |p(z0)|
 is above the noise floor below.  From a real start with real coefficients
 every k = 1 try stays on the real axis, so it can stall near a critical

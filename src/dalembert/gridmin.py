@@ -9,14 +9,17 @@ certified_min runs a breadth-first branch-and-bound over subsquares: a
 cell's lower bound is |p| at its center minus the Lipschitz constant on its
 enclosing disk times its half diagonal, and cells whose lower bound cannot
 beat the incumbent are pruned.  Each wave splits every live cell, so all
-live cells share one side; a wave is one complex array of their centers,
-evaluated at once.  The incumbent update uses a fixed first-minimum
+live cells share one side; a wave after the first is one complex array
+of their centers, evaluated at once, and the first wave, the region's
+center alone, runs Horner's rule as a scalar loop that rounds like numpy's
+over one element.  The incumbent update uses a fixed first-minimum
 tie-break, so results are identical to evaluating cell by cell.
 |p| is never below 0, so the gap is value - max(0, lowest lower bound):
 near a root the lower bounds go negative and the gap is simply the value.
 Each wave also tries the descent's damped Newton step from the incumbent,
 z - s p(z)/p'(z) for s = 1, 1/2, 1/4, ... until |p| strictly drops, and
-repeats it from each point it keeps until a step finds no drop.  That
+repeats it from each point it keeps until a step finds no drop; each try
+is one Horner loop for p and p', so a kept try starts the next step.  That
 drives the value to the noise floor far faster than bisection alone, also
 at a multiple root, where each Newton step gains only a constant factor.
 A NaN value never becomes the incumbent, and a cell whose lower bound is
@@ -213,9 +216,10 @@ def _damped_newton(coeffs: list, region: SquareRegion, z: complex, value: float,
     s = 1, 1/2, 1/4, ... until |p| strictly drops below value, repeated from
     each accepted point until a step finds no drop.
 
-    A try inside the region costs one evaluation; one outside it is halved
-    for free.  Returns the (point, value, evaluations) the search goes on
-    with, z and value themselves when no try beats them.
+    A try inside the region costs one evaluation, which gives p and p'
+    there; one outside it is halved for free.  Returns the (point, value,
+    evaluations) the search goes on with, z and value themselves when no
+    try beats them.
     """
     val, der = evaluate_with_derivative(coeffs, z)
     while True:

@@ -48,7 +48,10 @@ def evaluate_with_derivative(p: Poly, z: complex) -> tuple[complex, complex]:
 
     The loop runs the first two passes of shift's synthetic division side
     by side and keeps only the value each pass ends on, so the pair equals
-    shift(p, z)[:2] bit for bit at O(n) cost instead of O(n^2).
+    shift(p, z)[:2] bit for bit at O(n) cost instead of O(n^2).  The value
+    takes the same Horner operations as evaluate, which only starts from
+    0j * z, so norm(value) equals norm(evaluate(p, z)) bit for bit; the
+    two may differ in the signs of zero parts.
     """
     if len(p) < 2:
         return (p[0] if p else 0j), 0j
