@@ -12,8 +12,9 @@ beat the incumbent are pruned.  Each wave splits every live cell, so all
 live cells share one side; a wave after the first is one complex array
 of their centers, evaluated at once, and the first wave, the region's
 center alone, runs Horner's rule as a scalar loop that rounds like numpy's
-over one element.  The incumbent update uses a fixed first-minimum
-tie-break, so results are identical to evaluating cell by cell.
+over one element (measured with numpy 2.4 on x86-64; see _horner).  The
+incumbent update uses a fixed first-minimum tie-break, so results are
+identical to evaluating cell by cell.
 |p| is never below 0, so the gap is value - max(0, lowest lower bound):
 near a root the lower bounds go negative and the gap is simply the value.
 Each wave also tries the descent's damped Newton step from the incumbent,
@@ -111,11 +112,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sum of coeffs[i] x^i at every x of an array (coefficients a0 first).
 
-    One point runs as a Python scalar loop, which rounds like numpy's loop
-    over a 1-element array (numpy's loops over more elements may fuse the
-    multiply-add, so they stay in numpy) at a fraction of its cost.  A
-    non-finite scalar result is redone in numpy, so an overflow is still
-    reported by numpy's RuntimeWarning.
+    One point runs as a Python scalar loop at a fraction of numpy's cost.
+    Measured with numpy 2.4 on x86-64, it rounds like numpy's loop over a
+    1-element array, while numpy's loops over more elements may fuse the
+    multiply-add, so they stay in numpy; TestOnePointHorner checks the
+    former on the platform the tests run on.  A non-finite scalar result is
+    redone in numpy, so an overflow is still reported by numpy's
+    RuntimeWarning.
     """
     dtype = np.result_type(coeffs, xs)
     if xs.size == 1:

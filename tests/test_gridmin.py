@@ -468,7 +468,14 @@ def _same_array(a, b):
 class TestOnePointHorner:
     """_horner at one point runs a scalar loop; it must round exactly like
     numpy's loop over a 1-element array, which the first wave of every search
-    and lipschitz_bound rely on."""
+    and lipschitz_bound rely on.
+
+    The equality these tests assert is a property of the installed numpy
+    and CPU, not of the library: it holds with numpy 2.4 on x86-64.  A
+    failure on another platform means its numpy fuses the multiply-add even
+    over one element, and _horner's one-point path must then be restricted
+    or removed there.  The overflow cases also pin _horner's fallback to
+    numpy for a non-finite result."""
 
     POINTS = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
               -1.5 + 0j, complex(2.0, -0.0), 0.3 - 0.7j]
