@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .checks import run_lemma_checks
@@ -57,9 +56,10 @@ def _parse_json_pairs(text: str) -> Poly:
         ok = (
             isinstance(pair, list)
             and len(pair) == 2
-            # bool is an int subclass, but true/false are not coefficients
+            # bool is an int subclass, but true/false are not coefficients;
+            # an int beyond the largest float does not convert to one
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in pair)
+                    and abs(v) <= sys.float_info.max for v in pair)
         )
         if not ok:
             raise ParseError(f"entry {i} is not a finite [re, im] pair", i)

@@ -10,11 +10,15 @@ cell's lower bound is |p| at its center minus the Lipschitz constant on its
 enclosing disk times its half diagonal, and cells whose lower bound cannot
 beat the incumbent are pruned.  Each wave splits every live cell, so all
 live cells share one side; a wave after the first is one complex array
-of their centers, evaluated at once, and the first wave, the region's
-center alone, runs Horner's rule as a scalar loop that rounds like numpy's
-over one element (measured with numpy 2.4 on x86-64; see _horner).  The
-incumbent update uses a fixed first-minimum tie-break, so results are
-identical to evaluating cell by cell.
+of their centers, evaluated at once.  The first wave, the region's center
+alone, runs in scalar Python arithmetic from start to finish: |p|, the
+lower bound, the Newton run and the prune, gap and budget decisions.  Most
+searches stop there, where numpy's per-call cost on one-element arrays
+would be about a quarter of a find_root call.  It rounds as numpy's loop over one cell
+does, bit for bit (measured with numpy 2.4 on x86-64; see _first_wave and
+_cell_lipschitz), and hands an overflow to that loop so that numpy reports
+it.  The incumbent update uses a fixed first-minimum tie-break, so results
+are identical to evaluating cell by cell.
 |p| is never below 0, so the gap is value - max(0, lowest lower bound):
 near a root the lower bounds go negative and the gap is simply the value.
 Each wave also tries the descent's damped Newton step from the incumbent,
@@ -38,9 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexmath import norm
 from .descent import _MIN_STEP
-from .polynomial import as_poly, evaluate_with_derivative
+from .polynomial import Poly, as_poly, evaluate_with_derivative
 
 __all__ = [
     "SquareRegion",
@@ -110,25 +113,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum of coeffs[i] x^i at every x of an array (coefficients a0 first).
-
-    One point runs as a Python scalar loop at a fraction of numpy's cost.
-    Measured with numpy 2.4 on x86-64, it rounds like numpy's loop over a
-    1-element array, while numpy's loops over more elements may fuse the
-    multiply-add, so they stay in numpy; TestOnePointHorner checks the
-    former on the platform the tests run on.  A non-finite scalar result is
-    redone in numpy, so an overflow is still reported by numpy's
-    RuntimeWarning.
-    """
-    dtype = np.result_type(coeffs, xs)
-    if xs.size == 1:
-        x, acc = xs.item(), np.zeros((), dtype).item()
-        for c in reversed(coeffs.tolist()):
-            acc = acc * x + c
-        if cmath.isfinite(acc):
-            return np.array(acc, dtype).reshape(xs.shape)
+    """sum of coeffs[i] x^i at every x of an array (coefficients a0 first)."""
     # in place: one array per call, not two per coefficient
-    acc = np.zeros(xs.shape, dtype=dtype)
+    acc = np.zeros(xs.shape, dtype=np.result_type(coeffs, xs))
     for c in coeffs[::-1]:
         acc *= xs
         acc += c
@@ -144,14 +131,39 @@ def _derivative_norms(coeffs: np.ndarray) -> np.ndarray:
     return np.array([i * abs(coeffs[i]) for i in range(1, len(coeffs))], dtype=float)
 
 
+def _cell_lipschitz(coeffs: Poly, center: complex, side: float) -> float:
+    """_horner(_derivative_norms(coeffs), _cell_radius(center, side)) for
+    one cell, as a Python scalar loop, or inf where a step overflows.
+
+    Every operation is one numpy's loops take too, in the same order: abs
+    of a complex and of a pair of floats is C's hypot, as the numpy scalar
+    abs in _derivative_norms and np.hypot in _cell_radius; float products
+    and sums round alike.  So the bound is theirs bit for bit.
+    """
+    half = side / 2.0
+    try:
+        r = abs(complex(abs(center.real) + half, abs(center.imag) + half))
+        acc = 0.0
+        for i in range(len(coeffs) - 1, 0, -1):
+            acc = acc * r + i * abs(coeffs[i])
+    except OverflowError:
+        return math.inf
+    return acc
+
+
 def lipschitz_bound(p, region: SquareRegion) -> float:
     """L such that | |p(u)| - |p(v)| | <= L |u - v| for all u, v in the region.
 
     The branch-and-bound's per-cell bound applied to the whole region: the
     sum over i >= 1 of i |a_i| R^(i-1), with R the largest |z| over the square.
     """
-    dnorm = _derivative_norms(np.asarray(as_poly(p), dtype=complex))
-    return float(_horner(dnorm, _cell_radius(region.center, region.side)))
+    coeffs = as_poly(p)
+    bound = _cell_lipschitz(coeffs, region.center, region.side)
+    if math.isfinite(bound):
+        return bound
+    # numpy's loop reports the overflow with a RuntimeWarning
+    return float(_horner(_derivative_norms(np.asarray(coeffs, dtype=complex)),
+                         _cell_radius(region.center, region.side)))
 
 
 def certified_min(
@@ -178,13 +190,26 @@ def certified_min(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if isinstance(budget, bool) or not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
-    coeffs = np.asarray(as_poly(p), dtype=complex)
+    scalar = as_poly(p)
+    center, side = region.center, region.side
+    first = _first_wave(scalar, center, side)
+    if first is not None:
+        pair, value, lower = first
+        best_pt, best_val, evaluations = _damped_newton(
+            scalar, region, center, value, pair, 1, budget)
+        live = lower < best_val
+        gap = best_val - max(0.0, lower) if live else 0.0
+        if not live or gap <= epsilon or evaluations + 4 > budget:
+            return CertifiedMinimum(best_pt, best_val, gap, evaluations, live and gap > epsilon,
+                                    _frozen(np.array([center] if live else [], complex)))
+        cells, side = center + _CHILD * (side / 4.0), side / 2.0
+    else:
+        # an overflow in the first wave: numpy's loops report it
+        cells, evaluations = np.array([center]), 0
+    coeffs = np.asarray(scalar, dtype=complex)
     dnorm = _derivative_norms(coeffs)
-    scalar = coeffs.tolist()
-    # one wave: the centers of its cells, which all have the same side
-    cells, side = np.array([region.center]), region.side
-    evaluations = 0
     budget_exhausted = False
+    # one wave: the centers of its cells, which all have the same side
     while True:
         vals = np.abs(_horner(coeffs, cells))
         lower = vals - _horner(dnorm, _cell_radius(cells, side)) * (HALF_DIAGONAL * side)
@@ -198,7 +223,8 @@ def certified_min(
             best_val, best_pt = float(vals[i]), complex(cells[i])
         evaluations += vals.size
         best_pt, best_val, evaluations = _damped_newton(
-            scalar, region, best_pt, best_val, evaluations, budget)
+            scalar, region, best_pt, best_val, evaluate_with_derivative(scalar, best_pt),
+            evaluations, budget)
         keep = lower < best_val
         cells, lower = cells[keep], lower[keep]
         # |p| >= 0, so no lower bound below 0 is needed
@@ -213,31 +239,58 @@ def certified_min(
     return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted, _frozen(cells))
 
 
-def _damped_newton(coeffs: list, region: SquareRegion, z: complex, value: float,
+def _first_wave(coeffs: Poly, center: complex, side: float):
+    """The first wave, the one cell of this center and side, in scalar
+    arithmetic: (p, p') at the center, |p| there and the cell's lower
+    bound, the last two bit for bit as the numpy loop in certified_min
+    computes them.  None where p or the bound overflows: the loop then runs
+    the wave, and numpy reports the overflow with a RuntimeWarning.
+
+    The pair's value has the norm of the loop's Horner value.  |p| is
+    numpy's absolute of it, one call on a scalar: numpy's complex absolute
+    is its own code (with numpy 2.4 on x86-64, a sqrt(1 + (b/a)^2) with a
+    fused multiply-add), which rounds unlike C's hypot, the abs of a Python
+    complex, on about a third of all values.
+    """
+    pair = evaluate_with_derivative(coeffs, center)
+    reach = _cell_lipschitz(coeffs, center, side) * (HALF_DIAGONAL * side)
+    if not (cmath.isfinite(pair[0]) and math.isfinite(reach)):
+        return None
+    value = float(np.abs(pair[0]))
+    # |p| of a finite value can still overflow; as in the loop, a lower
+    # bound that is not finite bounds nothing
+    return pair, value, value - reach if value < math.inf else -math.inf
+
+
+def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float, pair: tuple,
                    evaluations: int, budget: int):
     """The descent's damped steps from the incumbent z: z - s p(z)/p'(z) for
     s = 1, 1/2, 1/4, ... until |p| strictly drops below value, repeated from
     each accepted point until a step finds no drop.
 
-    A try inside the region costs one evaluation, which gives p and p'
-    there; one outside it is halved for free.  Returns the (point, value,
-    evaluations) the search goes on with, z and value themselves when no
-    try beats them.
+    pair is (p(z), p'(z)).  A try inside the region costs one evaluation,
+    which gives p and p' there; one outside it is halved for free.  Returns
+    the (point, value, evaluations) the search goes on with, z and value
+    themselves when no try beats them.
     """
-    val, der = evaluate_with_derivative(coeffs, z)
+    # looked up once, not once per try
+    x0, y0 = region.corner.real, region.corner.imag
+    x1, y1 = x0 + region.side, y0 + region.side
+    ewd, hypot, isfinite, min_step = evaluate_with_derivative, math.hypot, cmath.isfinite, _MIN_STEP
+    val, der = pair
     while True:
         if not der:
             return z, value, evaluations
         step, s = val / der, 1.0
-        while evaluations < budget and cmath.isfinite(step) and s >= _MIN_STEP:
+        while evaluations < budget and isfinite(step) and s >= min_step:
             w = z - step
             if w == z:
                 # every smaller step rounds back to z too
                 return z, value, evaluations
-            if region.contains(w):
+            if x0 <= w.real <= x1 and y0 <= w.imag <= y1:
                 evaluations += 1
-                w_val, w_der = evaluate_with_derivative(coeffs, w)
-                w_norm = norm(w_val)
+                w_val, w_der = ewd(coeffs, w)
+                w_norm = hypot(w_val.real, w_val.imag)
                 if w_norm < value:
                     break
             step, s = step * 0.5, s * 0.5

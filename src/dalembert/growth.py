@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .complexmath import norm
 from .errors import BelowThreshold, NotApplicableToConstant
 from .gridmin import SquareRegion
-from .polynomial import evaluate, max_coeff_norm, truncate
+from .polynomial import evaluate, truncate
 
 __all__ = [
     "GrowthCertificate",
@@ -86,11 +86,12 @@ def growth_certificate(p) -> GrowthCertificate:
     if len(q) < 2:
         raise NotApplicableToConstant("growth bounds require a non-constant polynomial")
     n = len(q) - 1
-    lead = norm(q[-1])
-    sub = max_coeff_norm(q, exclude_leading=True)
-    fujiwara = max((norm(c) / lead) ** (1.0 / (n - i)) for i, c in enumerate(q[:-1]))
+    # one pass over the norms: |a_0| .. |a_(n-1)| and |a_n|
+    *norms, lead = map(norm, q)
+    sub = max(norms)
+    fujiwara = max((a / lead) ** (1.0 / (n - i)) for i, a in enumerate(norms))
     threshold = min(max(1.0, 2.0 * sub * n / lead), max(1.0, 3.0 * fujiwara))
-    enclosure = max(threshold, (2.0 * norm(q[0]) / lead) ** (1.0 / n))
+    enclosure = max(threshold, (2.0 * norms[0] / lead) ** (1.0 / n))
     return GrowthCertificate(threshold, enclosure, lead, sub, n)
 
 

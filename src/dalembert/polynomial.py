@@ -31,7 +31,7 @@ __all__ = [
 
 def as_poly(coeffs: Iterable[complex]) -> Poly:
     """Coerce an iterable of numbers to a coefficient tuple (a0 first)."""
-    return tuple(complex(c) for c in coeffs)
+    return tuple(map(complex, coeffs))
 
 
 def evaluate(p: Sequence[complex], z: complex) -> complex:

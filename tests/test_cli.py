@@ -59,6 +59,20 @@ class TestParsePolynomial:
                 parse_polynomial(text)
             assert info.value.position == position
 
+    def test_json_rejects_integers_beyond_the_float_range(self, capsys):
+        # a JSON integer has no size limit, and converting 10**400 to a
+        # float raises OverflowError instead of failing the finiteness check
+        big = str(10**400)
+        for text, position in ((f"[[{big}, 0], [1, 0]]", 1), (f"[[1, 0], [0, -{big}]]", 2)):
+            with pytest.raises(ParseError, match=f"entry {position} is not a finite") as info:
+                parse_polynomial(text)
+            assert info.value.position == position
+        code, out, err = run_cli(capsys, "--mode", "bounds", f"[[{big}, 0], [1, 0]]")
+        assert (code, out) == (1, "")
+        assert "entry 1 is not a finite [re, im] pair" in err
+        # an integer within the range is still a coefficient
+        assert parse_polynomial(f"[[{10**300}, 0], [1, 0]]") == (complex(1e300, 0), 1 + 0j)
+
     def test_serialize_round_trip_examples(self):
         for p in [
             (1 + 0j, 1j, 3 + 0j),

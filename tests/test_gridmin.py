@@ -8,14 +8,16 @@ import pytest
 from dalembert.gridmin import (
     CertifiedMinimum,
     SquareRegion,
+    HALF_DIAGONAL,
+    _cell_lipschitz,
     _cell_radius,
     _derivative_norms,
-    _horner,
+    _first_wave,
     certified_min,
     lipschitz_bound,
 )
 from dalembert.growth import growth_certificate
-from dalembert.polynomial import from_roots
+from dalembert.polynomial import as_poly, from_roots
 from helpers import dense_min_oracle, random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
@@ -461,21 +463,19 @@ def _numpy_horner(coeffs, xs):
     return acc
 
 
-def _same_array(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 class TestOnePointHorner:
-    """_horner at one point runs a scalar loop; it must round exactly like
-    numpy's loop over a 1-element array, which the first wave of every search
-    and lipschitz_bound rely on.
+    """certified_min's first wave, the region's center alone, runs in
+    scalar arithmetic (_first_wave): its |p| and lower bound must equal,
+    bit for bit, what the numpy wave of later waves computes over that one
+    cell, whether numpy holds the cell in a 0-d or a 1-element array.
 
-    The equality these tests assert is a property of the installed numpy
-    and CPU, not of the library: it holds with numpy 2.4 on x86-64.  A
-    failure on another platform means its numpy fuses the multiply-add even
-    over one element, and _horner's one-point path must then be restricted
-    or removed there.  The overflow cases also pin _horner's fallback to
-    numpy for a non-finite result."""
+    The equality these tests assert is partly a property of the installed
+    numpy and CPU, not of the library: it holds with numpy 2.4 on x86-64,
+    where numpy's one-element complex loop rounds like CPython's arithmetic
+    and numpy's scalar abs and np.hypot call C's hypot.  A failure on
+    another platform points there, and _first_wave must then be restricted
+    or removed on it.  The overflow cases pin the hand-over to numpy, whose
+    loops report the overflow with a RuntimeWarning."""
 
     POINTS = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
               -1.5 + 0j, complex(2.0, -0.0), 0.3 - 0.7j]
@@ -487,59 +487,103 @@ class TestOnePointHorner:
             p = random_poly(rng, degree) if degree >= 0 else ()
             # signed zero coefficients, and a zero leading one
             p = tuple(complex(-0.0, c.imag) if i % 7 == 3 else c for i, c in enumerate(p))
-            coeffs = np.asarray(p, dtype=complex)
             for z in self.POINTS + [complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(5)]:
-                xs = np.full(shape, z)
-                assert _same_array(_horner(coeffs, xs), _numpy_horner(coeffs, xs)), (degree, z)
+                side = float(rng.uniform(0.01, 4.0))
+                assert _scalar_wave(p, z, side) == _numpy_wave(p, z, side, shape), (degree, z)
 
     @pytest.mark.parametrize("shape", [(), (1,)])
     def test_signed_zeros_match_numpy(self, shape):
-        # all-zero coefficients keep the zeros' signs to the result, so a
-        # loop that skipped numpy's 0 * x start would show here
         zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
         for n in range(1, 4):
             for combo in itertools.product(zeros, repeat=n):
-                coeffs = np.asarray(combo, dtype=complex)
                 for z in self.POINTS:
-                    xs = np.full(shape, z)
-                    assert _same_array(_horner(coeffs, xs), _numpy_horner(coeffs, xs)), (combo, z)
+                    assert _scalar_wave(combo, z, 1.0) == _numpy_wave(combo, z, 1.0, shape), (combo, z)
 
     @pytest.mark.parametrize("shape", [(), (1,)])
     def test_derivative_norms_match_numpy(self, shape):
+        # the lower bound's Lipschitz constant alone, over wide radii
         rng = np.random.default_rng(13)
         for degree in range(0, 61):
-            dnorm = _derivative_norms(np.asarray(random_poly(rng, degree), dtype=complex))
+            p = random_poly(rng, degree)
+            dnorm = _derivative_norms(np.asarray(p, dtype=complex))
             for center in self.POINTS + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(5)]:
-                r = _cell_radius(np.full(shape, center), float(rng.uniform(0.0, 4.0)))
-                assert _same_array(_horner(dnorm, r), _numpy_horner(dnorm, r)), (degree, center)
-            assert _same_array(_horner(dnorm, np.full(shape, 0.0)),
-                               _numpy_horner(dnorm, np.full(shape, 0.0)))
+                side = float(rng.choice([1e-9, 1e-3, 1.0, 4.0, 1e3]) * rng.uniform(0.5, 1.0))
+                want = _numpy_horner(dnorm, _cell_radius(np.full(shape, center), side)).item()
+                assert _bits(_cell_lipschitz(p, center, side)) == _bits(want), (degree, center)
 
     def test_numpy_scalar_point(self):
-        # lipschitz_bound passes the numpy scalar _cell_radius returns
+        # lipschitz_bound is the same scalar loop, and equals numpy's over
+        # the numpy scalar _cell_radius returns
         dnorm = _derivative_norms(np.asarray(DEG8, dtype=complex))
         r = _cell_radius(DEG8_SQUARE.center, DEG8_SQUARE.side)
-        assert _same_array(_horner(dnorm, r), _numpy_horner(dnorm, r))
+        assert _bits(lipschitz_bound(DEG8, DEG8_SQUARE)) == _bits(float(_numpy_horner(dnorm, r)))
 
     @pytest.mark.parametrize("shape", [(), (1,)])
     @pytest.mark.parametrize(
-        "coeffs, point, check",
+        "p, region, check",
         [
-            # Wilkinson-20's derivative norms at the radius of its growth
-            # square: sum i |a_i| r^(i-1) overflows to inf
-            (_derivative_norms(np.asarray(from_roots(1.0, range(1, 21)), dtype=complex)),
-             7.8e20, math.isinf),
-            # 1 + z^40 at 1e9 + 1e9i: Horner overflows to inf, then inf * z is NaN
-            (np.asarray((1,) + (0,) * 39 + (1,), dtype=complex), 1e9 + 1e9j,
-             lambda v: math.isnan(abs(v))),
+            # Wilkinson-20 over its growth square, whose cell radius is
+            # 7.8e20: sum i |a_i| r^(i-1) overflows to inf, so the lower
+            # bound is -inf
+            (from_roots(1.0, range(1, 21)),
+             SquareRegion(complex(-5.52e20, -5.52e20), 1.104e21),
+             lambda value, lower: math.isfinite(value) and lower == -math.inf),
+            # 1 + z^40 at 1e9 + 1e9i: Horner overflows to inf, then inf * z
+            # is NaN, which never wins: the value is inf
+            ((1,) + (0,) * 39 + (1,), SquareRegion(0j, 2e9),
+             lambda value, lower: value == math.inf and lower == -math.inf),
         ],
         ids=["wilkinson20-dnorm", "1+z^40"],
     )
-    def test_overflow_is_reported_by_numpy(self, shape, coeffs, point, check):
-        xs = np.full(shape, point)
+    def test_overflow_is_reported_by_numpy(self, shape, p, region, check):
+        # the scalar wave hands an overflow to numpy's loops, which warn
+        assert _first_wave(as_poly(p), region.center, region.side) is None
         with pytest.warns(RuntimeWarning):
-            got = _horner(coeffs, xs)
+            cm = certified_min(p, region, 1e-6, budget=1)
         with np.errstate(all="ignore"):
-            want = _numpy_horner(coeffs, xs)
-        assert _same_array(got, want)
-        assert check(got.item())
+            value, lower = _numpy_wave(p, region.center, region.side, shape)
+        assert check(float.fromhex(value), float.fromhex(lower))
+        assert (_bits(cm.value), _bits(cm.gap), cm.evaluations) == (
+            value, _bits(float.fromhex(value) - max(0.0, float.fromhex(lower))), 1)
+
+    @pytest.mark.parametrize("p", [QUAD, from_roots(1.0, [1.0] * 5),
+                                   random_poly(np.random.default_rng(60), 60)],
+                             ids=["quad", "(z-1)^5", "random60"])
+    def test_a_first_wave_stop_runs_no_numpy_loop(self, monkeypatch, p):
+        # the seed search of find_root on these stops in its first wave,
+        # which then evaluates nothing with _horner or _cell_radius
+        import dalembert.gridmin
+
+        calls = []
+        for name in ("_horner", "_cell_radius"):
+            original = getattr(dalembert.gridmin, name)
+            monkeypatch.setattr(dalembert.gridmin, name,
+                                lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        square = growth_certificate(p).square
+        cm = certified_min(p, square, 1e-10, 50_000)
+        assert calls == []
+        assert cm.cells.tolist() == [square.center]  # the first wave's one cell
+        assert cm.gap <= 1e-10 and not cm.budget_exhausted
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def _scalar_wave(p, center, side):
+    """|p| and the lower bound of _first_wave, as hex strings."""
+    _pair, value, lower = _first_wave(as_poly(p), center, side)
+    return _bits(value), _bits(lower)
+
+
+def _numpy_wave(p, center, side, shape):
+    """|p| and the lower bound of certified_min's numpy wave over the one
+    cell at center, held in an array of the given shape, as hex strings."""
+    coeffs = np.asarray(p, dtype=complex)
+    cells = np.full(shape, center)
+    vals = np.abs(_numpy_horner(coeffs, cells))
+    lower = vals - _numpy_horner(_derivative_norms(coeffs), _cell_radius(cells, side)) * (
+        HALF_DIAGONAL * side)
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    lower = np.where(np.isfinite(lower), lower, -np.inf)
+    return _bits(vals.item()), _bits(lower.item())

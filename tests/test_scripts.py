@@ -64,8 +64,25 @@ def test_output_digests_prints_one_line_per_call():
     lines = first.stdout.splitlines()
     assert len(lines) == 7  # the workload's seven find_root calls
     for i, line in enumerate(lines):
-        index, _label, mode, digest = line.split()
-        assert (int(index), mode) == (i, "find_root")
+        workload, seed, index, _label, mode, digest = line.split()
+        assert (workload, int(seed), int(index), mode) == ("descent-deep", 1, i, "find_root")
         assert len(digest) == 64 and int(digest, 16) >= 0
     assert second.stdout == first.stdout
 
+
+def test_output_digests_covers_every_workload_and_seed():
+    # one run per tree is the whole bit-identity check: without --workload
+    # every workload is printed, for each --seed given
+    done = _run(["scripts/output_digests.py", "--seed", "1", "--seed", "2"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    keys = [tuple(line.split()[:2]) for line in done.stdout.splitlines()]
+    order = list(dict.fromkeys(keys))
+    assert order == [(w, s) for w in ("cli-lowdeg", "descent-deep", "all-roots-hard")
+                     for s in ("1", "2")]
+    # each block is what a run for its workload and seed alone prints
+    for workload, seed in order:
+        alone = _run(["scripts/output_digests.py", "--workload", workload, "--seed", seed])
+        assert alone.returncode == 0, alone.stdout + alone.stderr
+        block = [line for line, key in zip(done.stdout.splitlines(), keys)
+                 if key == (workload, seed)]
+        assert block == alone.stdout.splitlines(), (workload, seed)
