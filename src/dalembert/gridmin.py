@@ -11,14 +11,15 @@ enclosing disk times its half diagonal, and cells whose lower bound cannot
 beat the incumbent are pruned.  Each wave splits every live cell, so all
 live cells share one side; a wave after the first is one complex array
 of their centers, evaluated at once.  The first wave, the region's center
-alone, runs in scalar Python arithmetic from start to finish: |p|, the
-lower bound, the Newton run and the prune, gap and budget decisions.  Most
-searches stop there, where numpy's per-call cost on one-element arrays
-would be about a quarter of a find_root call.  It rounds as numpy's loop over one cell
-does, bit for bit (measured with numpy 2.4 on x86-64; see _first_wave and
-_cell_lipschitz), and hands an overflow to that loop so that numpy reports
-it.  The incumbent update uses a fixed first-minimum tie-break, so results
-are identical to evaluating cell by cell.
+alone, runs in scalar Python arithmetic: the lower bound, the Newton run
+and the prune, gap and budget decisions, with one numpy call on a scalar
+for |p|.  Most searches stop there, where numpy's per-call cost on
+one-element arrays would be about a quarter of a find_root call.  It
+rounds as numpy's loop over one cell does, bit for bit (measured with
+numpy 2.4 on x86-64; see _first_wave and _cell_lipschitz), and hands an
+overflow to that loop so that numpy reports it.  The incumbent update uses
+a fixed first-minimum tie-break, so results are identical to evaluating
+cell by cell.
 |p| is never below 0, so the gap is value - max(0, lowest lower bound):
 near a root the lower bounds go negative and the gap is simply the value.
 Each wave also tries the descent's damped Newton step from the incumbent,
