@@ -112,10 +112,11 @@ def _nonconstant(p) -> Poly:
     return pt
 
 
-def _step(pt: Poly, z0: complex, before: float, pair=None) -> tuple:
+def _step(pt: Poly, floor, z0: complex, before: float, pair=None) -> tuple:
     """descent_step's fields (k, ak, s, zs, before, after) and the pair
-    (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt,
-    given before = |p(z0)| and, if known, the pair (p(z0), p'(z0))."""
+    (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt
+    with noise floor floor = _noise_floor(pt), given before = |p(z0)| and,
+    if known, the pair (p(z0), p'(z0))."""
     a0, d = pair if pair is not None else evaluate_with_derivative(pt, z0)
     if a0 == 0:
         # cancellation made p(z0) exactly zero
@@ -130,7 +131,7 @@ def _step(pt: Poly, z0: complex, before: float, pair=None) -> tuple:
         except StepStalled:
             # from a real start with real coefficients every k = 1 try stays
             # on the real axis; above the noise floor the next term can leave it
-            if before <= _noise_floor(pt)(z0):
+            if before <= floor(z0):
                 raise
             k, ak = _next_term(pt, z0, a0, 2)
             if k is None:
@@ -190,7 +191,7 @@ def descent_step(p, z0: complex) -> DescentStep:
         raise AlreadyAtRoot(f"p({z0}) = 0 already")
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
-    return DescentStep(*_step(pt, z0, before)[:6])
+    return DescentStep(*_step(pt, _noise_floor(pt), z0, before)[:6])
 
 
 def _noise_floor(pt: Poly):
@@ -209,6 +210,13 @@ def _noise_floor(pt: Poly):
     return at
 
 
+def _check_tol_max_iter(tol: float, max_iter: int) -> None:
+    if not (tol > 0):
+        raise ValueError(f"tol must be positive, got {tol}")
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+
+
 def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
             keep_trace: bool = True) -> RootResult:
     """Iterate the descent step until converged, max_iter steps, or float exhaustion.
@@ -223,19 +231,23 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
     integer >= 0.  The steps are plain tuples; a TraceRow is built for each
     only when keep_trace is set, and with it unset the result's trace is None.
     """
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    _check_tol_max_iter(tol, max_iter)
     pt = _nonconstant(p)
-    floor = _noise_floor(pt)
     z = complex(z0)
-    residual = norm(evaluate(pt, z))
+    return _descend(pt, _noise_floor(pt), z, norm(evaluate(pt, z)), tol, max_iter, keep_trace)
+
+
+def _descend(pt: Poly, floor, z: complex, residual: float, tol: float, max_iter: int,
+             keep_trace: bool) -> RootResult:
+    """descend's loop from z, where |p| = residual, for a normalized
+    non-constant pt with noise floor floor = _noise_floor(pt) and checked
+    tol and max_iter: a caller that descends on one polynomial many times
+    builds its floor once."""
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
     steps, pair = 0, None
     while math.isfinite(residual) and residual > max(tol, floor(z)) and steps < max_iter:
         try:
-            k, _ak, s, zs, _before, residual, pair = _step(pt, z, residual, pair)
+            k, _ak, s, zs, _before, residual, pair = _step(pt, floor, z, residual, pair)
         except (StepStalled, AlreadyAtRoot):
             break
         z = z + zs

@@ -12,7 +12,13 @@ the live cell center where it is smallest, with no search of its own, and
 tries the other centers in order only if that descent does not converge.
 When the search's Newton steps close its gap in the first wave, its one
 live cell is the whole square, and every factor starts at its center, which
-is then used as it is, with no ranking.
+is then used as it is, with no ranking; the |p| computed there is the
+factor's first residual.
+The descent stops at the noise floor gamma_2n * sum |a_i| |z|^i of its
+polynomial, whose norms find_all_roots builds once per polynomial: one
+floor for p serves the first descent and all n polishes, and each deflated
+factor builds its own once, for every start it tries.  tol and max_iter are
+checked once, at the public call.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .complexmath import norm
-from .descent import RootResult, descend
+from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
 from .errors import DegenerateZeroPolynomial, NoRootExists
 from .gridmin import CertifiedMinimum, _horner, certified_min
 from .growth import GrowthCertificate, growth_certificate
@@ -46,12 +52,23 @@ class SolveReport:
     seed: CertifiedMinimum
 
 
-def _solve_once(pt: Poly, tol: float, max_iter: int):
-    """Root of a normalized non-constant polynomial, with its certificates."""
+def _solve_once(pt: Poly, tol: float, max_iter: int, floor=None):
+    """Root of a normalized non-constant polynomial, with its certificates;
+    floor is pt's noise floor, built here if not given."""
     cert = growth_certificate(pt)
     seed = certified_min(pt, cert.square, tol, _SEED_BUDGET)
-    result = descend(pt, seed.argmin, tol, max_iter)
-    return result, cert, seed
+    if floor is None:
+        floor = _noise_floor(pt)
+    return _descend_from(pt, floor, seed.argmin, tol, max_iter), cert, seed
+
+
+def _descend_from(pt: Poly, floor, z: complex, tol: float, max_iter: int,
+                  keep_trace: bool = True, residual=None) -> RootResult:
+    """descend(pt, z, tol, max_iter, keep_trace) with pt's noise floor given
+    and, if it is known, residual = |pt(z)|."""
+    if residual is None:
+        residual = norm(evaluate(pt, z))
+    return _descend(pt, floor, z, residual, tol, max_iter, keep_trace)
 
 
 def _normalized_or_raise(p) -> Poly:
@@ -71,6 +88,7 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     A failure to converge within max_iter is reported on the result
     (converged=False, best point kept), not raised.
     """
+    _check_tol_max_iter(tol, max_iter)
     pt = _normalized_or_raise(p)
     result, _, _ = _solve_once(pt, tol, max_iter)
     return result
@@ -78,24 +96,26 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
 
 def _starts(work: Poly, seed: CertifiedMinimum):
     """The live seed cell centers by increasing finite |work| (ties: the
-    first), or seed.argmin alone if no center gives a finite value.  The
-    order past the first is sorted only if it is asked for.  A single live
-    cell needs no ranking: its center is used as it is, evaluated once
-    without numpy."""
+    first), or seed.argmin alone if no center gives a finite value, each
+    with |work| there if it is known, else None.  The order past the first
+    is sorted only if it is asked for.  A single live cell needs no ranking:
+    its center is used as it is, evaluated once without numpy, and that
+    value is handed on."""
     if seed.cells.size == 1:
         center = complex(seed.cells[0])
-        yield center if math.isfinite(norm(evaluate(work, center))) else seed.argmin
+        value = norm(evaluate(work, center))
+        yield (center, value) if math.isfinite(value) else (seed.argmin, None)
         return
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
         vals = np.abs(_horner(np.asarray(work, dtype=complex), seed.cells))
     finite = np.flatnonzero(np.isfinite(vals))
     if not finite.size:
-        yield seed.argmin
+        yield seed.argmin, None
         return
-    yield complex(seed.cells[finite[np.argmin(vals[finite])]])
+    yield complex(seed.cells[finite[np.argmin(vals[finite])]]), None
     # a stable sort puts argmin's pick first
     for i in finite[np.argsort(vals[finite], kind="stable")][1:]:
-        yield complex(seed.cells[i])
+        yield complex(seed.cells[i]), None
 
 
 def _factor_root(work: Poly, seed: CertifiedMinimum, tol: float, max_iter: int) -> RootResult:
@@ -105,7 +125,9 @@ def _factor_root(work: Poly, seed: CertifiedMinimum, tol: float, max_iter: int) 
     leaves) gives an estimate that, polished on p, can be a root found
     already.  Only the root and the converged flag are read, so no trace is
     kept."""
-    results = (descend(work, z, tol, max_iter, keep_trace=False) for z in _starts(work, seed))
+    floor = _noise_floor(work)
+    results = (_descend_from(work, floor, z, tol, max_iter, False, value)
+               for z, value in _starts(work, seed))
     first = next(results)
     return first if first.converged else next((r for r in results if r.converged), first)
 
@@ -124,9 +146,11 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     a_n * prod (z - r_i) and the normalized input; it is reported, never
     raised.
     """
+    _check_tol_max_iter(tol, max_iter)
     pt = _normalized_or_raise(p)
-    result, enclosure, seed = _solve_once(pt, tol, max_iter)
-    roots = [descend(pt, result.root, tol, max_iter)]
+    floor = _noise_floor(pt)
+    result, enclosure, seed = _solve_once(pt, tol, max_iter, floor)
+    roots = [_descend_from(pt, floor, result.root, tol, max_iter)]
     work: Poly = pt
     failed = False
     while True:
@@ -135,7 +159,7 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
             break
         result = _factor_root(work, seed, tol, max_iter)
         failed = failed or not result.converged
-        polished = descend(pt, result.root, tol, max_iter)
+        polished = _descend_from(pt, floor, result.root, tol, max_iter)
         roots.append(replace(polished, converged=False) if failed else polished)
     rebuilt = from_roots(pt[-1], [r.root for r in roots])
     error = max(norm(a - b) for a, b in zip(rebuilt, pt))

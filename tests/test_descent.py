@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from dalembert.complexmath import norm, nth_root
-from dalembert.descent import DescentStep, descend, descent_step, step_parameter
+from dalembert.descent import (
+    DescentStep,
+    _descend,
+    _noise_floor,
+    descend,
+    descent_step,
+    step_parameter,
+)
 from dalembert.errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
 from dalembert.polynomial import as_poly, evaluate, from_roots, shift, truncate
 from helpers import lowest_exponent, random_point, random_poly, unit_constant
@@ -391,6 +398,32 @@ class TestDescend:
                 untraced = descend(p, z0, 1e-10, 500, keep_trace=False)
                 assert fields(untraced) == fields(traced)
                 assert len(traced.trace) == traced.iterations + 1
+
+    def test_private_loop_with_a_shared_floor_matches_descend(self):
+        # the solver builds each polynomial's noise floor once and runs
+        # _descend from every start with it: each result and trace row must
+        # be a fresh descend's, bit for bit
+        rng = np.random.default_rng(48)
+        polys = [random_poly(rng, d) for d in range(2, 21)]
+        polys += [(-1,) + (0,) * 5 + (1,), (-1,) + (0,) * 19 + (1,),
+                  from_roots(1, range(1, 7)), from_roots(1, range(1, 9))]
+
+        def bits(r):
+            rows = [(row.iteration, _bits(row.point, row.residual), row.s.hex(), row.k)
+                    for row in r.trace]
+            return _bits(r.root, r.residual), r.iterations, r.converged, rows
+
+        steps = 0
+        for p in polys:
+            pt = truncate(p)
+            floor = _noise_floor(pt)
+            for z0 in (0j, 0.5 + 0.5j, random_point(rng, 3.0), random_point(rng, 9.0)):
+                for tol in (1e-10, 1e-4):
+                    want = descend(p, z0, tol, 200)
+                    got = _descend(pt, floor, z0, norm(evaluate(pt, z0)), tol, 200, True)
+                    assert bits(got) == bits(want)
+                    steps += want.iterations
+        assert steps > 1000
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):

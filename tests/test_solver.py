@@ -195,14 +195,14 @@ class TestNoCrawl:
         import dalembert.solver
 
         steps = []
-        original = dalembert.solver.descend
+        original = dalembert.solver._descend
 
         def counting(*args, **kwargs):
             result = original(*args, **kwargs)
             steps.append(result.iterations)
             return result
 
-        monkeypatch.setattr(dalembert.solver, "descend", counting)
+        monkeypatch.setattr(dalembert.solver, "_descend", counting)
         p = from_roots(1, range(1, 9))
         report = find_all_roots(p, tol=1e-10, max_iter=10000)
         assert all(r.converged for r in report.roots)
@@ -266,14 +266,14 @@ class TestDeflatedFactors:
 
         p = random_poly(np.random.default_rng(46), 7)
         starts = []
-        original = dalembert.solver.descend
+        original = dalembert.solver._descend
 
-        def recording(q, z0, *args, **kwargs):
+        def recording(q, floor, z0, *args):
             if len(q) < len(p):  # a deflated factor, not p itself
                 starts.append((q, z0))
-            return original(q, z0, *args, **kwargs)
+            return original(q, floor, z0, *args)
 
-        monkeypatch.setattr(dalembert.solver, "descend", recording)
+        monkeypatch.setattr(dalembert.solver, "_descend", recording)
         cells = find_all_roots(p).seed.cells
         assert len(starts) == 6
         for q, z0 in starts:
@@ -328,14 +328,15 @@ class TestDeflatedFactors:
     def test_a_factor_that_converges_from_no_live_cell_is_flagged(self, monkeypatch):
         import dalembert.solver
 
-        original = dalembert.solver.descend
+        original = dalembert.solver._descend
 
-        def failing(q, z0, tol, max_iter, **kwargs):
+        def failing(q, floor, z0, residual, tol, max_iter, keep_trace):
             # z^6 + i z^4 - z^2 - i, left once the first two roots are out,
             # takes no step from the one center and so does not converge
-            return original(q, z0, tol, 0 if len(q) == 7 else max_iter, **kwargs)
+            return original(q, floor, z0, residual, tol, 0 if len(q) == 7 else max_iter,
+                            keep_trace)
 
-        monkeypatch.setattr(dalembert.solver, "descend", failing)
+        monkeypatch.setattr(dalembert.solver, "_descend", failing)
         report = self._unity8_from(monkeypatch, [0.5 + 0.5j])
         # with no other center to try, its estimate is deflated out all the
         # same, and every quotient after that deflation is corrupted
@@ -350,13 +351,13 @@ class TestDeflatedFactors:
         import dalembert.solver
 
         calls = []
-        original = dalembert.solver.descend
+        original = dalembert.solver._descend
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(dalembert.solver, "descend", counting)
+        monkeypatch.setattr(dalembert.solver, "_descend", counting)
         diagonal = np.linspace(-0.9, 0.9, 1000) * (1 + 1j)
         report = self._unity8_from(monkeypatch, diagonal)
         want = [cmath.exp(2j * math.pi * j / 8) for j in range(8)]
@@ -369,14 +370,14 @@ class TestDeflatedFactors:
 
         p = random_poly(np.random.default_rng(47), 6)
         kept = []
-        original = dalembert.solver.descend
+        original = dalembert.solver._descend
 
-        def recording(q, z0, *args, **kwargs):
-            result = original(q, z0, *args, **kwargs)
+        def recording(q, *args):
+            result = original(q, *args)
             kept.append((len(q) < len(p), result.trace is not None))
             return result
 
-        monkeypatch.setattr(dalembert.solver, "descend", recording)
+        monkeypatch.setattr(dalembert.solver, "_descend", recording)
         report = find_all_roots(p)
         # the polished roots keep their traces; the factors' descents, whose
         # root and flag alone are read, do not
