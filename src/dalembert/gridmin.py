@@ -26,8 +26,12 @@ Each wave also tries the descent's damped Newton step from the incumbent,
 z - s p(z)/p'(z) for s = 1, 1/2, 1/4, ... until |p| strictly drops, and
 repeats it from each point it keeps until a step finds no drop; each try
 is one Horner loop for p and p', so a kept try starts the next step.  That
-drives the value to the noise floor far faster than bisection alone, also
-at a multiple root, where each Newton step gains only a constant factor.
+drives the value below epsilon far faster than bisection alone, also at a
+multiple root, where each Newton step gains only a constant factor.  Once
+the value is at most epsilon, so is the gap, and the run tries only full
+steps (s = 1), ending at the first that does not lower |p|: a halved try
+could only push the value further below epsilon, and near the rounding
+floor most such tries find nothing.
 A NaN value never becomes the incumbent, and a cell whose lower bound is
 not finite (Horner overflow) is never pruned.
 The result keeps the centers of the cells still live at the stop; a sound
@@ -179,8 +183,9 @@ def certified_min(
     reaches the incumbent are pruned, the rest split 2x2.  After each wave
     the damped Newton step from the incumbent replaces it with the first
     try, s = 1, 1/2, 1/4, ..., that stays in the region and strictly lowers
-    |p|, and is repeated from there until a step finds no drop; each try in
-    the region costs one evaluation, within budget.  The gap is
+    |p|, and is repeated from there until a step finds no drop; once |p| <=
+    epsilon only the full step s = 1 is tried.  Each try in the region
+    costs one evaluation, within budget.  The gap is
     value - max(0, lowest live lower bound).  Stops after the wave where
     gap <= epsilon, or when the next wave would take the evaluations past
     budget; a budget stop is flagged on the result, not raised, and its gap
@@ -197,7 +202,7 @@ def certified_min(
     if first is not None:
         pair, value, lower = first
         best_pt, best_val, evaluations = _damped_newton(
-            scalar, region, center, value, pair, 1, budget)
+            scalar, region, center, value, pair, 1, budget, epsilon)
         live = lower < best_val
         gap = best_val - max(0.0, lower) if live else 0.0
         if not live or gap <= epsilon or evaluations + 4 > budget:
@@ -225,7 +230,7 @@ def certified_min(
         evaluations += vals.size
         best_pt, best_val, evaluations = _damped_newton(
             scalar, region, best_pt, best_val, evaluate_with_derivative(scalar, best_pt),
-            evaluations, budget)
+            evaluations, budget, epsilon)
         keep = lower < best_val
         cells, lower = cells[keep], lower[keep]
         # |p| >= 0, so no lower bound below 0 is needed
@@ -264,10 +269,13 @@ def _first_wave(coeffs: Poly, center: complex, side: float):
 
 
 def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float, pair: tuple,
-                   evaluations: int, budget: int):
+                   evaluations: int, budget: int, epsilon: float):
     """The descent's damped steps from the incumbent z: z - s p(z)/p'(z) for
     s = 1, 1/2, 1/4, ... until |p| strictly drops below value, repeated from
-    each accepted point until a step finds no drop.
+    each accepted point until a step finds no drop.  Once value <= epsilon
+    only the full step s = 1 is tried: the gap is already closed, so a
+    halved try could only push the value further below epsilon, and a full
+    step that does not strictly lower |p| ends the run.
 
     pair is (p(z), p'(z)).  A try inside the region costs one evaluation,
     which gives p and p' there; one outside it is halved for free.  Returns
@@ -294,6 +302,9 @@ def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float,
                 w_norm = hypot(w_val.real, w_val.imag)
                 if w_norm < value:
                     break
+            if value <= epsilon:
+                # the gap is closed: no halving, only full steps
+                return z, value, evaluations
             step, s = step * 0.5, s * 0.5
         else:
             # no try lowered |p|, or the budget is spent

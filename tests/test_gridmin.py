@@ -391,6 +391,37 @@ class TestStopRules:
         for root in roots:
             assert _in_live_cell(root, cm.cells, side), root
 
+    # coefficients from numpy.poly, as the benchmark builds them; the search
+    # before the full-step rule took 36 and 79 evaluations
+    @pytest.mark.parametrize("roots, most", [([1.0] * 5, 34), (_CLUSTER4_8, 23)],
+                             ids=["(z-1)^5", "cluster4+8"])
+    def test_newton_run_below_epsilon_takes_only_full_steps(self, monkeypatch, roots, most):
+        # once |p| <= epsilon the gap is closed, so the run tries only s = 1
+        # and ends at the first full step that does not lower |p|
+        import dalembert.gridmin
+
+        norms = []
+        original = dalembert.gridmin.evaluate_with_derivative
+
+        def recording(p, z):
+            pair = original(p, z)
+            norms.append(abs(pair[0]))
+            return pair
+
+        monkeypatch.setattr(dalembert.gridmin, "evaluate_with_derivative", recording)
+        p = tuple(complex(c) for c in np.poly(np.asarray(roots, dtype=complex))[::-1])
+        cm = certified_min(p, growth_certificate(p).square, 1e-10, 50_000)
+        assert cm.value <= 1e-10 and not cm.budget_exhausted
+        first = next(i for i, v in enumerate(norms) if v <= 1e-10)
+        best, rejected = norms[first], 0
+        for v in norms[first + 1:]:
+            if v < best:
+                best = v
+            else:
+                rejected += 1
+        assert rejected <= 1
+        assert cm.evaluations <= most
+
     def test_newton_try_is_counted_and_kept_in_the_region(self):
         # a budget of 2 is the center and one Newton try from it
         for p, region in ((QUAD, QUAD_SQUARE), (DEG8, DEG8_SQUARE), (QUAD, SquareRegion(1 + 1j, 0.5))):

@@ -229,6 +229,46 @@ def _matched(found, want, radius):
     return not unused
 
 
+def _cluster(size, others):
+    """size roots within 1e-3 of 1, the others on |z| = 1/2."""
+    return ([1 + 1e-3 * cmath.exp(2j * math.pi * j / size) for j in range(size)]
+            + [0.5 * cmath.exp(2j * math.pi * (j + 0.5) / others) for j in range(others)])
+
+
+class TestAccuracy:
+    """The descent's start comes from the branch-and-bound's Newton run,
+    which stops halving once |p| <= tol; the roots must land no farther from
+    the construction roots than when the run halved on to the float limit.
+
+    The bounds are the distances the halving run gave, rounded up in the
+    fourth digit, plus 1%: (z-1)^4's find_root landed at 1.2873e-4 then and
+    lands at 1.2893e-4 now.  At the noise floor a root of multiplicity m is
+    fixed only to about floor^(1/m), and both points have |p| <= 1.2e-16."""
+
+    # coefficients from numpy.poly, as the benchmark builds them; the
+    # earlier distances of find_root and of find_all_roots (largest
+    # distance of a matched pair)
+    @pytest.mark.parametrize(
+        "roots, one, every",
+        [
+            ([1.0] * 3, 4.498e-6, 9.204e-6),
+            ([1.0] * 4, 1.288e-4, 4.776e-4),
+            ([1.0] * 5, 7.778e-4, 2.553e-3),
+            (_cluster(4, 8), 9.243e-7, 2.855e-5),
+            (_cluster(3, 3), 1.402e-10, 3.226e-9),
+        ],
+        ids=["(z-1)^3", "(z-1)^4", "(z-1)^5", "cluster4+8", "cluster3+3"],
+    )
+    def test_no_farther_than_the_halving_run(self, roots, one, every):
+        p = tuple(complex(c) for c in np.poly(np.asarray(roots, dtype=complex))[::-1])
+        result = find_root(p)
+        assert result.converged
+        assert min(abs(result.root - r) for r in roots) <= 1.01 * one
+        report = find_all_roots(p)
+        assert all(r.converged for r in report.roots)
+        assert _matched([r.root for r in report.roots], roots, 1.01 * every)
+
+
 class TestDeflatedFactors:
     """Later factors start from the first search's live cells."""
 
