@@ -115,8 +115,8 @@ def _nonconstant(p) -> Poly:
 def _step(pt: Poly, floor, z0: complex, before: float, pair=None) -> tuple:
     """descent_step's fields (k, ak, s, zs, before, after) and the pair
     (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt
-    with noise floor floor = _noise_floor(pt), given before = |p(z0)| and,
-    if known, the pair (p(z0), p'(z0))."""
+    whose noise floor is floor = _noise_floor(pt), given before = |p(z0)|
+    and, if known, the pair (p(z0), p'(z0))."""
     a0, d = pair if pair is not None else evaluate_with_derivative(pt, z0)
     if a0 == 0:
         # cancellation made p(z0) exactly zero
@@ -240,9 +240,9 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
 def _descend(pt: Poly, floor, z: complex, residual: float, tol: float, max_iter: int,
              keep_trace: bool) -> RootResult:
     """descend's loop from z, where |p| = residual, for a normalized
-    non-constant pt with noise floor floor = _noise_floor(pt) and checked
-    tol and max_iter: a caller that descends on one polynomial many times
-    builds its floor once."""
+    non-constant pt whose noise floor is floor = _noise_floor(pt), and for
+    checked tol and max_iter: a caller that descends on one polynomial many
+    times builds its floor once."""
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
     steps, pair = 0, None
     while math.isfinite(residual) and residual > max(tol, floor(z)) and steps < max_iter:
