@@ -12,10 +12,14 @@ gives the step whenever p'(z0) != 0.  Each try of the halving runs that loop
 at its point, so the try that is kept already holds the next step's p and
 p', and a step costs one loop per try.  The O(n^2) Taylor shift of p is built
 only when it is 0 (k >= 2), or when the k = 1 halving stalls while |p(z0)|
-is above the noise floor below.  From a real start with real coefficients
-every k = 1 try stays on the real axis, so it can stall near a critical
-point on it with |p| far from 0; the step then comes from the next nonzero
-coefficient of q (k >= 2), again kept only on a strict drop.
+is above the noise floor below.  Such a stall is rounding's doing: from a
+real start with real coefficients every k = 1 try stays on the real axis
+and can stall near a critical point on it with |p| far from 0, and a
+"lowest nonzero" coefficient can be rounding dust.  The later nonzero
+coefficients of q are then tried in order (k = 2, 3, ...), and the first
+whose halving strictly lowers |p| gives the step; it stalls only if every
+term does.  So a stalled descent has this one way out, and no caller
+retries it from another start.
 Because only roots stop the iteration, walking downhill is a root finder.
 descend stops once the residual meets the tolerance or the rounding floor of
 Horner's rule, gamma_2n * sum |a_i| |z|^i (Higham, Accuracy and Stability of
@@ -53,7 +57,8 @@ class DescentStep:
 
     k is the exponent of the coefficient ak of the shifted,
     constant-normalized polynomial that gave the step: the lowest nonzero
-    one, or, when the k = 1 step stalls above the noise floor, the next.
+    one, or, when the k = 1 step stalls above the noise floor, the first
+    later nonzero one whose step strictly lowers |p|.
     s is the accepted step parameter, and zs the kth root of -s/ak.  before
     and after are |p| at z0 and z0 + zs; after < before always holds.
     """
@@ -122,33 +127,30 @@ def _step(pt: Poly, floor, z0: complex, before: float, pair=None) -> tuple:
         # cancellation made p(z0) exactly zero
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
     # q(h) = p(z0 + h) / p(z0) = 1 + (p'(z0) / p(z0)) h + ...; the Taylor
-    # shift is needed only when that first coefficient is zero (k >= 2) or
-    # its step stalls
-    ak = d / a0
+    # shift is needed only when that first coefficient is zero or its step
+    # stalls
+    ak, stall = d / a0, None
     if ak != 0:
         try:
             return _halve(pt, z0, before, 1, ak)
-        except StepStalled:
-            # from a real start with real coefficients every k = 1 try stays
-            # on the real axis; above the noise floor the next term can leave it
+        except StepStalled as error:
+            # at the noise floor a computed |p| says nothing, so the stall
+            # is final; above it a later term can leave the line or the
+            # rounding dust that k = 1 is stuck on
             if before <= floor(z0):
                 raise
-            k, ak = _next_term(pt, z0, a0, 2)
-            if k is None:
-                raise
-            return _halve(pt, z0, before, k, ak)
-    k, ak = _next_term(pt, z0, a0, 1)
-    if k is None:
+            stall = error
+    first = 1 if stall is None else 2
+    for k, c in enumerate(shift(pt, z0)[first:], first):
+        ak = c / a0
+        if ak != 0:
+            try:
+                return _halve(pt, z0, before, k, ak)
+            except StepStalled as error:
+                stall = error
+    if stall is None:
         raise NotApplicableToConstant("the shifted polynomial is constant to working precision")
-    return _halve(pt, z0, before, k, ak)
-
-
-def _next_term(pt: Poly, z0: complex, a0: complex, start: int):
-    """The lowest k >= start with a nonzero coefficient of q(h) = p(z0 + h) /
-    a0, and that coefficient; (None, None) if there is none."""
-    q = [c / a0 for c in shift(pt, z0)]
-    k = next((i for i in range(start, len(q)) if q[i] != 0), None)
-    return (k, q[k]) if k is not None else (None, None)
+    raise stall
 
 
 def _halve(pt: Poly, z0: complex, before: float, k: int, ak: complex) -> tuple:
@@ -179,10 +181,11 @@ def descent_step(p, z0: complex) -> DescentStep:
     Tries the full step s = 1 (Newton when k = 1) and halves s until |p|
     strictly drops, which over exact reals happens by s = step_parameter(q);
     rounding can delay it.  A k = 1 halving that stalls while |p(z0)| is
-    above the noise floor is retried with the next nonzero Taylor
-    coefficient.  Raises AlreadyAtRoot when p(z0) = 0,
-    OverflowError when |p(z0)| is not finite, and StepStalled once z0 + zs
-    rounds to z0 or halving underflows.
+    above the noise floor is followed by the halving of each later nonzero
+    Taylor coefficient in turn, until one strictly lowers |p|.  Raises
+    AlreadyAtRoot when p(z0) = 0, OverflowError when |p(z0)| is not finite,
+    and StepStalled when, for every term tried, z0 + zs rounds to z0 or
+    halving underflows.
     """
     pt = _nonconstant(p)
     z0 = complex(z0)

@@ -62,16 +62,11 @@ def evaluate_with_derivative(p: Poly, z: complex) -> tuple[complex, complex]:
     return p[0] + z * val, der
 
 
-def truncate(p: Sequence[complex], epsilon: float = 0.0) -> Poly:
-    """Drop the trailing run of (near-)zero coefficients.
-
-    The default epsilon = 0 keeps the comparison exact, which is right for
-    user input; a positive epsilon strips float dust from computed
-    polynomials.
-    """
+def truncate(p: Sequence[complex]) -> Poly:
+    """Drop the trailing run of exactly zero coefficients."""
     q = as_poly(p)
     end = len(q)
-    while end > 0 and norm(q[end - 1]) <= epsilon:
+    while end > 0 and q[end - 1] == 0:
         end -= 1
     return q[:end]
 
@@ -100,13 +95,12 @@ def shift(p: Sequence[complex], z0: complex) -> Poly:
     return tuple(a)
 
 
-def max_coeff_norm(p: Sequence[complex], exclude_leading: bool = False) -> float:
-    """Largest coefficient norm, optionally over all but the last entry."""
+def max_coeff_norm(p: Sequence[complex]) -> float:
+    """Largest coefficient norm."""
     q = as_poly(p)
-    sel = q[:-1] if exclude_leading else q
-    if not sel:
+    if not q:
         raise DegenerateZeroPolynomial("no coefficients to take a maximum over")
-    return max(norm(c) for c in sel)
+    return max(norm(c) for c in q)
 
 
 def deflate(p: Sequence[complex], r: complex) -> tuple[Poly, complex]:

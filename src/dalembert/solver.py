@@ -4,21 +4,22 @@ find_root chains the three guarantees: the growth certificate confines every
 global minimizer of |p| to an explicit square, branch-and-bound produces a
 seed point whose value is provably near the global minimum, and the descent
 walks strictly downhill from the seed until the residual meets the
-tolerance or the rounding floor of evaluating p.  find_all_roots runs that chain once, deflates by synthetic
-division and re-polishes every root against the original polynomial.  Every
-root is a global minimizer of |p|, so the cells that one branch-and-bound
-leaves live surround every root: each deflated factor starts its descent at
-the live cell center where it is smallest, with no search of its own, and
-tries the other centers in order only if that descent does not converge.
-When the search's Newton steps close its gap in the first wave, its one
-live cell is the whole square, and every factor starts at its center, which
-is then used as it is, with no ranking; the |p| computed there is the
-factor's first residual.
+tolerance or the rounding floor of evaluating p.  find_all_roots runs that
+chain once, deflates by synthetic division and re-polishes every root
+against the original polynomial.  Every root is a global minimizer of |p|,
+so the cells that one branch-and-bound leaves live surround every root:
+each deflated factor descends once, from the live cell center where it is
+smallest, with no search of its own.  No other start is tried: where the
+descent's k = 1 step stalls above the noise floor, the descent itself tries
+every later Taylor term (see descent).  When the search's Newton steps close
+its gap in the first wave, its one live cell is the whole square, and every
+factor starts at its center, which is then used as it is, with no ranking;
+the |p| computed there is the factor's first residual.
 The descent stops at the noise floor gamma_2n * sum |a_i| |z|^i of its
 polynomial, whose norms find_all_roots builds once per polynomial: one
 floor for p serves the first descent and all n polishes, and each deflated
-factor builds its own once, for every start it tries.  tol and max_iter are
-checked once, at the public call.
+factor builds its own.  tol and max_iter are checked once, at the public
+call.
 """
 
 from __future__ import annotations
@@ -94,54 +95,35 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     return result
 
 
-def _starts(work: Poly, seed: CertifiedMinimum):
-    """The live seed cell centers by increasing finite |work| (ties: the
-    first), or seed.argmin alone if no center gives a finite value, each
-    with |work| there if it is known, else None.  The order past the first
-    is sorted only if it is asked for.  A single live cell needs no ranking:
-    its center is used as it is, evaluated once without numpy, and that
-    value is handed on."""
+def _start(work: Poly, seed: CertifiedMinimum):
+    """The live seed cell center where |work| is smallest and finite (ties:
+    the first), or seed.argmin if no center gives a finite value, with
+    |work| there if it is known, else None.  A single live cell needs no
+    ranking: its center is used as it is, evaluated once without numpy, and
+    that value is handed on."""
     if seed.cells.size == 1:
         center = complex(seed.cells[0])
         value = norm(evaluate(work, center))
-        yield (center, value) if math.isfinite(value) else (seed.argmin, None)
-        return
+        return (center, value) if math.isfinite(value) else (seed.argmin, None)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
         vals = np.abs(_horner(np.asarray(work, dtype=complex), seed.cells))
     finite = np.flatnonzero(np.isfinite(vals))
     if not finite.size:
-        yield seed.argmin, None
-        return
-    yield complex(seed.cells[finite[np.argmin(vals[finite])]]), None
-    # a stable sort puts argmin's pick first
-    for i in finite[np.argsort(vals[finite], kind="stable")][1:]:
-        yield complex(seed.cells[i]), None
-
-
-def _factor_root(work: Poly, seed: CertifiedMinimum, tol: float, max_iter: int) -> RootResult:
-    """The first converged descent on work from _starts, else the first one.
-
-    A descent that does not converge (max_iter, or a stall no Taylor term
-    leaves) gives an estimate that, polished on p, can be a root found
-    already.  Only the root and the converged flag are read, so no trace is
-    kept."""
-    floor = _noise_floor(work)
-    results = (_descend_from(work, floor, z, tol, max_iter, False, value)
-               for z, value in _starts(work, seed))
-    first = next(results)
-    return first if first.converged else next((r for r in results if r.converged), first)
+        return seed.argmin, None
+    return complex(seed.cells[finite[np.argmin(vals[finite])]]), None
 
 
 def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     """All degree(p) roots: find_root's chain once, then synthetic division.
 
-    Each deflated factor descends from the seed's live cell center where it
-    is smallest, or from the next ones in order of its value until a descent
-    converges, and each estimate is polished by descending on the original
-    polynomial, which undoes deflation drift.  A root whose factor
-    converges from no live center is reported with converged=False, and so
-    is every later one: the quotients after it come from deflating by a
-    point that is not a root of its factor.
+    Each deflated factor descends once, from the seed's live cell center
+    where it is smallest; a k = 1 stall above the noise floor is left by
+    the descent's later Taylor terms, not by a retry from another center.
+    Each estimate is polished by descending on the original polynomial,
+    which undoes deflation drift.  A root whose factor does not converge is
+    reported with converged=False, and so is every later one: the quotients
+    after it come from deflating by a point that is not a root of its
+    factor.
     reconstruction_error is the largest coefficient-wise distance between
     a_n * prod (z - r_i) and the normalized input; it is reported, never
     raised.
@@ -157,7 +139,9 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
         work, _rem = deflate(work, roots[-1].root)
         if len(work) <= 1:
             break
-        result = _factor_root(work, seed, tol, max_iter)
+        # only the root and the converged flag are read, so no trace is kept
+        z, value = _start(work, seed)
+        result = _descend_from(work, _noise_floor(work), z, tol, max_iter, False, value)
         failed = failed or not result.converged
         polished = _descend_from(pt, floor, result.root, tol, max_iter)
         roots.append(replace(polished, converged=False) if failed else polished)

@@ -19,6 +19,17 @@ from helpers import lowest_exponent, random_point, random_poly, unit_constant
 QUAD = (1 + 0j, 1j, 3 + 0j)
 
 
+# z^4 - 1 with the rounding dust that deflating z^8 - 1 by its four diagonal
+# roots exp(2 pi i (j + 1/2) / 4), j = 0..3 in order, leaves on it
+_UNITY8_DUST_FACTOR = (
+    complex(-1.0000000000000002, 5.265388888363904e-16),
+    complex(-1.300707181133075e-16, -9.197388681172373e-17),
+    complex(-9.197388681172368e-17, 2.220446049250314e-16),
+    complex(-2.220446049250313e-16, -2.220446049250313e-16),
+    1 + 0j,
+)
+
+
 def _walk_to_stall(p, z):
     """Repeat descent_step from z until it raises StepStalled (at most 1000
     steps); the stalled point and the residuals along the way."""
@@ -301,33 +312,39 @@ class TestDescend:
             descent_step(cubic, stalled)
 
     def test_stall_ends_at_once(self, monkeypatch):
-        # once z0 + zs rounds to z0, halving s further cannot help
+        # once z0 + zs rounds to z0, halving s further cannot help, and at
+        # the noise floor no later Taylor term is tried; every try runs
+        # evaluate_with_derivative once, so its calls count the tries
         import dalembert.descent
 
         cubic = (1 / 3, 1, 1, 1)
         stalled, _ = _walk_to_stall(cubic, 1 + 1j)
         calls = []
-        original = dalembert.descent.evaluate
+        original = dalembert.descent.evaluate_with_derivative
 
         def counting(p, z):
             calls.append(z)
             return original(p, z)
 
-        monkeypatch.setattr(dalembert.descent, "evaluate", counting)
+        monkeypatch.setattr(dalembert.descent, "evaluate_with_derivative", counting)
         with pytest.raises(StepStalled):
             descent_step(cubic, stalled)
         assert len(calls) <= 5
 
     @pytest.mark.parametrize(
         "p, z0",
-        [((1, 0, 1), 0.5), ((1 + 1e-8, -2, 1), 0j), ((-1j, 0, -1, 0, 1j, 0, 1), 0.5 + 0.5j)],
-        ids=["1+z^2", "double-root-split-1e-4i", "diagonal-critical-point"],
+        [((1, 0, 1), 0.5), ((1 + 1e-8, -2, 1), 0j), ((-1j, 0, -1, 0, 1j, 0, 1), 0.5 + 0.5j),
+         (_UNITY8_DUST_FACTOR, 0.5 + 0.5j), (_UNITY8_DUST_FACTOR, 0j),
+         (_UNITY8_DUST_FACTOR, -0.5 + 0.5j)],
+        ids=["1+z^2", "double-root-split-1e-4i", "diagonal-critical-point",
+             "z^8-1-dust-factor-diagonal", "z^8-1-dust-factor-origin",
+             "z^8-1-dust-factor-antidiagonal"],
     )
     def test_steps_off_a_critical_line(self, p, z0):
         # every Newton step from these starts stays on a line (the real axis
         # or the diagonal) on which |p| has a positive minimum at a critical
-        # point; the k = 1 halving stalls there, and the next Taylor term
-        # leaves the line
+        # point, or, for the dust factor, is lost in rounding dust; the
+        # k = 1 halving stalls there, and a later Taylor term leaves it
         result = descend(p, z0, 1e-10, 10000)
         assert result.converged
         assert result.residual <= 1e-10

@@ -270,7 +270,8 @@ class TestAccuracy:
 
 
 class TestDeflatedFactors:
-    """Later factors start from the first search's live cells."""
+    """Each later factor descends once, from the first search's live cell
+    center where it is smallest; no other start is tried."""
 
     # at residual tol = 1e-10 a root of multiplicity m may sit ~tol^(1/m)
     # away, and a root inside the 1e-3 cluster ~tol / |p'| ~ 3e-5 away
@@ -288,9 +289,9 @@ class TestDeflatedFactors:
                 1e-4,
             ),
             (from_roots(1, range(1, 7)), 1e-8),
-            # the degree-4 factor stalls from two of the 16 live centers and
-            # converges from the third; starting every factor at the square
-            # center or at the seed's argmin leaves four roots unconverged
+            # the degree-4 factor carries rounding dust on which its k = 1
+            # step stalls from a diagonal center; the descent's later Taylor
+            # terms step off it, with no other start
             ((-1,) + (0,) * 7 + (1,), 1e-9),
         ],
         ids=["z^20-1", "(z-1)^4", "cluster-3+3", "wilkinson-6", "z^8-1"],
@@ -356,16 +357,17 @@ class TestDeflatedFactors:
         monkeypatch.setattr(dalembert.solver, "certified_min", with_cells)
         return find_all_roots((-1,) + (0,) * 7 + (1,))
 
-    def test_a_stalled_factor_retries_the_other_live_cells(self, monkeypatch):
-        # from a diagonal center, z^4 - 1 (the factor left once the four
-        # diagonal roots are out) descends to its critical point 0 and
-        # stalls; polished on p, that estimate would be a diagonal root again
+    def test_a_stalled_factor_steps_off_by_a_later_term(self, monkeypatch):
+        # from a diagonal center, the k = 1 steps on z^4 - 1 (the factor left
+        # once the four diagonal roots are out) head for its critical point
+        # 0 and stall; polished on p, that estimate would be a diagonal root
+        # again, so the factor's descent must leave it by a later term
         report = self._unity8_from(monkeypatch, [0.5 + 0.5j, -0.5 + 0.5j, -0.5 - 0.5j, 0.5 - 0.5j])
         want = [cmath.exp(2j * math.pi * j / 8) for j in range(8)]
         assert all(r.converged for r in report.roots)
         assert _matched([r.root for r in report.roots], want, 1e-8)
 
-    def test_a_factor_that_converges_from_no_live_cell_is_flagged(self, monkeypatch):
+    def test_a_factor_that_does_not_converge_is_flagged(self, monkeypatch):
         import dalembert.solver
 
         original = dalembert.solver._descend
@@ -378,8 +380,8 @@ class TestDeflatedFactors:
 
         monkeypatch.setattr(dalembert.solver, "_descend", failing)
         report = self._unity8_from(monkeypatch, [0.5 + 0.5j])
-        # with no other center to try, its estimate is deflated out all the
-        # same, and every quotient after that deflation is corrupted
+        # its estimate is deflated out all the same, and every quotient
+        # after that deflation is corrupted
         assert [r.converged for r in report.roots] == [True, True] + [False] * 6
         converged = [r.root for r in report.roots if r.converged]
         assert all(abs(a - b) > 1e-8 for i, a in enumerate(converged) for b in converged[:i])
@@ -387,7 +389,7 @@ class TestDeflatedFactors:
     def test_many_live_cells_on_a_critical_line(self, monkeypatch):
         # z^4 - 1, left once the four diagonal roots are out, has p' = 0 only
         # at 0; descent from a diagonal center steps off that critical point,
-        # so the first center converges and no other is tried
+        # so each factor descends once
         import dalembert.solver
 
         calls = []
