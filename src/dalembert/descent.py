@@ -7,6 +7,9 @@ exponent k >= 1 with a nonzero coefficient a_k and move along the kth root
 of -s/a_k.  s starts at the full step 1, which for k = 1 is the Newton step
 -p(z0)/p'(z0), and halves until |p| strictly drops.  d'Alembert's lemma ends
 the halving: over exact reals every s <= step_parameter(q) decreases |p|.
+In floating point the try with parameter s lowers |p| by about s |p(z0)|,
+so the halving stops once that is below the noise floor at z0 (below): no
+computed |p| can show a smaller gain.
 q's first coefficient is p'(z0)/p(z0), so one O(n) Horner loop for p and p'
 gives the step whenever p'(z0) != 0.  Each try of the halving runs that loop
 at its point, so the try that is kept already holds the next step's p and
@@ -46,8 +49,6 @@ __all__ = [
     "descend",
 ]
 
-# Below this the halving loop has hit float exhaustion.
-_MIN_STEP = 1e-300
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -117,11 +118,11 @@ def _nonconstant(p) -> Poly:
     return pt
 
 
-def _step(pt: Poly, floor, z0: complex, before: float, pair=None) -> tuple:
+def _step(pt: Poly, floor: float, z0: complex, before: float, pair=None) -> tuple:
     """descent_step's fields (k, ak, s, zs, before, after) and the pair
     (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt
-    whose noise floor is floor = _noise_floor(pt), given before = |p(z0)|
-    and, if known, the pair (p(z0), p'(z0))."""
+    whose noise floor at z0 is floor = _noise_floor(pt)(z0), given
+    before = |p(z0)| and, if known, the pair (p(z0), p'(z0))."""
     a0, d = pair if pair is not None else evaluate_with_derivative(pt, z0)
     if a0 == 0:
         # cancellation made p(z0) exactly zero
@@ -132,12 +133,12 @@ def _step(pt: Poly, floor, z0: complex, before: float, pair=None) -> tuple:
     ak, stall = d / a0, None
     if ak != 0:
         try:
-            return _halve(pt, z0, before, 1, ak)
+            return _halve(pt, z0, before, floor, 1, ak)
         except StepStalled as error:
             # at the noise floor a computed |p| says nothing, so the stall
             # is final; above it a later term can leave the line or the
             # rounding dust that k = 1 is stuck on
-            if before <= floor(z0):
+            if before <= floor:
                 raise
             stall = error
     first = 1 if stall is None else 2
@@ -145,7 +146,7 @@ def _step(pt: Poly, floor, z0: complex, before: float, pair=None) -> tuple:
         ak = c / a0
         if ak != 0:
             try:
-                return _halve(pt, z0, before, k, ak)
+                return _halve(pt, z0, before, floor, k, ak)
             except StepStalled as error:
                 stall = error
     if stall is None:
@@ -153,11 +154,13 @@ def _step(pt: Poly, floor, z0: complex, before: float, pair=None) -> tuple:
     raise stall
 
 
-def _halve(pt: Poly, z0: complex, before: float, k: int, ak: complex) -> tuple:
+def _halve(pt: Poly, z0: complex, before: float, floor: float, k: int, ak: complex) -> tuple:
     """The step z0 + (-s/ak)^(1/k) for the first s = 1, 1/2, ... that
     strictly lowers |p| below before, as the tuple (k, ak, s, zs, before,
     after, pair), pair being (p, p') at z0 + zs.  Each try is one Horner
-    loop for p and p', so the accepted one starts the next step."""
+    loop for p and p', so the accepted one starts the next step.  The try
+    with parameter s gains about s * before, so the halving stalls once
+    that is below floor, the noise floor at z0."""
     s = 1.0
     while True:
         zs = nth_root(-s / ak, k)
@@ -169,10 +172,9 @@ def _halve(pt: Poly, z0: complex, before: float, k: int, ak: complex) -> tuple:
         if after < before:
             return k, ak, s, zs, before, after, pair
         s *= 0.5
-        if s < _MIN_STEP:
-            raise StepStalled(
-                f"no strict decrease found above s = {_MIN_STEP} at z0 = {z0}"
-            )
+        if s * before < floor:
+            # the gain left is below what a computed |p| can show
+            raise StepStalled(f"the gain at s = {s} is below the noise floor at z0 = {z0}")
 
 
 def descent_step(p, z0: complex) -> DescentStep:
@@ -185,7 +187,7 @@ def descent_step(p, z0: complex) -> DescentStep:
     Taylor coefficient in turn, until one strictly lowers |p|.  Raises
     AlreadyAtRoot when p(z0) = 0, OverflowError when |p(z0)| is not finite,
     and StepStalled when, for every term tried, z0 + zs rounds to z0 or
-    halving underflows.
+    the gain s |p(z0)| of the next try is below the noise floor at z0.
     """
     pt = _nonconstant(p)
     z0 = complex(z0)
@@ -194,7 +196,7 @@ def descent_step(p, z0: complex) -> DescentStep:
         raise AlreadyAtRoot(f"p({z0}) = 0 already")
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
-    return DescentStep(*_step(pt, _noise_floor(pt), z0, before)[:6])
+    return DescentStep(*_step(pt, _noise_floor(pt)(z0), z0, before)[:6])
 
 
 def _noise_floor(pt: Poly):
@@ -245,15 +247,17 @@ def _descend(pt: Poly, floor, z: complex, residual: float, tol: float, max_iter:
     """descend's loop from z, where |p| = residual, for a normalized
     non-constant pt whose noise floor is floor = _noise_floor(pt), and for
     checked tol and max_iter: a caller that descends on one polynomial many
-    times builds its floor once."""
+    times builds its floor once.  floor(z) is computed once per point; its
+    value serves the loop test, the step and the converged flag."""
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
-    steps, pair = 0, None
-    while math.isfinite(residual) and residual > max(tol, floor(z)) and steps < max_iter:
+    steps, pair, bound = 0, None, floor(z)
+    while math.isfinite(residual) and residual > max(tol, bound) and steps < max_iter:
         try:
-            k, _ak, s, zs, _before, residual, pair = _step(pt, floor, z, residual, pair)
+            k, _ak, s, zs, _before, residual, pair = _step(pt, bound, z, residual, pair)
         except (StepStalled, AlreadyAtRoot):
             break
         z = z + zs
+        bound = floor(z)
         steps += 1
         if keep_trace:
             rows.append(TraceRow(steps, z, residual, s, k))
@@ -261,6 +265,6 @@ def _descend(pt: Poly, floor, z: complex, residual: float, tol: float, max_iter:
         root=z,
         residual=residual,
         iterations=steps,
-        converged=math.isfinite(residual) and residual <= max(tol, floor(z)),
+        converged=math.isfinite(residual) and residual <= max(tol, bound),
         trace=tuple(rows) if keep_trace else None,
     )

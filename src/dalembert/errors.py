@@ -22,7 +22,8 @@ class AlreadyAtRoot(ValueError):
 
 
 class StepStalled(ArithmeticError):
-    """Step-size halving underflowed without achieving a strict decrease."""
+    """Step-size halving found no strict decrease before the step rounded to
+    nothing or its gain fell below the noise floor."""
 
 
 class NoRootExists(ValueError):

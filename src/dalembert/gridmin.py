@@ -16,22 +16,25 @@ and the prune, gap and budget decisions, with one numpy call on a scalar
 for |p|.  Most searches stop there, where numpy's per-call cost on
 one-element arrays would be about a quarter of a find_root call.  It
 rounds as numpy's loop over one cell does, bit for bit (measured with
-numpy 2.4 on x86-64; see _first_wave and _cell_lipschitz), and hands an
-overflow to that loop so that numpy reports it.  The incumbent update uses
-a fixed first-minimum tie-break, so results are identical to evaluating
-cell by cell.
+numpy 2.4 on x86-64; see _first_wave and _cell_lipschitz), treats a NaN
+value and a non-finite lower bound as that loop does, and reports an
+overflow with a RuntimeWarning, as numpy's loops do.  The incumbent update
+uses a fixed first-minimum tie-break, so results are identical to
+evaluating cell by cell.
 |p| is never below 0, so the gap is value - max(0, lowest lower bound):
 near a root the lower bounds go negative and the gap is simply the value.
 Each wave also tries the descent's damped Newton step from the incumbent,
 z - s p(z)/p'(z) for s = 1, 1/2, 1/4, ... until |p| strictly drops, and
-repeats it from each point it keeps until a step finds no drop; each try
-is one Horner loop for p and p', so a kept try starts the next step.  That
+repeats it from each point it keeps until a step finds no drop; each try is
+one Horner loop for p and p', so a kept try starts the next step.  That
 drives the value below epsilon far faster than bisection alone, also at a
-multiple root, where each Newton step gains only a constant factor.  Once
-the value is at most epsilon, so is the gap, and the run tries only full
-steps (s = 1), ending at the first that does not lower |p|: a halved try
-could only push the value further below epsilon, and near the rounding
-floor most such tries find nothing.
+multiple root, where each Newton step gains only a constant factor.  Unlike
+the descent's, this halving does not stop at the noise floor: the search's
+value and gap need the decreases it finds below it.  Once the value is at
+most epsilon, so is the gap, and the run tries only full steps (s = 1),
+ending at the first that does not lower |p|: a halved try could only push
+the value further below epsilon, and near the rounding floor most such tries
+find nothing.
 A NaN value never becomes the incumbent, and a cell whose lower bound is
 not finite (Horner overflow) is never pruned.
 The result keeps the centers of the cells still live at the stop; a sound
@@ -43,11 +46,11 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descent import _MIN_STEP
 from .polynomial import Poly, as_poly, evaluate_with_derivative
 
 __all__ = [
@@ -160,15 +163,10 @@ def lipschitz_bound(p, region: SquareRegion) -> float:
     """L such that | |p(u)| - |p(v)| | <= L |u - v| for all u, v in the region.
 
     The branch-and-bound's per-cell bound applied to the whole region: the
-    sum over i >= 1 of i |a_i| R^(i-1), with R the largest |z| over the square.
+    sum over i >= 1 of i |a_i| R^(i-1), with R the largest |z| over the
+    square; inf where that overflows.
     """
-    coeffs = as_poly(p)
-    bound = _cell_lipschitz(coeffs, region.center, region.side)
-    if math.isfinite(bound):
-        return bound
-    # numpy's loop reports the overflow with a RuntimeWarning
-    return float(_horner(_derivative_norms(np.asarray(coeffs, dtype=complex)),
-                         _cell_radius(region.center, region.side)))
+    return _cell_lipschitz(as_poly(p), region.center, region.side)
 
 
 def certified_min(
@@ -198,20 +196,15 @@ def certified_min(
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     scalar = as_poly(p)
     center, side = region.center, region.side
-    first = _first_wave(scalar, center, side)
-    if first is not None:
-        pair, value, lower = first
-        best_pt, best_val, evaluations = _damped_newton(
-            scalar, region, center, value, pair, 1, budget, epsilon)
-        live = lower < best_val
-        gap = best_val - max(0.0, lower) if live else 0.0
-        if not live or gap <= epsilon or evaluations + 4 > budget:
-            return CertifiedMinimum(best_pt, best_val, gap, evaluations, live and gap > epsilon,
-                                    _frozen(np.array([center] if live else [], complex)))
-        cells, side = center + _CHILD * (side / 4.0), side / 2.0
-    else:
-        # an overflow in the first wave: numpy's loops report it
-        cells, evaluations = np.array([center]), 0
+    pair, value, lower = _first_wave(scalar, center, side)
+    best_pt, best_val, evaluations = _damped_newton(
+        scalar, region, center, value, pair, 1, budget, epsilon)
+    live = lower < best_val
+    gap = best_val - max(0.0, lower) if live else 0.0
+    if not live or gap <= epsilon or evaluations + 4 > budget:
+        return CertifiedMinimum(best_pt, best_val, gap, evaluations, live and gap > epsilon,
+                                _frozen(np.array([center] if live else [], complex)))
+    cells, side = center + _CHILD * (side / 4.0), side / 2.0
     coeffs = np.asarray(scalar, dtype=complex)
     dnorm = _derivative_norms(coeffs)
     budget_exhausted = False
@@ -223,9 +216,8 @@ def certified_min(
         vals[np.isnan(vals)] = np.inf
         lower[~np.isfinite(lower)] = -np.inf
         i = int(np.argmin(vals))
-        # the first cell is always taken; after it a strict < keeps the
-        # earlier incumbent on ties
-        if evaluations == 0 or vals[i] < best_val:
+        # a strict < keeps the earlier incumbent on ties
+        if vals[i] < best_val:
             best_val, best_pt = float(vals[i]), complex(cells[i])
         evaluations += vals.size
         best_pt, best_val, evaluations = _damped_newton(
@@ -249,8 +241,9 @@ def _first_wave(coeffs: Poly, center: complex, side: float):
     """The first wave, the one cell of this center and side, in scalar
     arithmetic: (p, p') at the center, |p| there and the cell's lower
     bound, the last two bit for bit as the numpy loop in certified_min
-    computes them.  None where p or the bound overflows: the loop then runs
-    the wave, and numpy reports the overflow with a RuntimeWarning.
+    computes them.  As in that loop, a NaN value is inf and a lower bound
+    that is not finite is -inf, and where p or the bound overflows a
+    RuntimeWarning reports it.
 
     The pair's value has the norm of the loop's Horner value.  |p| is
     numpy's absolute of it, one call on a scalar: numpy's complex absolute
@@ -261,21 +254,22 @@ def _first_wave(coeffs: Poly, center: complex, side: float):
     pair = evaluate_with_derivative(coeffs, center)
     reach = _cell_lipschitz(coeffs, center, side) * (HALF_DIAGONAL * side)
     if not (cmath.isfinite(pair[0]) and math.isfinite(reach)):
-        return None
-    value = float(np.abs(pair[0]))
-    # |p| of a finite value can still overflow; as in the loop, a lower
-    # bound that is not finite bounds nothing
-    return pair, value, value - reach if value < math.inf else -math.inf
+        warnings.warn(f"overflow in |p| or its Lipschitz bound at {center}", RuntimeWarning,
+                      stacklevel=3)
+    value = math.inf if cmath.isnan(pair[0]) else float(np.abs(pair[0]))
+    lower = value - reach
+    return pair, value, lower if math.isfinite(lower) else -math.inf
 
 
 def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float, pair: tuple,
                    evaluations: int, budget: int, epsilon: float):
     """The descent's damped steps from the incumbent z: z - s p(z)/p'(z) for
-    s = 1, 1/2, 1/4, ... until |p| strictly drops below value, repeated from
-    each accepted point until a step finds no drop.  Once value <= epsilon
-    only the full step s = 1 is tried: the gap is already closed, so a
-    halved try could only push the value further below epsilon, and a full
-    step that does not strictly lower |p| ends the run.
+    s = 1, 1/2, 1/4, ... until |p| strictly drops below value or the try
+    rounds back to z, repeated from each accepted point until a step finds
+    no drop.  Once value <= epsilon only the full step s = 1 is tried: the
+    gap is already closed, so a halved try could only push the value
+    further below epsilon, and a full step that does not strictly lower |p|
+    ends the run.
 
     pair is (p(z), p'(z)).  A try inside the region costs one evaluation,
     which gives p and p' there; one outside it is halved for free.  Returns
@@ -285,13 +279,13 @@ def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float,
     # looked up once, not once per try
     x0, y0 = region.corner.real, region.corner.imag
     x1, y1 = x0 + region.side, y0 + region.side
-    ewd, hypot, isfinite, min_step = evaluate_with_derivative, math.hypot, cmath.isfinite, _MIN_STEP
+    ewd, hypot, isfinite = evaluate_with_derivative, math.hypot, cmath.isfinite
     val, der = pair
     while True:
         if not der:
             return z, value, evaluations
-        step, s = val / der, 1.0
-        while evaluations < budget and isfinite(step) and s >= min_step:
+        step = val / der
+        while evaluations < budget and isfinite(step):
             w = z - step
             if w == z:
                 # every smaller step rounds back to z too
@@ -305,7 +299,7 @@ def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float,
             if value <= epsilon:
                 # the gap is closed: no halving, only full steps
                 return z, value, evaluations
-            step, s = step * 0.5, s * 0.5
+            step *= 0.5
         else:
             # no try lowered |p|, or the budget is spent
             return z, value, evaluations

@@ -4,12 +4,12 @@ find_root chains the three guarantees: the growth certificate confines every
 global minimizer of |p| to an explicit square, branch-and-bound produces a
 seed point whose value is provably near the global minimum, and the descent
 walks strictly downhill from the seed until the residual meets the
-tolerance or the rounding floor of evaluating p.  find_all_roots runs that
-chain once, deflates by synthetic division and re-polishes every root
-against the original polynomial.  Every root is a global minimizer of |p|,
-so the cells that one branch-and-bound leaves live surround every root:
-each deflated factor descends once, from the live cell center where it is
-smallest, with no search of its own.  No other start is tried: where the
+tolerance or the rounding floor of evaluating p.  find_all_roots takes
+that chain's root as the first, deflates by synthetic division and polishes
+every later root against the original polynomial.  Every root is a global
+minimizer of |p|, so the cells that one branch-and-bound leaves live
+surround every root: each deflated factor descends once, from the live cell
+center where it is smallest, with no search of its own.  No other start is tried: where the
 descent's k = 1 step stalls above the noise floor, the descent itself tries
 every later Taylor term (see descent).  When the search's Newton steps close
 its gap in the first wave, its one live cell is the whole square, and every
@@ -17,9 +17,9 @@ factor starts at its center, which is then used as it is, with no ranking;
 the |p| computed there is the factor's first residual.
 The descent stops at the noise floor gamma_2n * sum |a_i| |z|^i of its
 polynomial, whose norms find_all_roots builds once per polynomial: one
-floor for p serves the first descent and all n polishes, and each deflated
-factor builds its own.  tol and max_iter are checked once, at the public
-call.
+floor for p serves the first descent and all n - 1 polishes, and each
+deflated factor builds its own.  tol and max_iter are checked once, at the
+public call.
 """
 
 from __future__ import annotations
@@ -60,16 +60,8 @@ def _solve_once(pt: Poly, tol: float, max_iter: int, floor=None):
     seed = certified_min(pt, cert.square, tol, _SEED_BUDGET)
     if floor is None:
         floor = _noise_floor(pt)
-    return _descend_from(pt, floor, seed.argmin, tol, max_iter), cert, seed
-
-
-def _descend_from(pt: Poly, floor, z: complex, tol: float, max_iter: int,
-                  keep_trace: bool = True, residual=None) -> RootResult:
-    """descend(pt, z, tol, max_iter, keep_trace) with pt's noise floor given
-    and, if it is known, residual = |pt(z)|."""
-    if residual is None:
-        residual = norm(evaluate(pt, z))
-    return _descend(pt, floor, z, residual, tol, max_iter, keep_trace)
+    z = seed.argmin
+    return _descend(pt, floor, z, norm(evaluate(pt, z)), tol, max_iter, True), cert, seed
 
 
 def _normalized_or_raise(p) -> Poly:
@@ -98,32 +90,33 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
 def _start(work: Poly, seed: CertifiedMinimum):
     """The live seed cell center where |work| is smallest and finite (ties:
     the first), or seed.argmin if no center gives a finite value, with
-    |work| there if it is known, else None.  A single live cell needs no
-    ranking: its center is used as it is, evaluated once without numpy, and
-    that value is handed on."""
+    |work| there.  A single live cell needs no ranking: its center is used
+    as it is, evaluated once without numpy."""
     if seed.cells.size == 1:
-        center = complex(seed.cells[0])
-        value = norm(evaluate(work, center))
-        return (center, value) if math.isfinite(value) else (seed.argmin, None)
+        z = complex(seed.cells[0])
+        value = norm(evaluate(work, z))
+        if math.isfinite(value):
+            return z, value
+        return seed.argmin, norm(evaluate(work, seed.argmin))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
         vals = np.abs(_horner(np.asarray(work, dtype=complex), seed.cells))
     finite = np.flatnonzero(np.isfinite(vals))
-    if not finite.size:
-        return seed.argmin, None
-    return complex(seed.cells[finite[np.argmin(vals[finite])]]), None
+    z = complex(seed.cells[finite[np.argmin(vals[finite])]]) if finite.size else seed.argmin
+    return z, norm(evaluate(work, z))
 
 
 def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     """All degree(p) roots: find_root's chain once, then synthetic division.
 
-    Each deflated factor descends once, from the seed's live cell center
-    where it is smallest; a k = 1 stall above the noise floor is left by
-    the descent's later Taylor terms, not by a retry from another center.
-    Each estimate is polished by descending on the original polynomial,
-    which undoes deflation drift.  A root whose factor does not converge is
-    reported with converged=False, and so is every later one: the quotients
-    after it come from deflating by a point that is not a root of its
-    factor.
+    The first root is find_root's result, from its one descent on p.  Each
+    deflated factor descends once, from the seed's live cell center where
+    it is smallest; a k = 1 stall above the noise floor is left by the
+    descent's later Taylor terms, not by a retry from another center.  Each
+    later estimate is polished by descending on the original polynomial,
+    which undoes deflation drift.  A root whose descent on its factor (p
+    for the first) does not converge is reported with converged=False, and
+    so is every later one: the quotients after it come from deflating by a
+    point that is not a root of its factor.
     reconstruction_error is the largest coefficient-wise distance between
     a_n * prod (z - r_i) and the normalized input; it is reported, never
     raised.
@@ -132,18 +125,19 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     pt = _normalized_or_raise(p)
     floor = _noise_floor(pt)
     result, enclosure, seed = _solve_once(pt, tol, max_iter, floor)
-    roots = [_descend_from(pt, floor, result.root, tol, max_iter)]
+    roots = [result]
     work: Poly = pt
-    failed = False
+    failed = not result.converged
     while True:
         work, _rem = deflate(work, roots[-1].root)
         if len(work) <= 1:
             break
         # only the root and the converged flag are read, so no trace is kept
         z, value = _start(work, seed)
-        result = _descend_from(work, _noise_floor(work), z, tol, max_iter, False, value)
+        result = _descend(work, _noise_floor(work), z, value, tol, max_iter, False)
         failed = failed or not result.converged
-        polished = _descend_from(pt, floor, result.root, tol, max_iter)
+        z = result.root
+        polished = _descend(pt, floor, z, norm(evaluate(pt, z)), tol, max_iter, True)
         roots.append(replace(polished, converged=False) if failed else polished)
     rebuilt = from_roots(pt[-1], [r.root for r in roots])
     error = max(norm(a - b) for a, b in zip(rebuilt, pt))

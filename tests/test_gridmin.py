@@ -505,8 +505,8 @@ class TestOnePointHorner:
     where numpy's one-element complex loop rounds like CPython's arithmetic
     and numpy's scalar abs and np.hypot call C's hypot.  A failure on
     another platform points there, and _first_wave must then be restricted
-    or removed on it.  The overflow cases pin the hand-over to numpy, whose
-    loops report the overflow with a RuntimeWarning."""
+    or removed on it.  The overflow cases pin that the scalar wave reports
+    an overflow with a RuntimeWarning, as numpy's loops do."""
 
     POINTS = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
               -1.5 + 0j, complex(2.0, -0.0), 0.3 - 0.7j]
@@ -548,6 +548,11 @@ class TestOnePointHorner:
         dnorm = _derivative_norms(np.asarray(DEG8, dtype=complex))
         r = _cell_radius(DEG8_SQUARE.center, DEG8_SQUARE.side)
         assert _bits(lipschitz_bound(DEG8, DEG8_SQUARE)) == _bits(float(_numpy_horner(dnorm, r)))
+        # Wilkinson-20 over the square of the overflow test below, whose
+        # radius is 7.8e20: sum i |a_i| R^(i-1) overflows, and the bound is
+        # inf, without a numpy loop or its warning
+        region = SquareRegion(complex(-5.52e20, -5.52e20), 1.104e21)
+        assert lipschitz_bound(from_roots(1.0, range(1, 21)), region) == math.inf
 
     @pytest.mark.parametrize("shape", [(), (1,)])
     @pytest.mark.parametrize(
@@ -566,9 +571,9 @@ class TestOnePointHorner:
         ],
         ids=["wilkinson20-dnorm", "1+z^40"],
     )
-    def test_overflow_is_reported_by_numpy(self, shape, p, region, check):
-        # the scalar wave hands an overflow to numpy's loops, which warn
-        assert _first_wave(as_poly(p), region.center, region.side) is None
+    def test_overflow_is_reported(self, shape, p, region, check):
+        # the scalar wave warns as numpy's loops do, and its value, gap and
+        # evaluations are theirs
         with pytest.warns(RuntimeWarning):
             cm = certified_min(p, region, 1e-6, budget=1)
         with np.errstate(all="ignore"):

@@ -90,7 +90,10 @@ class TestSeed:
     )
     def test_seed_is_the_public_branch_and_bound(self, p):
         want = certified_min(p, growth_certificate(p).square, 1e-10, 50_000)
-        assert find_all_roots(p).seed == want
+        report = find_all_roots(p)
+        assert report.seed == want
+        # the first root is find_root's result, from the same one descent
+        assert report.roots[0] == find_root(p)
 
     def test_one_certificate_and_one_seed_per_call(self, monkeypatch):
         import dalembert.growth
