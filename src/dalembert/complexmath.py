@@ -1,8 +1,8 @@
 """Euclidean norm, principal nth roots, and complex literals.
 
 Everything works on Python's built-in complex type.  All functions are pure
-and total on finite inputs; NaN and infinity never enter or leave when the
-inputs are finite.
+and total on finite inputs; NaN never enters or leaves when the inputs are
+finite, and infinity leaves only as a norm that overflows.
 """
 
 from __future__ import annotations
@@ -17,8 +17,13 @@ __all__ = ["norm", "nth_root", "parse_complex", "format_complex"]
 
 
 def norm(z: complex) -> float:
-    """Euclidean magnitude sqrt(re^2 + im^2); zero iff z == 0."""
-    return math.hypot(z.real, z.imag)
+    """|z|, inf where it overflows: the library's one complex |.|, C's hypot
+    of the parts, as abs of a Python complex and np.hypot per element are
+    (math.hypot and numpy's complex absolute round otherwise)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def nth_root(z: complex, n: int) -> complex:

@@ -191,12 +191,13 @@ def descent_step(p, z0: complex) -> DescentStep:
     """
     pt = _nonconstant(p)
     z0 = complex(z0)
-    before = norm(evaluate(pt, z0))
+    pair = evaluate_with_derivative(pt, z0)
+    before = norm(pair[0])
     if before == 0.0:
         raise AlreadyAtRoot(f"p({z0}) = 0 already")
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
-    return DescentStep(*_step(pt, _noise_floor(pt)(z0), z0, before)[:6])
+    return DescentStep(*_step(pt, _noise_floor(pt)(z0), z0, before, pair)[:6])
 
 
 def _noise_floor(pt: Poly):
@@ -228,7 +229,8 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
 
     Converged means a finite |p(z)| <= max(tol, gamma_2n * sum |a_i| |z|^i):
     the residual meets tol or has reached the rounding floor of evaluating
-    p, so it means the same for p and for any multiple of p.  The residual
+    p.  The floor scales with p but tol is absolute, so for a tiny multiple
+    of p, such as 1e-20 * p, tol can hold far from any root.  The residual
     trace is strictly decreasing, so only the start can be non-finite; a
     start where |p| overflows is returned at once, not converged, since no
     step can be computed there.  Running out of iterations or stalling is

@@ -11,16 +11,16 @@ enclosing disk times its half diagonal, and cells whose lower bound cannot
 beat the incumbent are pruned.  Each wave splits every live cell, so all
 live cells share one side; a wave after the first is one complex array
 of their centers, evaluated at once.  The first wave, the region's center
-alone, runs in scalar Python arithmetic: the lower bound, the Newton run
-and the prune, gap and budget decisions, with one numpy call on a scalar
-for |p|.  Most searches stop there, where numpy's per-call cost on
-one-element arrays would be about a quarter of a find_root call.  It
-rounds as numpy's loop over one cell does, bit for bit (measured with
-numpy 2.4 on x86-64; see _first_wave and _cell_lipschitz), treats a NaN
-value and a non-finite lower bound as that loop does, and reports an
-overflow with a RuntimeWarning, as numpy's loops do.  The incumbent update
-uses a fixed first-minimum tie-break, so results are identical to
-evaluating cell by cell.
+alone, runs in scalar Python arithmetic with no numpy call.  Most searches
+stop there, where numpy's per-call cost on one-element arrays would be
+about a quarter of a find_root call.  Every |p| is norm (np.hypot of the
+parts in the numpy waves), so the scalar wave rounds as numpy's loop over
+one cell does, bit for bit, where numpy's complex multiply rounds like
+CPython's (numpy 2.4 on x86-64).  It treats a NaN value and a non-finite
+lower bound as that loop does, and reports an overflow with a
+RuntimeWarning, as numpy's loops do.  The incumbent update uses a fixed
+first-minimum tie-break, so results are identical to evaluating cell by
+cell.
 |p| is never below 0, so the gap is value - max(0, lowest lower bound):
 near a root the lower bounds go negative and the gap is simply the value.
 Each wave also tries the descent's damped Newton step from the incumbent,
@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .complexmath import norm
 from .polynomial import Poly, as_poly, evaluate_with_derivative
 
 __all__ = [
@@ -130,23 +131,23 @@ def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _derivative_norms(coeffs: np.ndarray) -> np.ndarray:
+def _derivative_norms(coeffs: Poly) -> np.ndarray:
     """i |a_i| for i >= 1.
 
     _horner of these at r is sum i |a_i| r^(i-1), which dominates |p'| on
     the disk of radius r: a Lipschitz constant for |p| on that disk.
     """
-    return np.array([i * abs(coeffs[i]) for i in range(1, len(coeffs))], dtype=float)
+    return np.array([i * norm(coeffs[i]) for i in range(1, len(coeffs))], dtype=float)
 
 
 def _cell_lipschitz(coeffs: Poly, center: complex, side: float) -> float:
     """_horner(_derivative_norms(coeffs), _cell_radius(center, side)) for
     one cell, as a Python scalar loop, or inf where a step overflows.
 
-    Every operation is one numpy's loops take too, in the same order: abs
-    of a complex and of a pair of floats is C's hypot, as the numpy scalar
-    abs in _derivative_norms and np.hypot in _cell_radius; float products
-    and sums round alike.  So the bound is theirs bit for bit.
+    Every operation is one numpy's loops take too, in the same order: the
+    abs of a Python complex is norm, C's hypot, as in _derivative_norms and
+    np.hypot in _cell_radius; float products and sums round alike.  So the
+    bound is theirs bit for bit.
     """
     half = side / 2.0
     try:
@@ -206,11 +207,12 @@ def certified_min(
                                 _frozen(np.array([center] if live else [], complex)))
     cells, side = center + _CHILD * (side / 4.0), side / 2.0
     coeffs = np.asarray(scalar, dtype=complex)
-    dnorm = _derivative_norms(coeffs)
+    dnorm = _derivative_norms(scalar)
     budget_exhausted = False
     # one wave: the centers of its cells, which all have the same side
     while True:
-        vals = np.abs(_horner(coeffs, cells))
+        h = _horner(coeffs, cells)
+        vals = np.hypot(h.real, h.imag)  # norm of each cell's value
         lower = vals - _horner(dnorm, _cell_radius(cells, side)) * (HALF_DIAGONAL * side)
         # a NaN value never wins, and a non-finite lower bound bounds nothing
         vals[np.isnan(vals)] = np.inf
@@ -239,24 +241,18 @@ def certified_min(
 
 def _first_wave(coeffs: Poly, center: complex, side: float):
     """The first wave, the one cell of this center and side, in scalar
-    arithmetic: (p, p') at the center, |p| there and the cell's lower
-    bound, the last two bit for bit as the numpy loop in certified_min
+    arithmetic: (p, p') at the center, |p| = norm(p) there and the cell's
+    lower bound, the last two bit for bit as the numpy loop in certified_min
     computes them.  As in that loop, a NaN value is inf and a lower bound
-    that is not finite is -inf, and where p or the bound overflows a
-    RuntimeWarning reports it.
-
-    The pair's value has the norm of the loop's Horner value.  |p| is
-    numpy's absolute of it, one call on a scalar: numpy's complex absolute
-    is its own code (with numpy 2.4 on x86-64, a sqrt(1 + (b/a)^2) with a
-    fused multiply-add), which rounds unlike C's hypot, the abs of a Python
-    complex, on about a third of all values.
+    that is not finite is -inf.  Where p or the bound overflows a
+    RuntimeWarning reports it, until stop reasons on the result can.
     """
     pair = evaluate_with_derivative(coeffs, center)
     reach = _cell_lipschitz(coeffs, center, side) * (HALF_DIAGONAL * side)
     if not (cmath.isfinite(pair[0]) and math.isfinite(reach)):
         warnings.warn(f"overflow in |p| or its Lipschitz bound at {center}", RuntimeWarning,
                       stacklevel=3)
-    value = math.inf if cmath.isnan(pair[0]) else float(np.abs(pair[0]))
+    value = math.inf if cmath.isnan(pair[0]) else norm(pair[0])
     lower = value - reach
     return pair, value, lower if math.isfinite(lower) else -math.inf
 
@@ -279,7 +275,7 @@ def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float,
     # looked up once, not once per try
     x0, y0 = region.corner.real, region.corner.imag
     x1, y1 = x0 + region.side, y0 + region.side
-    ewd, hypot, isfinite = evaluate_with_derivative, math.hypot, cmath.isfinite
+    ewd, isfinite = evaluate_with_derivative, cmath.isfinite
     val, der = pair
     while True:
         if not der:
@@ -293,7 +289,7 @@ def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float,
             if x0 <= w.real <= x1 and y0 <= w.imag <= y1:
                 evaluations += 1
                 w_val, w_der = ewd(coeffs, w)
-                w_norm = hypot(w_val.real, w_val.imag)
+                w_norm = norm(w_val)
                 if w_norm < value:
                     break
             if value <= epsilon:

@@ -3,18 +3,16 @@
 find_root chains the three guarantees: the growth certificate confines every
 global minimizer of |p| to an explicit square, branch-and-bound produces a
 seed point whose value is provably near the global minimum, and the descent
-walks strictly downhill from the seed until the residual meets the
-tolerance or the rounding floor of evaluating p.  find_all_roots takes
-that chain's root as the first, deflates by synthetic division and polishes
-every later root against the original polynomial.  Every root is a global
-minimizer of |p|, so the cells that one branch-and-bound leaves live
-surround every root: each deflated factor descends once, from the live cell
-center where it is smallest, with no search of its own.  No other start is tried: where the
+walks strictly downhill from the seed, whose value is |p| there as norm
+computes it, until the residual meets the tolerance or the rounding floor
+of evaluating p.  find_all_roots takes that chain's root as the first,
+deflates by synthetic division and polishes every later root against the
+original polynomial.  Every root is a global minimizer of |p|, so the cells
+that one branch-and-bound leaves live surround every root: each deflated
+factor descends once, from the live cell center where it is smallest (see
+_start), with no search of its own.  No other start is tried: where the
 descent's k = 1 step stalls above the noise floor, the descent itself tries
-every later Taylor term (see descent).  When the search's Newton steps close
-its gap in the first wave, its one live cell is the whole square, and every
-factor starts at its center, which is then used as it is, with no ranking;
-the |p| computed there is the factor's first residual.
+every later Taylor term (see descent).
 The descent stops at the noise floor gamma_2n * sum |a_i| |z|^i of its
 polynomial, whose norms find_all_roots builds once per polynomial: one
 floor for p serves the first descent and all n - 1 polishes, and each
@@ -53,15 +51,12 @@ class SolveReport:
     seed: CertifiedMinimum
 
 
-def _solve_once(pt: Poly, tol: float, max_iter: int, floor=None):
-    """Root of a normalized non-constant polynomial, with its certificates;
-    floor is pt's noise floor, built here if not given."""
+def _solve_once(pt: Poly, tol: float, max_iter: int, floor):
+    """Root of a normalized non-constant pt whose noise floor is floor, with
+    its certificates; the descent starts from the seed's argmin and value."""
     cert = growth_certificate(pt)
     seed = certified_min(pt, cert.square, tol, _SEED_BUDGET)
-    if floor is None:
-        floor = _noise_floor(pt)
-    z = seed.argmin
-    return _descend(pt, floor, z, norm(evaluate(pt, z)), tol, max_iter, True), cert, seed
+    return _descend(pt, floor, seed.argmin, seed.value, tol, max_iter, True), cert, seed
 
 
 def _normalized_or_raise(p) -> Poly:
@@ -83,7 +78,7 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     """
     _check_tol_max_iter(tol, max_iter)
     pt = _normalized_or_raise(p)
-    result, _, _ = _solve_once(pt, tol, max_iter)
+    result, _, _ = _solve_once(pt, tol, max_iter, _noise_floor(pt))
     return result
 
 
@@ -99,7 +94,8 @@ def _start(work: Poly, seed: CertifiedMinimum):
             return z, value
         return seed.argmin, norm(evaluate(work, seed.argmin))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
-        vals = np.abs(_horner(np.asarray(work, dtype=complex), seed.cells))
+        h = _horner(np.asarray(work, dtype=complex), seed.cells)
+        vals = np.hypot(h.real, h.imag)
     finite = np.flatnonzero(np.isfinite(vals))
     z = complex(seed.cells[finite[np.argmin(vals[finite])]]) if finite.size else seed.argmin
     return z, norm(evaluate(work, z))

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,34 @@ class TestNorm:
     def test_power_law(self, z, n):
         lhs, rhs = norm(z**n), norm(z) ** n
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + rhs)
+
+    def test_one_absolute_value(self):
+        # norm is the abs of a Python complex, and np.hypot of the parts
+        # per element, bit for bit: all three are C's hypot (math.hypot and
+        # numpy's complex absolute round otherwise on some values)
+        rng = np.random.default_rng(17)
+        n = 20_000
+        parts = rng.uniform(-1.0, 1.0, (2, n)) * 2.0 ** rng.integers(-1074, 1024, (2, n))
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -3.0,
+                   1e308, -1.2e308, 8.9e307, math.inf, -math.inf, math.nan]
+        zs = [complex(a, b) for a, b in zip(*parts)]
+        zs += [complex(a, b) for a in special for b in special]
+        zs += [complex(a, b) for a, b in rng.standard_normal((n, 2))]
+        for z in zs:
+            want = float(np.hypot(z.real, z.imag))
+            if math.isnan(want):
+                assert math.isnan(norm(z)) and math.isnan(abs(z)), z
+            else:
+                assert norm(z).hex() == abs(z).hex() == want.hex(), z
+
+    def test_overflowing_modulus_is_inf(self):
+        # the abs of a Python complex raises here; norm returns inf, as
+        # np.hypot does
+        for z in [complex(1.7e308, 1.7e308), complex(-1.3e308, 1.3e308)]:
+            with pytest.raises(OverflowError):
+                abs(z)
+            with np.errstate(over="ignore"):
+                assert norm(z) == float(np.hypot(z.real, z.imag)) == math.inf
 
 
 def _bits(z):

@@ -132,13 +132,22 @@ class TestDescentStep:
         assert step.zs == -1 + 0j
         assert step.after == 0.0
 
-    def test_sample_quadratic_at_origin(self):
+    def test_sample_quadratic_at_origin(self, monkeypatch):
         # s = 1 gives |1 - 1 - 3| = 3; one halving gives |1 - 1/2 - 3/4|
+        import dalembert.descent
+
+        calls = []
+        for name in ("evaluate", "evaluate_with_derivative"):
+            original = getattr(dalembert.descent, name)
+            monkeypatch.setattr(dalembert.descent, name,
+                                lambda p, z, _f=original, _n=name: calls.append((_n, z)) or _f(p, z))
         step = descent_step(QUAD, 0j)
         assert step.before == 1.0
         assert step.s == 0.5
         assert step.zs == 0.5j
         assert step.after == 0.25
+        # one (p, p') pair at z0 gives |p(z0)| and the step, then one per try
+        assert calls == [("evaluate_with_derivative", z) for z in (0j, 1j, 0.5j)]
 
     def test_scaling_relation(self):
         # ak * zs^k = -s up to rounding

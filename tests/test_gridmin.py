@@ -248,7 +248,7 @@ class TestGoldenOutputs:
             # through a Newton run
             (QUAD, SquareRegion(0.5 + 0.5j, 1.0), 1e-12, 100,
              ("0x1.000000002b040p-1", "0x1.0125209d60703p-1"),
-             "0x1.086fe02c307e4p+1", "0x1.05f675c562200p-7", 100, True,
+             "0x1.086fe02c307e4p+1", "0x1.05f675c562100p-7", 100, True,
              "8b331ff24b6a2574b69639709568a10871006f3699232c0aff33444ba8fa3b36"),
         ],
         ids=["quad", "deg8", "budget"],
@@ -500,13 +500,14 @@ class TestOnePointHorner:
     bit for bit, what the numpy wave of later waves computes over that one
     cell, whether numpy holds the cell in a 0-d or a 1-element array.
 
-    The equality these tests assert is partly a property of the installed
-    numpy and CPU, not of the library: it holds with numpy 2.4 on x86-64,
-    where numpy's one-element complex loop rounds like CPython's arithmetic
-    and numpy's scalar abs and np.hypot call C's hypot.  A failure on
-    another platform points there, and _first_wave must then be restricted
-    or removed on it.  The overflow cases pin that the scalar wave reports
-    an overflow with a RuntimeWarning, as numpy's loops do."""
+    Every |.| on both sides is C's hypot (norm, and np.hypot of the
+    parts), so the one property of the installed numpy and CPU that these
+    tests assert is that numpy's complex multiply in the Horner loop rounds
+    like CPython's on a 0-d or one-element array: it does with numpy 2.4 on
+    x86-64 (on longer arrays it can round otherwise).  A failure on another
+    platform points there, and _first_wave must then be restricted or
+    removed on it.  The overflow cases pin that the scalar wave reports an
+    overflow with a RuntimeWarning, as numpy's loops do."""
 
     POINTS = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
               -1.5 + 0j, complex(2.0, -0.0), 0.3 - 0.7j]
@@ -587,13 +588,15 @@ class TestOnePointHorner:
                              ids=["quad", "(z-1)^5", "random60"])
     def test_a_first_wave_stop_runs_no_numpy_loop(self, monkeypatch, p):
         # the seed search of find_root on these stops in its first wave,
-        # which then evaluates nothing with _horner or _cell_radius
+        # which then evaluates nothing with _horner or _cell_radius and
+        # takes no numpy absolute value
         import dalembert.gridmin
 
         calls = []
-        for name in ("_horner", "_cell_radius"):
-            original = getattr(dalembert.gridmin, name)
-            monkeypatch.setattr(dalembert.gridmin, name,
+        for module, name in [(dalembert.gridmin, "_horner"), (dalembert.gridmin, "_cell_radius"),
+                             (np, "abs"), (np, "hypot")]:
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
         square = growth_certificate(p).square
         cm = certified_min(p, square, 1e-10, 50_000)
@@ -617,7 +620,8 @@ def _numpy_wave(p, center, side, shape):
     cell at center, held in an array of the given shape, as hex strings."""
     coeffs = np.asarray(p, dtype=complex)
     cells = np.full(shape, center)
-    vals = np.abs(_numpy_horner(coeffs, cells))
+    h = _numpy_horner(coeffs, cells)
+    vals = np.hypot(h.real, h.imag)
     lower = vals - _numpy_horner(_derivative_norms(coeffs), _cell_radius(cells, side)) * (
         HALF_DIAGONAL * side)
     vals = np.where(np.isnan(vals), np.inf, vals)

@@ -72,14 +72,13 @@ class TestFindRoot:
     def test_seed_validity(self):
         # the evt seed lies inside the enclosure square and cannot beat p(0)
         # by more than its gap
-        from dalembert.solver import _solve_once
         from dalembert.polynomial import truncate
 
         rng = np.random.default_rng(42)
         for _ in range(25):
             p = truncate(random_poly(rng, int(rng.integers(1, 9))))
             square = growth_certificate(p).square
-            _, _, seed = _solve_once(p, 1e-10, 10000)
+            seed = find_all_roots(p).seed
             assert square.contains(seed.argmin)
             assert seed.value <= norm(evaluate(p, 0j)) + seed.gap + 1e-12
 
@@ -94,6 +93,21 @@ class TestSeed:
         assert report.seed == want
         # the first root is find_root's result, from the same one descent
         assert report.roots[0] == find_root(p)
+        # which starts from the seed's value, |p| at its argmin as norm
+        # computes it, handed on rather than evaluated again
+        seed = report.seed
+        assert find_root(p).trace[0].residual == seed.value == norm(evaluate(p, seed.argmin))
+
+    def test_find_root_evaluates_p_only_inside_the_search(self, monkeypatch):
+        import dalembert.solver
+
+        calls = []
+        original = dalembert.solver.evaluate
+        monkeypatch.setattr(dalembert.solver, "evaluate",
+                            lambda p, z: calls.append(z) or original(p, z))
+        for p in [QUAD, (1, 0, 1), (2 - 1j, 0.5, 0, -3j, 1), from_roots(1, range(1, 9))]:
+            assert find_root(p).converged
+        assert calls == []
 
     def test_one_certificate_and_one_seed_per_call(self, monkeypatch):
         import dalembert.growth
@@ -272,6 +286,15 @@ class TestAccuracy:
         assert _matched([r.root for r in report.roots], roots, 1.01 * every)
 
 
+# a seeded random degree-40 input, whose numpy.roots answer is checked
+# against mpmath.polyroots in TestDeflatedFactors
+RAND40 = random_poly(np.random.default_rng(40), 40)
+
+_ABSOLUTE_TOL = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="tol is absolute, so a tiny scale converges anywhere (ROADMAP item 3)")
+
+
 class TestDeflatedFactors:
     """Each later factor descends once, from the first search's live cell
     center where it is smallest; no other start is tried."""
@@ -296,14 +319,32 @@ class TestDeflatedFactors:
             # step stalls from a diagonal center; the descent's later Taylor
             # terms step off it, with no other start
             ((-1,) + (0,) * 7 + (1,), 1e-9),
+            (from_roots(1, range(1, 9)), 1e-8),
+            ((-1,) + (0,) * 63 + (1,), 1e-9),
+            (RAND40, 1e-9),
+            # every root is reported converged, yet one lies 1.0 (z^64 - 1)
+            # and 1.5 (random degree 8) away from every true root: the
+            # residual tol is absolute, so at this scale it holds far from
+            # any root
+            pytest.param(tuple(1e-150 * c for c in (-1,) + (0,) * 63 + (1,)), 1e-9,
+                         marks=_ABSOLUTE_TOL),
+            pytest.param(tuple(1e-150 * c for c in random_poly(np.random.default_rng(8), 8)),
+                         1e-9, marks=_ABSOLUTE_TOL),
         ],
-        ids=["z^20-1", "(z-1)^4", "cluster-3+3", "wilkinson-6", "z^8-1"],
+        ids=["z^20-1", "(z-1)^4", "cluster-3+3", "wilkinson-6", "z^8-1", "wilkinson-8",
+             "z^64-1", "random40", "z^64-1x1e-150", "random8x1e-150"],
     )
     def test_hard_families_match_numpy(self, p, radius):
         report = find_all_roots(p)
         want = np.roots(np.asarray(p, dtype=complex)[::-1])
         assert _matched([r.root for r in report.roots], list(want), radius)
         assert report.reconstruction_error <= 1e-8 * max_coeff_norm(p)
+
+    def test_numpy_oracle_agrees_with_mpmath_at_degree_40(self):
+        mpmath = pytest.importorskip("mpmath")
+        want = np.roots(np.asarray(RAND40, dtype=complex)[::-1])
+        oracle = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in RAND40[::-1]])
+        assert _matched([complex(z) for z in oracle], list(want), 1e-12)
 
     def test_each_factor_starts_at_its_smallest_live_cell(self, monkeypatch):
         import dalembert.solver
