@@ -241,25 +241,26 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
     _check_tol_max_iter(tol, max_iter)
     pt = _nonconstant(p)
     z = complex(z0)
-    return _descend(pt, _noise_floor(pt), z, norm(evaluate(pt, z)), tol, max_iter, keep_trace)
+    pair = evaluate_with_derivative(pt, z)
+    return _descend(pt, _noise_floor(pt), z, norm(pair[0]), tol, max_iter, keep_trace, pair)
 
 
 def _descend(pt: Poly, floor, z: complex, residual: float, tol: float, max_iter: int,
-             keep_trace: bool) -> RootResult:
-    """descend's loop from z, where |p| = residual, for a normalized
-    non-constant pt whose noise floor is floor = _noise_floor(pt), and for
-    checked tol and max_iter: a caller that descends on one polynomial many
-    times builds its floor once.  floor(z) is computed once per point; its
-    value serves the loop test, the step and the converged flag."""
+             keep_trace: bool, pair=None) -> RootResult:
+    """descend's loop from z, where |p| = residual and (p, p') = pair if
+    given, for a normalized non-constant pt whose noise floor is floor =
+    _noise_floor(pt), and checked tol and max_iter.  floor(z) is computed
+    once per point while residual > tol; below, the loop test and the
+    converged flag read max(tol, floor(z)) = tol whatever it is."""
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
-    steps, pair, bound = 0, None, floor(z)
+    steps, bound = 0, floor(z) if residual > tol else 0.0
     while math.isfinite(residual) and residual > max(tol, bound) and steps < max_iter:
         try:
             k, _ak, s, zs, _before, residual, pair = _step(pt, bound, z, residual, pair)
         except (StepStalled, AlreadyAtRoot):
             break
         z = z + zs
-        bound = floor(z)
+        bound = floor(z) if residual > tol else 0.0
         steps += 1
         if keep_trace:
             rows.append(TraceRow(steps, z, residual, s, k))

@@ -32,7 +32,7 @@ from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
 from .errors import DegenerateZeroPolynomial, NoRootExists
 from .gridmin import CertifiedMinimum, _horner, certified_min
 from .growth import GrowthCertificate, growth_certificate
-from .polynomial import Poly, deflate, evaluate, from_roots, truncate
+from .polynomial import Poly, deflate, evaluate, evaluate_with_derivative, from_roots, truncate
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
 
@@ -53,9 +53,11 @@ class SolveReport:
 
 def _solve_once(pt: Poly, tol: float, max_iter: int, floor):
     """Root of a normalized non-constant pt whose noise floor is floor, with
-    its certificates; the descent starts from the seed's argmin and value."""
+    its certificates; the descent starts from the seed's argmin and value.
+    The seed's gap target is max(tol, floor(0)), the lowest floor in the
+    square centred on 0: no computed |p| in it resolves a smaller gap."""
     cert = growth_certificate(pt)
-    seed = certified_min(pt, cert.square, tol, _SEED_BUDGET)
+    seed = certified_min(pt, cert.square, max(tol, floor(0j)), _SEED_BUDGET)
     return _descend(pt, floor, seed.argmin, seed.value, tol, max_iter, True), cert, seed
 
 
@@ -71,7 +73,8 @@ def _normalized_or_raise(p) -> Poly:
 def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     """One root of a non-constant polynomial, to residual |p(root)| <= tol
     or, where tol is below what evaluating p can resolve, to the rounding
-    floor gamma_2n * sum |a_i| |root|^i (see descend).
+    floor gamma_2n * sum |a_i| |root|^i (see descend).  Its seed search
+    stops at gap max(tol, gamma_2n * |a_0|), the floor at the square's center.
 
     A failure to converge within max_iter is reported on the result
     (converged=False, best point kept), not raised.
@@ -85,34 +88,34 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
 def _start(work: Poly, seed: CertifiedMinimum):
     """The live seed cell center where |work| is smallest and finite (ties:
     the first), or seed.argmin if no center gives a finite value, with
-    |work| there.  A single live cell needs no ranking: its center is used
-    as it is, evaluated once without numpy."""
+    (work, work') there.  A single live cell needs no ranking: its center
+    is used as it is, evaluated once without numpy."""
     if seed.cells.size == 1:
         z = complex(seed.cells[0])
-        value = norm(evaluate(work, z))
-        if math.isfinite(value):
-            return z, value
-        return seed.argmin, norm(evaluate(work, seed.argmin))
+        pair = evaluate_with_derivative(work, z)
+        if math.isfinite(norm(pair[0])):
+            return z, pair
+        return seed.argmin, evaluate_with_derivative(work, seed.argmin)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
         h = _horner(np.asarray(work, dtype=complex), seed.cells)
         vals = np.hypot(h.real, h.imag)
     finite = np.flatnonzero(np.isfinite(vals))
     z = complex(seed.cells[finite[np.argmin(vals[finite])]]) if finite.size else seed.argmin
-    return z, norm(evaluate(work, z))
+    return z, evaluate_with_derivative(work, z)
 
 
 def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     """All degree(p) roots: find_root's chain once, then synthetic division.
 
-    The first root is find_root's result, from its one descent on p.  Each
-    deflated factor descends once, from the seed's live cell center where
-    it is smallest; a k = 1 stall above the noise floor is left by the
-    descent's later Taylor terms, not by a retry from another center.  Each
-    later estimate is polished by descending on the original polynomial,
-    which undoes deflation drift.  A root whose descent on its factor (p
-    for the first) does not converge is reported with converged=False, and
-    so is every later one: the quotients after it come from deflating by a
-    point that is not a root of its factor.
+    The first root is find_root's result, from its seed search to gap
+    max(tol, gamma_2n * |a_0|) and one descent on p.  Each deflated factor
+    descends once, from the live cell center where it is smallest; a k = 1
+    stall above the noise floor is left by the descent's later Taylor
+    terms, not by a retry from another center.  Each later estimate is
+    polished by descending on the original polynomial, which undoes
+    deflation drift.  A root whose descent on its factor (p for the first)
+    does not converge is reported with converged=False, and so is every
+    later one, whose quotients come from deflating by a non-root.
     reconstruction_error is the largest coefficient-wise distance between
     a_n * prod (z - r_i) and the normalized input; it is reported, never
     raised.
@@ -129,11 +132,12 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
         if len(work) <= 1:
             break
         # only the root and the converged flag are read, so no trace is kept
-        z, value = _start(work, seed)
-        result = _descend(work, _noise_floor(work), z, value, tol, max_iter, False)
+        z, pair = _start(work, seed)
+        result = _descend(work, _noise_floor(work), z, norm(pair[0]), tol, max_iter, False, pair)
         failed = failed or not result.converged
         z = result.root
-        polished = _descend(pt, floor, z, norm(evaluate(pt, z)), tol, max_iter, True)
+        pair = evaluate_with_derivative(pt, z)
+        polished = _descend(pt, floor, z, norm(pair[0]), tol, max_iter, True, pair)
         roots.append(replace(polished, converged=False) if failed else polished)
     rebuilt = from_roots(pt[-1], [r.root for r in roots])
     error = max(norm(a - b) for a, b in zip(rebuilt, pt))

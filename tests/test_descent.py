@@ -462,6 +462,40 @@ class TestDescend:
                     steps += want.iterations
         assert steps > 1000
 
+    def test_start_is_evaluated_once(self, monkeypatch):
+        # one (p, p') pair at the start gives |p| there and the first step,
+        # then one pair per try: s = 1 at 1j, s = 1/2 at 0.5j, where the
+        # step ends
+        import dalembert.descent
+
+        calls = []
+        for name in ("evaluate", "evaluate_with_derivative"):
+            original = getattr(dalembert.descent, name)
+            monkeypatch.setattr(dalembert.descent, name,
+                                lambda p, z, _f=original, _n=name: calls.append((_n, z)) or _f(p, z))
+        result = descend(QUAD, 0, max_iter=1)
+        assert result.root == 0.5j
+        assert calls == [("evaluate_with_derivative", z) for z in (0j, 1j, 0.5j)]
+
+    def test_floor_is_computed_only_above_tol(self):
+        # the loop test and the converged flag read max(tol, floor(z)), so
+        # at or below tol the floor decides nothing and is not computed
+        rng = np.random.default_rng(49)
+        for p in [random_poly(rng, d) for d in (3, 8, 20)] + [from_roots(1, range(1, 7))]:
+            pt = truncate(p)
+            floor = _noise_floor(pt)
+            for z0, tol in ((2 + 1j, 1e-10), (0.5j, 1e-3), (1.5, 1e-12)):
+                seen = []
+                got = _descend(pt, lambda z: seen.append(z) or floor(z), z0,
+                               norm(evaluate(pt, z0)), tol, 200, True)
+                assert got == descend(p, z0, tol, 200)
+                assert seen == [row.point for row in got.trace if row.residual > tol]
+            # a start at or below tol computes no floor at all
+            seen = []
+            got = _descend(pt, lambda z: seen.append(z) or floor(z), got.root, got.residual,
+                           max(1.0, got.residual), 200, True)
+            assert got.converged and got.iterations == 0 and seen == []
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             descend(QUAD, 0j, tol=0.0)

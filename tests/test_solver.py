@@ -330,9 +330,10 @@ class TestDeflatedFactors:
                          marks=_ABSOLUTE_TOL),
             pytest.param(tuple(1e-150 * c for c in random_poly(np.random.default_rng(8), 8)),
                          1e-9, marks=_ABSOLUTE_TOL),
+            (tuple(1e150 * c for c in random_poly(np.random.default_rng(8), 8)), 1e-9),
         ],
         ids=["z^20-1", "(z-1)^4", "cluster-3+3", "wilkinson-6", "z^8-1", "wilkinson-8",
-             "z^64-1", "random40", "z^64-1x1e-150", "random8x1e-150"],
+             "z^64-1", "random40", "z^64-1x1e-150", "random8x1e-150", "random8x1e+150"],
     )
     def test_hard_families_match_numpy(self, p, radius):
         report = find_all_roots(p)
@@ -416,11 +417,11 @@ class TestDeflatedFactors:
 
         original = dalembert.solver._descend
 
-        def failing(q, floor, z0, residual, tol, max_iter, keep_trace):
+        def failing(q, floor, z0, residual, tol, max_iter, keep_trace, pair=None):
             # z^6 + i z^4 - z^2 - i, left once the first two roots are out,
             # takes no step from the one center and so does not converge
             return original(q, floor, z0, residual, tol, 0 if len(q) == 7 else max_iter,
-                            keep_trace)
+                            keep_trace, pair)
 
         monkeypatch.setattr(dalembert.solver, "_descend", failing)
         report = self._unity8_from(monkeypatch, [0.5 + 0.5j])
@@ -474,11 +475,29 @@ class TestDeflatedFactors:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_input_completes(self):
         # |p| overflows on most of the enclosure square; those cells bound
-        # nothing, so the search keeps them and stops on its budget with the
-        # trivial certificate [0, value]
+        # nothing, so the search keeps them with the trivial certificate
+        # [0, value], which is already below the rounding floor
+        # gamma_2n |a_0| at the center: it stops there, not on its budget
         p = tuple(1e300 * c for c in random_poly(np.random.default_rng(45), 8))
         report = find_all_roots(p)
         assert report.seed.cells.size > 0
-        assert report.seed.budget_exhausted
+        assert not report.seed.budget_exhausted
         assert report.seed.gap == report.seed.value
         assert len(report.roots) == 8
+        assert all(r.converged for r in report.roots)
+
+    @pytest.mark.parametrize("seed", [8, 45, 1, 2, 3])
+    def test_seed_search_stops_at_the_rounding_floor(self, seed):
+        # no computed |p| in the square resolves a gap below gamma_2n |a_0|,
+        # the floor at its center 0, so the search stops there long before
+        # its 50,000-evaluation budget, and the roots stay numpy's
+        p = tuple(1e150 * c for c in random_poly(np.random.default_rng(seed), 8))
+        u = 2.0**-53
+        gamma = 2 * 8 * u / (1 - 2 * 8 * u)
+        report = find_all_roots(p)
+        assert not report.seed.budget_exhausted
+        assert report.seed.evaluations <= 100
+        assert report.seed.gap <= max(1e-10, gamma * abs(p[0]))
+        want = np.roots(np.asarray(p, dtype=complex)[::-1])
+        assert all(r.converged for r in report.roots)
+        assert _matched([r.root for r in report.roots], list(want), 1e-9)
