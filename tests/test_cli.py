@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -287,6 +288,44 @@ class TestDeterminism:
         # 17 significant digits reproduce the doubles exactly
         _, again, _ = run_cli(capsys, QUAD_TEXT)
         assert json.loads(again)["root"] == [re_, im_]
+
+
+class TestReportBytes:
+    """Every report's exact stdout and exit code, pinned by sha256: the
+    output contract of each mode, JSON and CSV alike."""
+
+    @pytest.mark.parametrize(
+        "args, code, sha256",
+        [
+            (("--mode", "solve"), 0,
+             "3b045da8cef23c2c3076793842cdf5f06d736bda6e09e21881636c7577356091"),
+            (("--mode", "solve", "--trace"), 0,
+             "b8a6aaa2d98c17ac186186456bb037f0b551434984631aec0cd1497a279bfbbb"),
+            (("--mode", "solve-all"), 0,
+             "8de8f0100c0e8dc4de8a8947b4eb7d4eb06d9606d06599d99105c197803911ee"),
+            (("--mode", "bounds"), 0,
+             "50c9376495133abc401b7b3e93652e64814c658e88448c2e82e9ed75b1755bed"),
+            (("--mode", "evt", "--corner=-1.34,-1.34", "--side", "2.68"), 0,
+             "ed19e9d594c600af81f30c14f11646851bad47c6229e2332e076d2e4e7a825f8"),
+            (("--mode", "check"), 0,
+             "4766678a73db7022779b769c39cd1a46f8dea8dab78124103d598fe8ebad115d"),
+        ],
+        ids=["solve", "solve-trace", "solve-all", "bounds", "evt", "check"],
+    )
+    def test_json_reports(self, capsys, args, code, sha256):
+        got_code, out, _ = run_cli(capsys, *args, QUAD_TEXT)
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256, out
+
+    def test_csv_trace(self, capsys, center_seed):
+        code, out, _ = run_cli(capsys, "--format", "csv", "--max-iter", "2", RAMP41)
+        assert code == 2
+        assert out == (
+            "iter,re,im,residual,s,k\n"
+            "0,0,0,1,0,0\n"
+            "1,-0.5,0,0.44444444445707632,1,1\n"
+            "2,-0.87500000066071948,0,0.37728242860137917,0.5,1\n"
+        )
 
 
 class TestUsageErrors:
