@@ -38,7 +38,7 @@ from typing import Optional
 
 from .complexmath import norm, nth_root
 from .errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
-from .polynomial import Poly, evaluate, evaluate_with_derivative, max_coeff_norm, shift, truncate
+from .polynomial import Poly, evaluate_with_derivative, max_coeff_norm, shift, truncate
 
 __all__ = [
     "DescentStep",
@@ -141,8 +141,8 @@ def _step(pt: Poly, floor: float, z0: complex, before: float, pair=None) -> tupl
             if before <= floor:
                 raise
             stall = error
-    first = 1 if stall is None else 2
-    for k, c in enumerate(shift(pt, z0)[first:], first):
+    # shift(pt, z0)[1] is d bit for bit: either the term just tried or zero
+    for k, c in enumerate(shift(pt, z0)[2:], 2):
         ak = c / a0
         if ak != 0:
             try:

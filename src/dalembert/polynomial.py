@@ -128,10 +128,10 @@ def from_roots(lead: complex, roots: Iterable[complex]) -> Poly:
     """Expand lead * prod (z - r_i), convolving in one linear factor at a time."""
     out: Poly = (complex(lead),)
     for r in roots:
-        factor = (-complex(r), complex(1.0))
+        r = complex(r)
         acc = [0j] * (len(out) + 1)
         for i, a in enumerate(out):
-            for j, b in enumerate(factor):
-                acc[i + j] += a * b
+            acc[i] -= a * r
+            acc[i + 1] += a
         out = tuple(acc)
     return out

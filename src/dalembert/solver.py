@@ -32,7 +32,7 @@ from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
 from .errors import DegenerateZeroPolynomial, NoRootExists
 from .gridmin import CertifiedMinimum, _horner, certified_min
 from .growth import GrowthCertificate, growth_certificate
-from .polynomial import Poly, deflate, evaluate, evaluate_with_derivative, from_roots, truncate
+from .polynomial import Poly, deflate, evaluate_with_derivative, from_roots, truncate
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
 

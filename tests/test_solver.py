@@ -101,9 +101,11 @@ class TestSeed:
     def test_find_root_evaluates_p_only_inside_the_search(self, monkeypatch):
         import dalembert.solver
 
+        # p is evaluated by the seed search and the descent, not the solver
+        assert not hasattr(dalembert.solver, "evaluate")
         calls = []
-        original = dalembert.solver.evaluate
-        monkeypatch.setattr(dalembert.solver, "evaluate",
+        original = dalembert.solver.evaluate_with_derivative
+        monkeypatch.setattr(dalembert.solver, "evaluate_with_derivative",
                             lambda p, z: calls.append(z) or original(p, z))
         for p in [QUAD, (1, 0, 1), (2 - 1j, 0.5, 0, -3j, 1), from_roots(1, range(1, 9))]:
             assert find_root(p).converged
