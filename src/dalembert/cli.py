@@ -17,8 +17,8 @@ from .checks import run_lemma_checks
 from .complexmath import format_complex, parse_complex
 from .descent import RootResult
 from .errors import EmptyPolynomial, ParseError
-from .gridmin import CertifiedMinimum, SquareRegion, certified_min
-from .growth import GrowthCertificate, growth_certificate
+from .gridmin import SquareRegion, certified_min
+from .growth import growth_certificate
 from .polynomial import Poly
 from .solver import find_all_roots, find_root
 
@@ -72,11 +72,12 @@ def serialize_polynomial(p) -> str:
     return " ".join(format_complex(c) for c in p)
 
 
-def _float_repr(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _to_json(value, level: int = 0) -> str:
+    """Indented JSON: floats (tested first) to 17 digits, a complex as [re, im]."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
     pad = "  " * level
     if isinstance(value, dict):
         if not value:
@@ -90,7 +91,7 @@ def _to_json(value, level: int = 0) -> str:
         if not value:
             return "[]"
         parts = [_to_json(v, level + 1) for v in value]
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in value)
+        flat = all(not isinstance(v, (dict, list, tuple, complex)) for v in value)
         if flat and sum(len(s) for s in parts) < 72:
             return "[" + ", ".join(parts) + "]"
         return (
@@ -102,8 +103,6 @@ def _to_json(value, level: int = 0) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return _float_repr(value)
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -111,102 +110,77 @@ def _to_json(value, level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
+# The report keys of each result, in output order.  Named rather than taken
+# from the dataclass, so that a new field does not change the output.
+_ROOT_FIELDS = ("root", "residual", "iterations", "converged")
+_MINIMUM_FIELDS = ("argmin", "value", "gap", "evaluations", "budget_exhausted")
+_GROWTH_FIELDS = ("threshold_radius", "enclosure_radius", "lead_norm", "sub_max", "degree")
 
 
-def _root_json(result: RootResult, include_trace: bool) -> dict:
-    out = {
-        "root": _pair(result.root),
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
+def _fields(obj, names: tuple[str, ...]) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _trace_rows(result: RootResult) -> list[list]:
+    """The trace as iter, re, im, residual, s, k rows, for JSON and CSV."""
+    return [
+        [row.iteration, row.point.real, row.point.imag, row.residual, row.s, row.k]
+        for row in result.trace or ()
+    ]
+
+
+def _root_report(result: RootResult, include_trace: bool) -> dict:
+    out = _fields(result, _ROOT_FIELDS)
     if include_trace and result.trace is not None:
-        out["trace"] = [
-            [row.iteration, row.point.real, row.point.imag, row.residual, row.s, row.k]
-            for row in result.trace
-        ]
+        out["trace"] = _trace_rows(result)
     return out
 
 
-def _certificate_json(cert: GrowthCertificate) -> dict:
-    return {
-        "threshold_radius": cert.threshold_radius,
-        "enclosure_radius": cert.enclosure_radius,
-        "lead_norm": cert.lead_norm,
-        "sub_max": cert.sub_max,
-        "degree": cert.degree,
-    }
-
-
-def _minimum_json(cm: CertifiedMinimum) -> dict:
-    return {
-        "argmin": _pair(cm.argmin),
-        "value": cm.value,
-        "gap": cm.gap,
-        "evaluations": cm.evaluations,
-        "budget_exhausted": cm.budget_exhausted,
-    }
-
-
-def _trace_csv(result: RootResult) -> str:
-    lines = ["iter,re,im,residual,s,k"]
-    for row in result.trace or ():
-        lines.append(
-            f"{row.iteration},{_float_repr(row.point.real)},{_float_repr(row.point.imag)},"
-            f"{_float_repr(row.residual)},{_float_repr(row.s)},{row.k}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _run_solve(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
+def _run_solve(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
     result = find_root(poly, args.tol, args.max_iter)
     code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     if args.output_format == "csv":
-        return code, _trace_csv(result)
-    return code, _to_json(_root_json(result, args.trace)) + "\n"
+        rows = [",".join(map(_to_json, row)) for row in _trace_rows(result)]
+        return code, "\n".join(["iter,re,im,residual,s,k", *rows]) + "\n"
+    return code, _root_report(result, args.trace)
 
 
-def _run_solve_all(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
+def _run_solve_all(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
     report = find_all_roots(poly, args.tol, args.max_iter)
-    out = {
-        "roots": [_root_json(r, args.trace) for r in report.roots],
-        "reconstruction_error": report.reconstruction_error,
-        "enclosure": _certificate_json(report.enclosure),
-        "seed": _minimum_json(report.seed),
-    }
     code = EXIT_OK if all(r.converged for r in report.roots) else EXIT_NOT_CONVERGED
-    return code, _to_json(out) + "\n"
+    return code, {
+        "roots": [_root_report(r, args.trace) for r in report.roots],
+        "reconstruction_error": report.reconstruction_error,
+        "enclosure": _fields(report.enclosure, _GROWTH_FIELDS),
+        "seed": _fields(report.seed, _MINIMUM_FIELDS),
+    }
 
 
-def _run_evt(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
+def _run_evt(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
     if args.corner is None or args.side is None:
         raise ValueError("evt mode needs --corner re,im and --side s")
     region = SquareRegion(args.corner, args.side)
     cm = certified_min(poly, region, args.epsilon, args.budget)
     code = EXIT_NOT_CONVERGED if cm.budget_exhausted else EXIT_OK
-    return code, _to_json(_minimum_json(cm)) + "\n"
+    return code, _fields(cm, _MINIMUM_FIELDS)
 
 
-def _run_bounds(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
-    cert = growth_certificate(poly)
-    return EXIT_OK, _to_json({"enclosure": _certificate_json(cert)}) + "\n"
+def _run_bounds(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
+    return EXIT_OK, {"enclosure": _fields(growth_certificate(poly), _GROWTH_FIELDS)}
 
 
-def _run_check(args: argparse.Namespace, poly: Poly) -> tuple[int, str]:
+def _run_check(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
     reports = run_lemma_checks(poly, samples=1000, seed=args.seed)
-    out = {
+    passed = all(r.passed for r in reports)
+    return EXIT_OK if passed else EXIT_ERROR, {
         "seed": args.seed,
         "samples": 1000,
         "lemmas": [
             {"name": r.name, "samples": r.samples, "failures": r.failures, "pass": r.passed}
             for r in reports
         ],
-        "pass": all(r.passed for r in reports),
+        "pass": passed,
     }
-    code = EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR
-    return code, _to_json(out) + "\n"
 
 
 _MODES = {
@@ -278,11 +252,11 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         _validate(args)
-        code, text = _MODES[args.mode](args, _load_polynomial(args))
+        code, report = _MODES[args.mode](args, _load_polynomial(args))
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    sys.stdout.write(text)
+    sys.stdout.write(report if isinstance(report, str) else _to_json(report) + "\n")
     return code
 
 

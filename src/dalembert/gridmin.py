@@ -19,8 +19,8 @@ one cell does, bit for bit, where numpy's complex multiply rounds like
 CPython's (numpy 2.4 on x86-64).  It treats a NaN value and a non-finite
 lower bound as that loop does, and reports an overflow with a
 RuntimeWarning, as numpy's loops do.  The incumbent update uses a fixed
-first-minimum tie-break, so results are identical to evaluating cell by
-cell.
+first-minimum tie-break, as a cell-by-cell loop would; a numpy wave of three
+or more cells can still round |p| unlike the scalar evaluate in the last bits.
 |p| is never below 0, so the gap is value - max(0, lowest lower bound):
 near a root the lower bounds go negative and the gap is simply the value.
 Each wave also tries the descent's damped Newton step from the incumbent,
