@@ -121,8 +121,8 @@ def _nonconstant(p) -> Poly:
 def _step(pt: Poly, floor: float, z0: complex, before: float, pair=None) -> tuple:
     """descent_step's fields (k, ak, s, zs, before, after) and the pair
     (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt
-    whose noise floor at z0 is floor = _noise_floor(pt)(z0), given
-    before = |p(z0)| and, if known, the pair (p(z0), p'(z0))."""
+    whose noise floor at z0 is floor, given before = |p(z0)| and, if
+    known, the pair (p(z0), p'(z0))."""
     a0, d = pair if pair is not None else evaluate_with_derivative(pt, z0)
     if a0 == 0:
         # cancellation made p(z0) exactly zero
@@ -197,16 +197,21 @@ def descent_step(p, z0: complex) -> DescentStep:
         raise AlreadyAtRoot(f"p({z0}) = 0 already")
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
-    return DescentStep(*_step(pt, _noise_floor(pt)(z0), z0, before, pair)[:6])
+    return DescentStep(*_step(pt, _noise_floor(list(map(norm, pt)))(z0), z0, before, pair)[:6])
 
 
-def _noise_floor(pt: Poly):
-    """z -> gamma_2n * sum |a_i| |z|^i, the rounding bound of Horner's rule at z."""
-    k = 2 * (len(pt) - 1) * _UNIT_ROUNDOFF
+def _noise_floor(norms: list):
+    """z -> gamma_2n * sum |a_i| |z|^i, the rounding bound of Horner's rule
+    at z, from norms = [|a_0|, ..., |a_n|]; at z = 0 it is read off as the
+    loop leaves it: gamma_2n |a_0|, or NaN if a later |a_i| is not finite."""
+    k = 2 * (len(norms) - 1) * _UNIT_ROUNDOFF
     gamma = k / (1.0 - k)
-    absc = [norm(c) for c in reversed(pt)]
+    absc = norms[::-1]
+    origin = gamma * (norms[0] if all(map(math.isfinite, norms[1:])) else math.nan)
 
     def at(z: complex) -> float:
+        if z == 0:
+            return origin
         # a bound in real arithmetic, not an evaluation of p
         r, acc = norm(z), 0.0
         for c in absc:
@@ -242,14 +247,15 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
     pt = _nonconstant(p)
     z = complex(z0)
     pair = evaluate_with_derivative(pt, z)
-    return _descend(pt, _noise_floor(pt), z, norm(pair[0]), tol, max_iter, keep_trace, pair)
+    floor = _noise_floor(list(map(norm, pt)))
+    return _descend(pt, floor, z, norm(pair[0]), tol, max_iter, keep_trace, pair)
 
 
 def _descend(pt: Poly, floor, z: complex, residual: float, tol: float, max_iter: int,
              keep_trace: bool, pair=None) -> RootResult:
     """descend's loop from z, where |p| = residual and (p, p') = pair if
-    given, for a normalized non-constant pt whose noise floor is floor =
-    _noise_floor(pt), and checked tol and max_iter.  floor(z) is computed
+    given, for a normalized non-constant pt whose noise floor is floor (see
+    _noise_floor), and checked tol and max_iter.  floor(z) is computed
     once per point while residual > tol; below, the loop test and the
     converged flag read max(tol, floor(z)) = tol whatever it is."""
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None

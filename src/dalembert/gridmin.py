@@ -1,44 +1,36 @@
 """Certified minimization of |p(z)| over axis-aligned squares.
 
 A CertifiedMinimum pairs the best evaluated point with a proven optimality
-gap: the true minimum over the region is guaranteed to lie in
-[value - gap, value].  The guarantee comes from an explicit Lipschitz
-constant for |p| on the region, so it needs nothing beyond the coefficients.
+gap: the true minimum over the region lies in [value - gap, value].  The
+guarantee comes from an explicit Lipschitz constant for |p| on the region,
+so it needs nothing beyond the coefficients.
 
 certified_min runs a breadth-first branch-and-bound over subsquares: a
 cell's lower bound is |p| at its center minus the Lipschitz constant on its
 enclosing disk times its half diagonal, and cells whose lower bound cannot
-beat the incumbent are pruned.  Each wave splits every live cell, so all
-live cells share one side; a wave after the first is one complex array
-of their centers, evaluated at once.  The first wave, the region's center
-alone, runs in scalar Python arithmetic with no numpy call.  Most searches
-stop there, where numpy's per-call cost on one-element arrays would be
-about a quarter of a find_root call.  Every |p| is norm (np.hypot of the
-parts in the numpy waves), so the scalar wave rounds as numpy's loop over
-one cell does, bit for bit, where numpy's complex multiply rounds like
-CPython's (numpy 2.4 on x86-64).  It treats a NaN value and a non-finite
-lower bound as that loop does, and reports an overflow with a
-RuntimeWarning, as numpy's loops do.  The incumbent update uses a fixed
-first-minimum tie-break, as a cell-by-cell loop would; a numpy wave of three
-or more cells can still round |p| unlike the scalar evaluate in the last bits.
-|p| is never below 0, so the gap is value - max(0, lowest lower bound):
-near a root the lower bounds go negative and the gap is simply the value.
-Each wave also tries the descent's damped Newton step from the incumbent,
-z - s p(z)/p'(z) for s = 1, 1/2, 1/4, ... until |p| strictly drops, and
-repeats it from each point it keeps until a step finds no drop; each try is
-one Horner loop for p and p', so a kept try starts the next step.  That
-drives the value below epsilon far faster than bisection alone, also at a
-multiple root, where each Newton step gains only a constant factor.  Unlike
-the descent's, this halving does not stop at the noise floor: the search's
-value and gap need the decreases it finds below it.  Once the value is at
-most epsilon, so is the gap, and the run tries only full steps (s = 1),
-ending at the first that does not lower |p|: a halved try could only push
-the value further below epsilon, and near the rounding floor most such tries
-find nothing.
-A NaN value never becomes the incumbent, and a cell whose lower bound is
-not finite (Horner overflow) is never pruned.
-The result keeps the centers of the cells still live at the stop; a sound
-search never prunes a cell that holds a global minimizer, such as a root.
+beat the incumbent are pruned.  |p| is never below 0, so the gap is
+value - max(0, lowest lower bound).  Each wave splits every live cell, so a
+wave after the first is one complex array of centers of one side, evaluated
+at once.  The first wave, the region's center alone, runs in scalar Python
+arithmetic with no numpy call; most searches stop there.  Every |p| is norm
+(np.hypot of the parts in the numpy waves), so the scalar wave rounds as
+numpy's loop over one cell does, bit for bit, where numpy's complex
+multiply rounds like CPython's (numpy 2.4 on x86-64); a numpy wave of three
+or more cells can still round |p| unlike the scalar loop in the last bits.
+Both report an overflow with a RuntimeWarning.  A NaN value never becomes
+the incumbent, and a cell whose lower bound is not finite is never pruned.
+Each wave also tries the descent's damped Newton steps from the incumbent
+(see _damped_newton), which drive the value below epsilon far faster than
+bisection alone.  The result keeps the centers of the cells still live at
+the stop; a sound search never prunes a cell that holds a global minimizer.
+
+certified_min takes the norms |a_i| once, for every Lipschitz bound, and
+hands them to _search, the search itself, which works on plain values and
+returns CertifiedMinimum's fields as a tuple.  The solver calls _search
+directly with the polynomial and norms it prepared and its enclosure
+square's corner and side, and builds a CertifiedMinimum (whose cells become
+a numpy array) only for find_all_roots' report.  At a center of 0, as in
+every enclosure square, the first wave reads (p, p') as (a_0, a_1).
 """
 
 from __future__ import annotations
@@ -103,8 +95,8 @@ class CertifiedMinimum:
     The true minimum over the searched region lies in [value - gap, value].
     budget_exhausted marks a branch-and-bound run that stopped on its cell
     budget before reaching the requested gap; the reported gap is still valid.
-    cells (read-only, not in ==, hash or repr) holds the centers of the
-    cells still live when the search stopped.
+    cells (a read-only complex array, not in ==, hash or repr) holds the
+    centers of the cells still live when the search stopped.
     """
 
     argmin: complex
@@ -112,13 +104,13 @@ class CertifiedMinimum:
     gap: float
     evaluations: int
     budget_exhausted: bool = False
-    cells: np.ndarray = field(default_factory=lambda: _frozen(np.empty(0, complex)),
+    cells: np.ndarray = field(default_factory=lambda: np.empty(0, complex),
                               compare=False, repr=False)
 
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    def __post_init__(self):
+        cells = np.array(self.cells, complex)  # a copy: a caller's array stays writable
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
 
 
 def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -131,32 +123,32 @@ def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _derivative_norms(coeffs: Poly) -> np.ndarray:
-    """i |a_i| for i >= 1.
+def _derivative_norms(norms: list) -> np.ndarray:
+    """i |a_i| for i >= 1, from norms = [|a_0|, ..., |a_n|].
 
     _horner of these at r is sum i |a_i| r^(i-1), which dominates |p'| on
     the disk of radius r: a Lipschitz constant for |p| on that disk.
     """
-    return np.array([i * norm(coeffs[i]) for i in range(1, len(coeffs))], dtype=float)
+    return np.array([i * norms[i] for i in range(1, len(norms))], dtype=float)
 
 
-def _cell_lipschitz(coeffs: Poly, center: complex, side: float) -> float:
-    """_horner(_derivative_norms(coeffs), _cell_radius(center, side)) for
+def _cell_lipschitz(norms: list, center: complex, side: float) -> float:
+    """_horner(_derivative_norms(norms), _cell_radius(center, side)) for
     one cell, as a Python scalar loop, or inf where a step overflows.
 
     Every operation is one numpy's loops take too, in the same order: the
-    abs of a Python complex is norm, C's hypot, as in _derivative_norms and
+    abs of a Python complex is norm, C's hypot, as in the norms and
     np.hypot in _cell_radius; float products and sums round alike.  So the
     bound is theirs bit for bit.
     """
     half = side / 2.0
     try:
         r = abs(complex(abs(center.real) + half, abs(center.imag) + half))
-        acc = 0.0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = acc * r + i * abs(coeffs[i])
     except OverflowError:
         return math.inf
+    acc = 0.0
+    for i in range(len(norms) - 1, 0, -1):
+        acc = acc * r + i * norms[i]
     return acc
 
 
@@ -167,7 +159,7 @@ def lipschitz_bound(p, region: SquareRegion) -> float:
     sum over i >= 1 of i |a_i| R^(i-1), with R the largest |z| over the
     square; inf where that overflows.
     """
-    return _cell_lipschitz(as_poly(p), region.center, region.side)
+    return _cell_lipschitz(list(map(norm, as_poly(p))), region.center, region.side)
 
 
 def certified_min(
@@ -196,22 +188,33 @@ def certified_min(
     if isinstance(budget, bool) or not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     scalar = as_poly(p)
-    center, side = region.center, region.side
-    pair, value, lower = _first_wave(scalar, center, side)
+    found = _search(scalar, list(map(norm, scalar)), region.corner, region.side, epsilon, budget)
+    return CertifiedMinimum(*found)
+
+
+def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: float,
+            budget: int) -> tuple:
+    """certified_min over a valid square of this corner and side, given p's
+    norms [|a_0|, ..., |a_n|]: CertifiedMinimum's fields as a plain tuple,
+    with the live cells as a tuple after a first-wave stop."""
+    x0, y0 = corner.real, corner.imag
+    box = (x0, y0, x0 + side, y0 + side)
+    center = complex(x0 + side / 2.0, y0 + side / 2.0)
+    pair, value, lower = _first_wave(coeffs, norms, center, side)
     best_pt, best_val, evaluations = _damped_newton(
-        scalar, region, center, value, pair, 1, budget, epsilon)
+        coeffs, box, center, value, pair, 1, budget, epsilon)
     live = lower < best_val
     gap = best_val - max(0.0, lower) if live else 0.0
     if not live or gap <= epsilon or evaluations + 4 > budget:
-        return CertifiedMinimum(best_pt, best_val, gap, evaluations, live and gap > epsilon,
-                                _frozen(np.array([center] if live else [], complex)))
+        return (best_pt, best_val, gap, evaluations, live and gap > epsilon,
+                (center,) if live else ())
     cells, side = center + _CHILD * (side / 4.0), side / 2.0
-    coeffs = np.asarray(scalar, dtype=complex)
-    dnorm = _derivative_norms(scalar)
+    coeff_array = np.asarray(coeffs, dtype=complex)
+    dnorm = _derivative_norms(norms)
     budget_exhausted = False
     # one wave: the centers of its cells, which all have the same side
     while True:
-        h = _horner(coeffs, cells)
+        h = _horner(coeff_array, cells)
         vals = np.hypot(h.real, h.imag)  # norm of each cell's value
         lower = vals - _horner(dnorm, _cell_radius(cells, side)) * (HALF_DIAGONAL * side)
         # a NaN value never wins, and a non-finite lower bound bounds nothing
@@ -223,7 +226,7 @@ def certified_min(
             best_val, best_pt = float(vals[i]), complex(cells[i])
         evaluations += vals.size
         best_pt, best_val, evaluations = _damped_newton(
-            scalar, region, best_pt, best_val, evaluate_with_derivative(scalar, best_pt),
+            coeffs, box, best_pt, best_val, evaluate_with_derivative(coeffs, best_pt),
             evaluations, budget, epsilon)
         keep = lower < best_val
         cells, lower = cells[keep], lower[keep]
@@ -236,28 +239,36 @@ def certified_min(
             break
         cells = (cells[:, None] + _CHILD * (side / 4.0)).ravel()
         side /= 2.0
-    return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted, _frozen(cells))
+    return best_pt, best_val, gap, evaluations, budget_exhausted, cells
 
 
-def _first_wave(coeffs: Poly, center: complex, side: float):
+def _pair_at(coeffs: Poly, norms: list, z: complex) -> tuple:
+    """evaluate_with_derivative(coeffs, z) up to the signs of zero parts: at
+    z = 0 that is (a_0, a_1) unless a non-finite |a_i|, i >= 1, makes NaN."""
+    if z == 0 and len(coeffs) > 1 and all(map(math.isfinite, norms[1:])):
+        return coeffs[0], coeffs[1]
+    return evaluate_with_derivative(coeffs, z)
+
+
+def _first_wave(coeffs: Poly, norms: list, center: complex, side: float):
     """The first wave, the one cell of this center and side, in scalar
     arithmetic: (p, p') at the center, |p| = norm(p) there and the cell's
-    lower bound, the last two bit for bit as the numpy loop in certified_min
+    lower bound, the last two bit for bit as the numpy loop in _search
     computes them.  As in that loop, a NaN value is inf and a lower bound
     that is not finite is -inf.  Where p or the bound overflows a
     RuntimeWarning reports it, until stop reasons on the result can.
     """
-    pair = evaluate_with_derivative(coeffs, center)
-    reach = _cell_lipschitz(coeffs, center, side) * (HALF_DIAGONAL * side)
+    pair = _pair_at(coeffs, norms, center)
+    reach = _cell_lipschitz(norms, center, side) * (HALF_DIAGONAL * side)
     if not (cmath.isfinite(pair[0]) and math.isfinite(reach)):
         warnings.warn(f"overflow in |p| or its Lipschitz bound at {center}", RuntimeWarning,
-                      stacklevel=3)
+                      stacklevel=4)
     value = math.inf if cmath.isnan(pair[0]) else norm(pair[0])
     lower = value - reach
     return pair, value, lower if math.isfinite(lower) else -math.inf
 
 
-def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float, pair: tuple,
+def _damped_newton(coeffs: Poly, box: tuple, z: complex, value: float, pair: tuple,
                    evaluations: int, budget: int, epsilon: float):
     """The descent's damped steps from the incumbent z: z - s p(z)/p'(z) for
     s = 1, 1/2, 1/4, ... until |p| strictly drops below value or the try
@@ -265,16 +276,16 @@ def _damped_newton(coeffs: Poly, region: SquareRegion, z: complex, value: float,
     no drop.  Once value <= epsilon only the full step s = 1 is tried: the
     gap is already closed, so a halved try could only push the value
     further below epsilon, and a full step that does not strictly lower |p|
-    ends the run.
+    ends the run.  Unlike the descent's, the halving does not stop at the
+    noise floor: the value and gap need the decreases found below it.
 
-    pair is (p(z), p'(z)).  A try inside the region costs one evaluation,
-    which gives p and p' there; one outside it is halved for free.  Returns
-    the (point, value, evaluations) the search goes on with, z and value
-    themselves when no try beats them.
+    box is the region's (x0, y0, x1, y1) and pair is (p(z), p'(z)).  A try
+    inside the region costs one evaluation, which gives p and p' there; one
+    outside it is halved for free.  Returns the (point, value, evaluations)
+    the search goes on with, z and value themselves when no try beats them.
     """
+    x0, y0, x1, y1 = box
     # looked up once, not once per try
-    x0, y0 = region.corner.real, region.corner.imag
-    x1, y1 = x0 + region.side, y0 + region.side
     ewd, isfinite = evaluate_with_derivative, cmath.isfinite
     val, der = pair
     while True:

@@ -14,7 +14,9 @@ max(1, 2 A n / |a_n|), A = max_{i<n} |a_i|, and max(1, 3 F) with
 F = max_{i<n} (|a_i| / |a_n|)^(1/(n-i)), Fujiwara's root bound (Tohoku
 Math. J. 10, 1916) scaled to the sandwich's factor 1/2.  So the square is
 never larger than the paper's, and on wide coefficient ranges, such as
-Wilkinson's polynomials, it is many times smaller.
+Wilkinson's polynomials, it is many times smaller.  Both radii need only the
+norms |a_i|: growth_certificate takes them and builds the certificate, while
+the solver hands its own norms to _radii and builds one only for its report.
 """
 
 from __future__ import annotations
@@ -85,14 +87,18 @@ def growth_certificate(p) -> GrowthCertificate:
     q = truncate(p)
     if len(q) < 2:
         raise NotApplicableToConstant("growth bounds require a non-constant polynomial")
-    n = len(q) - 1
-    # one pass over the norms: |a_0| .. |a_(n-1)| and |a_n|
-    *norms, lead = map(norm, q)
-    sub = max(norms)
-    fujiwara = max((a / lead) ** (1.0 / (n - i)) for i, a in enumerate(norms))
+    return GrowthCertificate(*_radii(list(map(norm, q))))
+
+
+def _radii(norms: list) -> tuple:
+    """GrowthCertificate's fields from the norms |a_0| .. |a_n|, n >= 1."""
+    *tail, lead = norms
+    n = len(tail)
+    sub = max(tail)
+    fujiwara = max((a / lead) ** (1.0 / (n - i)) for i, a in enumerate(tail))
     threshold = min(max(1.0, 2.0 * sub * n / lead), max(1.0, 3.0 * fujiwara))
-    enclosure = max(threshold, (2.0 * norms[0] / lead) ** (1.0 / n))
-    return GrowthCertificate(threshold, enclosure, lead, sub, n)
+    enclosure = max(threshold, (2.0 * tail[0] / lead) ** (1.0 / n))
+    return threshold, enclosure, lead, sub, n
 
 
 def check_bounds(p, z: complex, cert: GrowthCertificate) -> tuple[float, float, float]:

@@ -2,22 +2,23 @@
 
 find_root chains the three guarantees: the growth certificate confines every
 global minimizer of |p| to an explicit square, branch-and-bound produces a
-seed point whose value is provably near the global minimum, and the descent
-walks strictly downhill from the seed, whose value is |p| there as norm
-computes it, until the residual meets the tolerance or the rounding floor
-of evaluating p.  find_all_roots takes that chain's root as the first,
-deflates by synthetic division and polishes every later root against the
-original polynomial.  Every root is a global minimizer of |p|, so the cells
-that one branch-and-bound leaves live surround every root: each deflated
-factor descends once, from the live cell center where it is smallest (see
-_start), with no search of its own.  No other start is tried: where the
-descent's k = 1 step stalls above the noise floor, the descent itself tries
-every later Taylor term (see descent).
-The descent stops at the noise floor gamma_2n * sum |a_i| |z|^i of its
-polynomial, whose norms find_all_roots builds once per polynomial: one
-floor for p serves the first descent and all n - 1 polishes, and each
-deflated factor builds its own.  tol and max_iter are checked once, at the
-public call.
+seed whose value is provably near the global minimum, and the descent walks
+strictly downhill from the seed's point and value until the residual meets
+the tolerance or the rounding floor of evaluating p.  find_all_roots takes
+that chain's root as the first, deflates by synthetic division and polishes
+every later root against the original polynomial.  Every root is a global
+minimizer of |p|, so the cells that one branch-and-bound leaves live
+surround every root: each deflated factor descends once, from the live cell
+center where it is smallest (see _start), with no search of its own.
+
+Each public call checks tol and max_iter, normalizes p and takes the norms
+|a_i| once (_solve_once).  Those norms give the growth radii (growth._radii),
+the noise floor gamma_2n * sum |a_i| |z|^i with its value gamma_2n |a_0| at
+the origin, and the first wave's Lipschitz bound (gridmin._search); one
+floor serves the first descent and all n - 1 polishes, and each deflated
+factor takes its own norms once.  The stages pass plain values: a
+GrowthCertificate and a CertifiedMinimum are built only for
+find_all_roots' report.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 from .complexmath import norm
 from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
 from .errors import DegenerateZeroPolynomial, NoRootExists
-from .gridmin import CertifiedMinimum, _horner, certified_min
-from .growth import GrowthCertificate, growth_certificate
+from .gridmin import CertifiedMinimum, _horner, _pair_at, _search
+from .growth import GrowthCertificate, _radii
 from .polynomial import Poly, deflate, evaluate_with_derivative, from_roots, truncate
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
@@ -51,23 +52,26 @@ class SolveReport:
     seed: CertifiedMinimum
 
 
-def _solve_once(pt: Poly, tol: float, max_iter: int, floor):
-    """Root of a normalized non-constant pt whose noise floor is floor, with
-    its certificates; the descent starts from the seed's argmin and value.
-    The seed's gap target is max(tol, floor(0)), the lowest floor in the
-    square centred on 0: no computed |p| in it resolves a smaller gap."""
-    cert = growth_certificate(pt)
-    seed = certified_min(pt, cert.square, max(tol, floor(0j)), _SEED_BUDGET)
-    return _descend(pt, floor, seed.argmin, seed.value, tol, max_iter, True), cert, seed
-
-
-def _normalized_or_raise(p) -> Poly:
+def _solve_once(p, tol: float, max_iter: int):
+    """find_root's chain on p, with p normalized and its norms taken once:
+    the root's result, the normalized pt, its noise floor, and the fields
+    of the growth certificate and of the seed as plain tuples.  The seed's
+    gap target is max(tol, floor(0)), the lowest floor in the square
+    centred on 0: no computed |p| in it resolves a smaller gap."""
+    _check_tol_max_iter(tol, max_iter)
     pt = truncate(p)
     if not pt:
         raise DegenerateZeroPolynomial("every point is a root of the zero polynomial")
     if len(pt) == 1:
         raise NoRootExists("no root exists for a nonzero constant polynomial")
-    return pt
+    norms = list(map(norm, pt))
+    floor, growth = _noise_floor(norms), _radii(norms)
+    r = growth[1]
+    if not math.isfinite(2.0 * r):
+        raise OverflowError(f"the enclosure radius {r} is too large: the square "
+                            "[-R, R]^2 is not representable in floating point")
+    seed = _search(pt, norms, complex(-r, -r), 2.0 * r, max(tol, floor(0j)), _SEED_BUDGET)
+    return _descend(pt, floor, seed[0], seed[1], tol, max_iter, True), pt, floor, growth, seed
 
 
 def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
@@ -77,30 +81,27 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     stops at gap max(tol, gamma_2n * |a_0|), the floor at the square's center.
 
     A failure to converge within max_iter is reported on the result
-    (converged=False, best point kept), not raised.
+    (converged=False, best point kept), not raised.  OverflowError is raised
+    where the enclosure square [-R, R]^2 overflows.
     """
-    _check_tol_max_iter(tol, max_iter)
-    pt = _normalized_or_raise(p)
-    result, _, _ = _solve_once(pt, tol, max_iter, _noise_floor(pt))
-    return result
+    return _solve_once(p, tol, max_iter)[0]
 
 
-def _start(work: Poly, seed: CertifiedMinimum):
-    """The live seed cell center where |work| is smallest and finite (ties:
-    the first), or seed.argmin if no center gives a finite value, with
-    (work, work') there.  A single live cell needs no ranking: its center
-    is used as it is, evaluated once without numpy."""
-    if seed.cells.size == 1:
-        z = complex(seed.cells[0])
-        pair = evaluate_with_derivative(work, z)
+def _start(work: Poly, norms: list, cells, argmin: complex):
+    """The live cell center where |work| (whose norms are norms) is smallest
+    and finite (ties: the first), or argmin if none is, with (work, work')
+    there.  A single live cell needs no ranking and no numpy."""
+    if len(cells) == 1:
+        z = complex(cells[0])
+        pair = _pair_at(work, norms, z)
         if math.isfinite(norm(pair[0])):
             return z, pair
-        return seed.argmin, evaluate_with_derivative(work, seed.argmin)
+        return argmin, evaluate_with_derivative(work, argmin)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
-        h = _horner(np.asarray(work, dtype=complex), seed.cells)
+        h = _horner(np.asarray(work, dtype=complex), np.asarray(cells, complex))
         vals = np.hypot(h.real, h.imag)
     finite = np.flatnonzero(np.isfinite(vals))
-    z = complex(seed.cells[finite[np.argmin(vals[finite])]]) if finite.size else seed.argmin
+    z = complex(cells[finite[np.argmin(vals[finite])]]) if finite.size else argmin
     return z, evaluate_with_derivative(work, z)
 
 
@@ -120,10 +121,7 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     a_n * prod (z - r_i) and the normalized input; it is reported, never
     raised.
     """
-    _check_tol_max_iter(tol, max_iter)
-    pt = _normalized_or_raise(p)
-    floor = _noise_floor(pt)
-    result, enclosure, seed = _solve_once(pt, tol, max_iter, floor)
+    result, pt, floor, growth, seed = _solve_once(p, tol, max_iter)
     roots = [result]
     work: Poly = pt
     failed = not result.converged
@@ -132,8 +130,9 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
         if len(work) <= 1:
             break
         # only the root and the converged flag are read, so no trace is kept
-        z, pair = _start(work, seed)
-        result = _descend(work, _noise_floor(work), z, norm(pair[0]), tol, max_iter, False, pair)
+        norms = list(map(norm, work))
+        z, pair = _start(work, norms, seed[5], seed[0])
+        result = _descend(work, _noise_floor(norms), z, norm(pair[0]), tol, max_iter, False, pair)
         failed = failed or not result.converged
         z = result.root
         pair = evaluate_with_derivative(pt, z)
@@ -141,4 +140,4 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
         roots.append(replace(polished, converged=False) if failed else polished)
     rebuilt = from_roots(pt[-1], [r.root for r in roots])
     error = max(norm(a - b) for a, b in zip(rebuilt, pt))
-    return SolveReport(tuple(roots), error, enclosure, seed)
+    return SolveReport(tuple(roots), error, GrowthCertificate(*growth), CertifiedMinimum(*seed))

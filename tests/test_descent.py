@@ -454,7 +454,7 @@ class TestDescend:
         steps = 0
         for p in polys:
             pt = truncate(p)
-            floor = _noise_floor(pt)
+            floor = _noise_floor([norm(c) for c in pt])
             for z0 in (0j, 0.5 + 0.5j, random_point(rng, 3.0), random_point(rng, 9.0)):
                 for tol in (1e-10, 1e-4):
                     want = descend(p, z0, tol, 200)
@@ -485,7 +485,7 @@ class TestDescend:
         rng = np.random.default_rng(49)
         for p in [random_poly(rng, d) for d in (3, 8, 20)] + [from_roots(1, range(1, 7))]:
             pt = truncate(p)
-            floor = _noise_floor(pt)
+            floor = _noise_floor([norm(c) for c in pt])
             for z0, tol in ((2 + 1j, 1e-10), (0.5j, 1e-3), (1.5, 1e-12)):
                 seen = []
                 got = _descend(pt, lambda z: seen.append(z) or floor(z), z0,

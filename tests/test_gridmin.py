@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dalembert.complexmath import norm
 from dalembert.gridmin import (
     CertifiedMinimum,
     SquareRegion,
@@ -537,16 +538,17 @@ class TestOnePointHorner:
         rng = np.random.default_rng(13)
         for degree in range(0, 61):
             p = random_poly(rng, degree)
-            dnorm = _derivative_norms(np.asarray(p, dtype=complex))
+            norms = _norms(p)
+            dnorm = _derivative_norms(norms)
             for center in self.POINTS + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(5)]:
                 side = float(rng.choice([1e-9, 1e-3, 1.0, 4.0, 1e3]) * rng.uniform(0.5, 1.0))
                 want = _numpy_horner(dnorm, _cell_radius(np.full(shape, center), side)).item()
-                assert _bits(_cell_lipschitz(p, center, side)) == _bits(want), (degree, center)
+                assert _bits(_cell_lipschitz(norms, center, side)) == _bits(want), (degree, center)
 
     def test_numpy_scalar_point(self):
         # lipschitz_bound is the same scalar loop, and equals numpy's over
         # the numpy scalar _cell_radius returns
-        dnorm = _derivative_norms(np.asarray(DEG8, dtype=complex))
+        dnorm = _derivative_norms(_norms(DEG8))
         r = _cell_radius(DEG8_SQUARE.center, DEG8_SQUARE.side)
         assert _bits(lipschitz_bound(DEG8, DEG8_SQUARE)) == _bits(float(_numpy_horner(dnorm, r)))
         # Wilkinson-20 over the square of the overflow test below, whose
@@ -609,9 +611,13 @@ def _bits(x: float) -> str:
     return float(x).hex()
 
 
+def _norms(p) -> list:
+    return [norm(c) for c in as_poly(p)]
+
+
 def _scalar_wave(p, center, side):
     """|p| and the lower bound of _first_wave, as hex strings."""
-    _pair, value, lower = _first_wave(as_poly(p), center, side)
+    _pair, value, lower = _first_wave(as_poly(p), _norms(p), center, side)
     return _bits(value), _bits(lower)
 
 
@@ -622,7 +628,7 @@ def _numpy_wave(p, center, side, shape):
     cells = np.full(shape, center)
     h = _numpy_horner(coeffs, cells)
     vals = np.hypot(h.real, h.imag)
-    lower = vals - _numpy_horner(_derivative_norms(coeffs), _cell_radius(cells, side)) * (
+    lower = vals - _numpy_horner(_derivative_norms(_norms(p)), _cell_radius(cells, side)) * (
         HALF_DIAGONAL * side)
     vals = np.where(np.isnan(vals), np.inf, vals)
     lower = np.where(np.isfinite(lower), lower, -np.inf)

@@ -112,26 +112,25 @@ class TestSeed:
         assert calls == []
 
     def test_one_certificate_and_one_seed_per_call(self, monkeypatch):
-        import dalembert.growth
+        # the solver derives the growth radii from its one set of norms
+        # (growth._radii) and runs the seed search's core (gridmin._search)
+        # on them: once each per call, not once per deflated factor
         import dalembert.solver
 
-        calls = []
-        original = dalembert.growth.growth_certificate
+        calls, seeds = [], []
+        original = dalembert.solver._radii
+        original_seed = dalembert.solver._search
 
-        def counting(p):
-            calls.append(len(p) - 1)
-            return original(p)
-
-        seeds = []
-        original_seed = dalembert.solver.certified_min
+        def counting(norms):
+            calls.append(len(norms) - 1)
+            return original(norms)
 
         def counting_seed(*args):
             seeds.append(len(args[0]) - 1)
             return original_seed(*args)
 
-        monkeypatch.setattr(dalembert.growth, "growth_certificate", counting)
-        monkeypatch.setattr(dalembert.solver, "growth_certificate", counting)
-        monkeypatch.setattr(dalembert.solver, "certified_min", counting_seed)
+        monkeypatch.setattr(dalembert.solver, "_radii", counting)
+        monkeypatch.setattr(dalembert.solver, "_search", counting_seed)
         report = find_all_roots((2 - 1j, 0.5, 0, -3j, 1))
         assert calls == [4]
         assert seeds == [4]
@@ -373,16 +372,14 @@ class TestDeflatedFactors:
                                        np.array([complex("nan")])],
                              ids=["no-live-cell", "overflowing-cell", "nan-cell"])
     def test_falls_back_to_the_seed(self, monkeypatch, cells):
-        import dataclasses
-
         import dalembert.solver
 
-        original = dalembert.solver.certified_min
+        original = dalembert.solver._search
 
         def with_cells(*args):
-            return dataclasses.replace(original(*args), cells=cells)
+            return original(*args)[:5] + (cells,)
 
-        monkeypatch.setattr(dalembert.solver, "certified_min", with_cells)
+        monkeypatch.setattr(dalembert.solver, "_search", with_cells)
         report = find_all_roots(QUAD)
         for want in QUAD_ROOTS:
             assert min(abs(r.root - want) for r in report.roots) <= 1e-8
@@ -391,17 +388,14 @@ class TestDeflatedFactors:
     def _unity8_from(monkeypatch, cells):
         """find_all_roots of z^8 - 1 with the seed's live cells replaced by
         cells and its argmin by the root -(1 + i)/sqrt(2)."""
-        import dataclasses
-
         import dalembert.solver
 
-        original = dalembert.solver.certified_min
+        original = dalembert.solver._search
 
         def with_cells(*args):
-            return dataclasses.replace(original(*args), argmin=-(1 + 1j) / math.sqrt(2.0),
-                                       cells=np.array(cells))
+            return (-(1 + 1j) / math.sqrt(2.0),) + original(*args)[1:5] + (np.array(cells),)
 
-        monkeypatch.setattr(dalembert.solver, "certified_min", with_cells)
+        monkeypatch.setattr(dalembert.solver, "_search", with_cells)
         return find_all_roots((-1,) + (0,) * 7 + (1,))
 
     def test_a_stalled_factor_steps_off_by_a_later_term(self, monkeypatch):
