@@ -127,6 +127,12 @@ class TestSolveMode:
         assert out == ""
         assert "no root exists" in err
 
+    def test_an_overflowing_enclosure_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "--mode", "solve", "1e300 0 1e-300")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the enclosure radius inf is too large")
+
     def test_zero_polynomial_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "0 0")
         assert code == 1

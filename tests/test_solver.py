@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +53,15 @@ class TestFindRoot:
             with pytest.raises(ValueError):
                 find_root((1, 0, 1), max_iter=max_iter)
 
+    @pytest.mark.parametrize("p, radius", [((1e200, 1e-200), "inf"), ((5e307, 1), "1e+308")])
+    def test_an_overflowing_enclosure_is_reported(self, p, radius):
+        # the root -1e400 of the first is not a double, and its radius is
+        # inf; the second's radius is finite, but not the side 2e308 of its
+        # square [-R, R]^2
+        for solve in (find_root, find_all_roots):
+            with pytest.raises(OverflowError, match=re.escape(f"enclosure radius {radius} ")):
+                solve(p)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wilkinson20_searches_without_overflow(self):
         # over the paper's square (side 1.1e21) |p| overflows in numpy
@@ -83,16 +94,57 @@ class TestFindRoot:
             assert seed.value <= norm(evaluate(p, 0j)) + seed.gap + 1e-12
 
 
+def _bits(x):
+    """x with every float, and each part of every complex, as its hex string."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(y) for y in x)
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x)
+                     if f.name != "cells")
+    return x
+
+
+def _gamma(n):
+    k = 2 * n * 2.0**-53
+    return k / (1 - k)
+
+
+# the solver's prepared path against the public functions it replaces: the
+# classic inputs, the hard families, both extreme scales, a root at 0, and
+# signed zero parts in a_0 and a_1, where (p(0), p'(0)) is read as (a_0, a_1)
+_PREPARED = {
+    "quad": QUAD,
+    "z^2+1": (1, 0, 1),
+    "z^3-1": (-1, 0, 0, 1),
+    "(z-1)^2": (1, -2, 1),
+    "deg4": (2 - 1j, 0.5, 0, -3j, 1),
+    "z^8-1": (-1,) + (0,) * 7 + (1,),
+    "wilkinson8": from_roots(1, range(1, 9)),
+    "random40": random_poly(np.random.default_rng(44), 40),
+    "random8x1e+150": tuple(1e150 * c for c in random_poly(np.random.default_rng(8), 8)),
+    "random8x1e-150": tuple(1e-150 * c for c in random_poly(np.random.default_rng(8), 8)),
+    "a0=0": (0, 1 - 2j, 0.5j, 3),
+    "signed-zero-a0": (complex(-0.0, 2.0), complex(1.5, -0.5), 1),
+    "signed-zero-a1": (complex(-1.0, 0.5), complex(-0.0, -0.0), complex(0.0, -0.0), 2),
+}
+
+
 class TestSeed:
-    @pytest.mark.parametrize(
-        "p", [QUAD, (1, 0, 1), (-1, 0, 0, 1), (1, -2, 1), (2 - 1j, 0.5, 0, -3j, 1)]
-    )
+    # ids p0 .. p12, in _PREPARED's order
+    @pytest.mark.parametrize("p", list(_PREPARED.values()))
     def test_seed_is_the_public_branch_and_bound(self, p):
-        want = certified_min(p, growth_certificate(p).square, 1e-10, 50_000)
         report = find_all_roots(p)
-        assert report.seed == want
+        assert report.enclosure == growth_certificate(p)
+        n = report.enclosure.degree
+        want = certified_min(p, report.enclosure.square, max(1e-10, _gamma(n) * norm(p[0])), 50_000)
+        assert _bits(report.seed) == _bits(want)
+        assert np.array_equal(report.seed.cells, want.cells)
         # the first root is find_root's result, from the same one descent
-        assert report.roots[0] == find_root(p)
+        assert _bits(report.roots[0]) == _bits(find_root(p))
         # which starts from the seed's value, |p| at its argmin as norm
         # computes it, handed on rather than evaluated again
         seed = report.seed
