@@ -202,16 +202,12 @@ def descent_step(p, z0: complex) -> DescentStep:
 
 def _noise_floor(norms: list):
     """z -> gamma_2n * sum |a_i| |z|^i, the rounding bound of Horner's rule
-    at z, from norms = [|a_0|, ..., |a_n|]; at z = 0 it is read off as the
-    loop leaves it: gamma_2n |a_0|, or NaN if a later |a_i| is not finite."""
+    at z, from norms = [|a_0|, ..., |a_n|]."""
     k = 2 * (len(norms) - 1) * _UNIT_ROUNDOFF
     gamma = k / (1.0 - k)
     absc = norms[::-1]
-    origin = gamma * (norms[0] if all(map(math.isfinite, norms[1:])) else math.nan)
 
     def at(z: complex) -> float:
-        if z == 0:
-            return origin
         # a bound in real arithmetic, not an evaluation of p
         r, acc = norm(z), 0.0
         for c in absc:

@@ -29,8 +29,7 @@ hands them to _search, the search itself, which works on plain values and
 returns CertifiedMinimum's fields as a tuple.  The solver calls _search
 directly with the polynomial and norms it prepared and its enclosure
 square's corner and side, and builds a CertifiedMinimum (whose cells become
-a numpy array) only for find_all_roots' report.  At a center of 0, as in
-every enclosure square, the first wave reads (p, p') as (a_0, a_1).
+a numpy array) only for find_all_roots' report.
 """
 
 from __future__ import annotations
@@ -242,14 +241,6 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
     return best_pt, best_val, gap, evaluations, budget_exhausted, cells
 
 
-def _pair_at(coeffs: Poly, norms: list, z: complex) -> tuple:
-    """evaluate_with_derivative(coeffs, z) up to the signs of zero parts: at
-    z = 0 that is (a_0, a_1) unless a non-finite |a_i|, i >= 1, makes NaN."""
-    if z == 0 and len(coeffs) > 1 and all(map(math.isfinite, norms[1:])):
-        return coeffs[0], coeffs[1]
-    return evaluate_with_derivative(coeffs, z)
-
-
 def _first_wave(coeffs: Poly, norms: list, center: complex, side: float):
     """The first wave, the one cell of this center and side, in scalar
     arithmetic: (p, p') at the center, |p| = norm(p) there and the cell's
@@ -258,7 +249,7 @@ def _first_wave(coeffs: Poly, norms: list, center: complex, side: float):
     that is not finite is -inf.  Where p or the bound overflows a
     RuntimeWarning reports it, until stop reasons on the result can.
     """
-    pair = _pair_at(coeffs, norms, center)
+    pair = evaluate_with_derivative(coeffs, center)
     reach = _cell_lipschitz(norms, center, side) * (HALF_DIAGONAL * side)
     if not (cmath.isfinite(pair[0]) and math.isfinite(reach)):
         warnings.warn(f"overflow in |p| or its Lipschitz bound at {center}", RuntimeWarning,

@@ -13,12 +13,12 @@ center where it is smallest (see _start), with no search of its own.
 
 Each public call checks tol and max_iter, normalizes p and takes the norms
 |a_i| once (_solve_once).  Those norms give the growth radii (growth._radii),
-the noise floor gamma_2n * sum |a_i| |z|^i with its value gamma_2n |a_0| at
-the origin, and the first wave's Lipschitz bound (gridmin._search); one
-floor serves the first descent and all n - 1 polishes, and each deflated
-factor takes its own norms once.  The stages pass plain values: a
-GrowthCertificate and a CertifiedMinimum are built only for
-find_all_roots' report.
+the noise floor gamma_2n * sum |a_i| |z|^i, whose value gamma_2n |a_0| at
+the origin is the seed's gap target, and the seed search's Lipschitz bounds
+(gridmin._search); one floor serves the first descent and all n - 1
+polishes, and each deflated factor takes its own norms once.  The stages
+pass plain values: a GrowthCertificate and a CertifiedMinimum are built
+only for find_all_roots' report.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .complexmath import norm
 from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
 from .errors import DegenerateZeroPolynomial, NoRootExists
-from .gridmin import CertifiedMinimum, _horner, _pair_at, _search
+from .gridmin import CertifiedMinimum, _horner, _search
 from .growth import GrowthCertificate, _radii
 from .polynomial import Poly, deflate, evaluate_with_derivative, from_roots, truncate
 
@@ -66,12 +66,16 @@ def _solve_once(p, tol: float, max_iter: int):
         raise NoRootExists("no root exists for a nonzero constant polynomial")
     norms = list(map(norm, pt))
     floor, growth = _noise_floor(norms), _radii(norms)
-    r = growth[1]
+    _, r, *_ = growth
     if not math.isfinite(2.0 * r):
+        bad = [i for i, a in enumerate(norms) if not math.isfinite(a)]
+        if bad:
+            raise ValueError(f"the enclosure radius is {r}: coefficient a_{bad[0]} = {pt[bad[0]]}")
         raise OverflowError(f"the enclosure radius {r} is too large: the square "
                             "[-R, R]^2 is not representable in floating point")
     seed = _search(pt, norms, complex(-r, -r), 2.0 * r, max(tol, floor(0j)), _SEED_BUDGET)
-    return _descend(pt, floor, seed[0], seed[1], tol, max_iter, True), pt, floor, growth, seed
+    argmin, value, *_ = seed
+    return _descend(pt, floor, argmin, value, tol, max_iter, True), pt, floor, growth, seed
 
 
 def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
@@ -81,19 +85,20 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     stops at gap max(tol, gamma_2n * |a_0|), the floor at the square's center.
 
     A failure to converge within max_iter is reported on the result
-    (converged=False, best point kept), not raised.  OverflowError is raised
-    where the enclosure square [-R, R]^2 overflows.
+    (converged=False, best point kept), not raised.  Where the enclosure
+    square [-R, R]^2 overflows, OverflowError is raised, or ValueError if a
+    coefficient that is not finite is the cause.
     """
     return _solve_once(p, tol, max_iter)[0]
 
 
-def _start(work: Poly, norms: list, cells, argmin: complex):
-    """The live cell center where |work| (whose norms are norms) is smallest
-    and finite (ties: the first), or argmin if none is, with (work, work')
-    there.  A single live cell needs no ranking and no numpy."""
+def _start(work: Poly, cells, argmin: complex):
+    """The live cell center where |work| is smallest and finite (ties: the
+    first), or argmin if none is, with (work, work') there.  A single live
+    cell needs no ranking and no numpy."""
     if len(cells) == 1:
         z = complex(cells[0])
-        pair = _pair_at(work, norms, z)
+        pair = evaluate_with_derivative(work, z)
         if math.isfinite(norm(pair[0])):
             return z, pair
         return argmin, evaluate_with_derivative(work, argmin)
@@ -122,6 +127,7 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     raised.
     """
     result, pt, floor, growth, seed = _solve_once(p, tol, max_iter)
+    argmin, *_, cells = seed
     roots = [result]
     work: Poly = pt
     failed = not result.converged
@@ -130,9 +136,9 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
         if len(work) <= 1:
             break
         # only the root and the converged flag are read, so no trace is kept
-        norms = list(map(norm, work))
-        z, pair = _start(work, norms, seed[5], seed[0])
-        result = _descend(work, _noise_floor(norms), z, norm(pair[0]), tol, max_iter, False, pair)
+        z, pair = _start(work, cells, argmin)
+        factor_floor = _noise_floor(list(map(norm, work)))
+        result = _descend(work, factor_floor, z, norm(pair[0]), tol, max_iter, False, pair)
         failed = failed or not result.converged
         z = result.root
         pair = evaluate_with_derivative(pt, z)

@@ -479,26 +479,6 @@ class TestDescend:
         assert result.root == 0.5j
         assert calls == [0j, 1j, 0.5j]
 
-    def test_floor_at_the_origin_is_the_loops(self):
-        # the floor at 0, the seed search's gap target, is read off with no
-        # loop: gamma_2n |a_0|, or NaN where the loop multiplies a later
-        # non-finite |a_i| by 0
-        def loop(norms, z):
-            k = 2 * (len(norms) - 1) * 2.0**-53
-            r, acc = norm(z), 0.0
-            for c in reversed(norms):
-                acc = acc * r + c
-            return k / (1 - k) * acc
-
-        rng = np.random.default_rng(50)
-        polys = [random_poly(rng, d) for d in range(1, 41)]
-        polys += [(0, 1), (complex(-0.0, -0.0), 2, 1), (3, math.inf), (1, math.nan, 1),
-                  (math.inf, 1), (math.nan, 1), (1, 1e308 + 1e308j), (1e308, 1e308, 1)]
-        for p in polys:
-            norms = [norm(c) for c in as_poly(p)]
-            for z in (0j, complex(-0.0, 0.0), complex(0.0, -0.0)):
-                assert _noise_floor(norms)(z).hex() == loop(norms, z).hex(), p
-
     def test_floor_is_computed_only_above_tol(self):
         # the loop test and the converged flag read max(tol, floor(z)), so
         # at or below tol the floor decides nothing and is not computed

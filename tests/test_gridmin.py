@@ -1,4 +1,3 @@
-import cmath
 import hashlib
 import itertools
 import math
@@ -545,44 +544,6 @@ class TestOnePointHorner:
                 side = float(rng.choice([1e-9, 1e-3, 1.0, 4.0, 1e3]) * rng.uniform(0.5, 1.0))
                 want = _numpy_horner(dnorm, _cell_radius(np.full(shape, center), side)).item()
                 assert _bits(_cell_lipschitz(norms, center, side)) == _bits(want), (degree, center)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_origin_reads_the_first_two_coefficients(self, monkeypatch):
-        # at center 0, which every enclosure square has, the first wave
-        # reads (p(0), p'(0)) as (a_0, a_1) with no Horner loop: its |p| and
-        # lower bound are the evaluate_with_derivative path's bit for bit,
-        # also where a_0 or a_1 has a zero part, and the pair differs from
-        # that path's at most in the signs of zero parts.  Where a later
-        # |a_i| is not finite the loop multiplies it by 0 into NaN, so the
-        # loop runs there
-        import dalembert.gridmin
-
-        parts = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
-        parts += [complex(-0.0, 1.5), complex(2.0, -0.0), 0.5 - 0.25j]
-        rng = np.random.default_rng(14)
-        polys = [(a0, a1) + tail for a0 in parts for a1 in parts
-                 for tail in [(), (-1.0,), random_poly(rng, 6)]]
-        polys += [(1, 1, math.inf), (1, complex(0, math.nan)), (math.inf, 1, 1),
-                  (1, 1e308 + 1e308j), (1e308 + 1e308j, 1)]
-        loops = []
-        original = dalembert.gridmin.evaluate_with_derivative
-        monkeypatch.setattr(dalembert.gridmin, "evaluate_with_derivative",
-                            lambda p, z: loops.append(z) or original(p, z))
-        for p in polys:
-            q, norms = as_poly(p), _norms(p)
-            for center, side in ((0j, 2.0), (complex(-0.0, 0.0), 0.5)):
-                loops.clear()
-                pair, value, lower = _first_wave(q, norms, center, side)
-                assert (loops == []) == all(map(math.isfinite, norms[1:])), p
-                want = original(q, center)
-                want_value = math.inf if cmath.isnan(want[0]) else norm(want[0])
-                want_lower = want_value - _cell_lipschitz(norms, center, side) * (
-                    HALF_DIAGONAL * side)
-                want_lower = want_lower if math.isfinite(want_lower) else -math.inf
-                assert (_bits(value), _bits(lower)) == (_bits(want_value), _bits(want_lower)), p
-                assert all(x == y or (math.isnan(x) and math.isnan(y))
-                           for a, b in zip(pair, want)
-                           for x, y in ((a.real, b.real), (a.imag, b.imag))), p
 
     def test_numpy_scalar_point(self):
         # lipschitz_bound is the same scalar loop, and equals numpy's over

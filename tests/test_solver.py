@@ -8,7 +8,7 @@ import pytest
 
 from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
-from dalembert.gridmin import certified_min
+from dalembert.gridmin import CertifiedMinimum, certified_min
 from dalembert.growth import growth_certificate
 from dalembert.polynomial import evaluate, from_roots, max_coeff_norm
 from dalembert.solver import find_all_roots, find_root
@@ -62,6 +62,17 @@ class TestFindRoot:
             with pytest.raises(OverflowError, match=re.escape(f"enclosure radius {radius} ")):
                 solve(p)
 
+    @pytest.mark.parametrize("p, coeff", [((math.inf, 1), "a_0 = (inf+0j)"),
+                                          ((1, complex(1, math.inf), 1e-300), "a_1 = (1+infj)")])
+    def test_a_non_finite_coefficient_is_named(self, p, coeff):
+        # an infinite radius that comes from the input, not from overflow,
+        # is a ValueError, as growth_certificate(p).square raises
+        for solve in (find_root, find_all_roots):
+            with pytest.raises(ValueError, match=re.escape(f"radius is inf: coefficient {coeff}")):
+                solve(p)
+        with pytest.raises(ValueError):
+            growth_certificate(p).square
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wilkinson20_searches_without_overflow(self):
         # over the paper's square (side 1.1e21) |p| overflows in numpy
@@ -108,6 +119,16 @@ def _bits(x):
     return x
 
 
+def _search_with(search, **changes):
+    """search, the seed search's core, with the fields in changes replaced
+    in the CertifiedMinimum fields it returns as a tuple."""
+    def replaced(*args):
+        found = dataclasses.replace(CertifiedMinimum(*search(*args)), **changes)
+        return tuple(getattr(found, f.name) for f in dataclasses.fields(found))
+
+    return replaced
+
+
 def _gamma(n):
     k = 2 * n * 2.0**-53
     return k / (1 - k)
@@ -115,7 +136,7 @@ def _gamma(n):
 
 # the solver's prepared path against the public functions it replaces: the
 # classic inputs, the hard families, both extreme scales, a root at 0, and
-# signed zero parts in a_0 and a_1, where (p(0), p'(0)) is read as (a_0, a_1)
+# signed zero parts in a_0 and a_1
 _PREPARED = {
     "quad": QUAD,
     "z^2+1": (1, 0, 1),
@@ -426,12 +447,8 @@ class TestDeflatedFactors:
     def test_falls_back_to_the_seed(self, monkeypatch, cells):
         import dalembert.solver
 
-        original = dalembert.solver._search
-
-        def with_cells(*args):
-            return original(*args)[:5] + (cells,)
-
-        monkeypatch.setattr(dalembert.solver, "_search", with_cells)
+        monkeypatch.setattr(dalembert.solver, "_search",
+                            _search_with(dalembert.solver._search, cells=cells))
         report = find_all_roots(QUAD)
         for want in QUAD_ROOTS:
             assert min(abs(r.root - want) for r in report.roots) <= 1e-8
@@ -442,12 +459,8 @@ class TestDeflatedFactors:
         cells and its argmin by the root -(1 + i)/sqrt(2)."""
         import dalembert.solver
 
-        original = dalembert.solver._search
-
-        def with_cells(*args):
-            return (-(1 + 1j) / math.sqrt(2.0),) + original(*args)[1:5] + (np.array(cells),)
-
-        monkeypatch.setattr(dalembert.solver, "_search", with_cells)
+        monkeypatch.setattr(dalembert.solver, "_search", _search_with(
+            dalembert.solver._search, argmin=-(1 + 1j) / math.sqrt(2.0), cells=cells))
         return find_all_roots((-1,) + (0,) * 7 + (1,))
 
     def test_a_stalled_factor_steps_off_by_a_later_term(self, monkeypatch):
