@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .checks import run_lemma_checks
@@ -20,7 +21,7 @@ from .errors import EmptyPolynomial, ParseError
 from .gridmin import SquareRegion, certified_min
 from .growth import growth_certificate
 from .polynomial import Poly
-from .solver import find_all_roots, find_root
+from .solver import _radius_error, find_all_roots, find_root
 
 __all__ = ["parse_polynomial", "serialize_polynomial", "main"]
 
@@ -166,7 +167,11 @@ def _run_evt(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
 
 
 def _run_bounds(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
-    return EXIT_OK, {"enclosure": _fields(growth_certificate(poly), _GROWTH_FIELDS)}
+    cert = growth_certificate(poly)
+    # a radius that is not finite is no JSON number; the solvers raise there too
+    if not math.isfinite(cert.enclosure_radius):
+        raise _radius_error(poly, cert.enclosure_radius)
+    return EXIT_OK, {"enclosure": _fields(cert, _GROWTH_FIELDS)}
 
 
 def _run_check(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:

@@ -224,8 +224,7 @@ def _check_tol_max_iter(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
 
 
-def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
-            keep_trace: bool = True) -> RootResult:
+def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     """Iterate the descent step until converged, max_iter steps, or float exhaustion.
 
     Converged means a finite |p(z)| <= max(tol, gamma_2n * sum |a_i| |z|^i):
@@ -236,24 +235,24 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000,
     start where |p| overflows is returned at once, not converged, since no
     step can be computed there.  Running out of iterations or stalling is
     reported through converged=False, not raised.  max_iter must be an
-    integer >= 0.  The steps are plain tuples; a TraceRow is built for each
-    only when keep_trace is set, and with it unset the result's trace is None.
+    integer >= 0.
     """
     _check_tol_max_iter(tol, max_iter)
     pt = _nonconstant(p)
     z = complex(z0)
     pair = evaluate_with_derivative(pt, z)
     floor = _noise_floor(list(map(norm, pt)))
-    return _descend(pt, floor, z, norm(pair[0]), tol, max_iter, keep_trace, pair)
+    return _descend(pt, floor, z, norm(pair[0]), tol, max_iter, True, pair)
 
 
 def _descend(pt: Poly, floor, z: complex, residual: float, tol: float, max_iter: int,
              keep_trace: bool, pair=None) -> RootResult:
     """descend's loop from z, where |p| = residual and (p, p') = pair if
     given, for a normalized non-constant pt whose noise floor is floor (see
-    _noise_floor), and checked tol and max_iter.  floor(z) is computed
-    once per point while residual > tol; below, the loop test and the
-    converged flag read max(tol, floor(z)) = tol whatever it is."""
+    _noise_floor), and checked tol and max_iter; with keep_trace unset the
+    trace is None.  floor(z) is computed once per point while residual >
+    tol; below, the loop test and the converged flag read
+    max(tol, floor(z)) = tol whatever it is."""
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
     steps, bound = 0, floor(z) if residual > tol else 0.0
     while math.isfinite(residual) and residual > max(tol, bound) and steps < max_iter:

@@ -21,15 +21,15 @@ Both report an overflow with a RuntimeWarning.  A NaN value never becomes
 the incumbent, and a cell whose lower bound is not finite is never pruned.
 Each wave also tries the descent's damped Newton steps from the incumbent
 (see _damped_newton), which drive the value below epsilon far faster than
-bisection alone.  The result keeps the centers of the cells still live at
-the stop; a sound search never prunes a cell that holds a global minimizer.
+bisection alone.
 
 certified_min takes the norms |a_i| once, for every Lipschitz bound, and
 hands them to _search, the search itself, which works on plain values and
-returns CertifiedMinimum's fields as a tuple.  The solver calls _search
-directly with the polynomial and norms it prepared and its enclosure
-square's corner and side, and builds a CertifiedMinimum (whose cells become
-a numpy array) only for find_all_roots' report.
+returns the CertifiedMinimum and the centers of the cells still live at the
+stop: its state, not its claim, and a sound search never prunes a cell that
+holds a global minimizer.  The solver calls _search directly with the
+polynomial and norms it prepared and its enclosure square's corner and
+side, and starts each deflated factor's descent from those cells.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import cmath
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,15 +88,12 @@ class SquareRegion:
         return complex(self.corner.real + self.side / 2.0, self.corner.imag + self.side / 2.0)
 
 
-@dataclass(frozen=True)
-class CertifiedMinimum:
+class CertifiedMinimum(NamedTuple):
     """A near-minimizer of |p| with a proven optimality gap.
 
     The true minimum over the searched region lies in [value - gap, value].
     budget_exhausted marks a branch-and-bound run that stopped on its cell
     budget before reaching the requested gap; the reported gap is still valid.
-    cells (a read-only complex array, not in ==, hash or repr) holds the
-    centers of the cells still live when the search stopped.
     """
 
     argmin: complex
@@ -103,13 +101,6 @@ class CertifiedMinimum:
     gap: float
     evaluations: int
     budget_exhausted: bool = False
-    cells: np.ndarray = field(default_factory=lambda: np.empty(0, complex),
-                              compare=False, repr=False)
-
-    def __post_init__(self):
-        cells = np.array(self.cells, complex)  # a copy: a caller's array stays writable
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
 
 
 def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -187,15 +178,15 @@ def certified_min(
     if isinstance(budget, bool) or not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     scalar = as_poly(p)
-    found = _search(scalar, list(map(norm, scalar)), region.corner, region.side, epsilon, budget)
-    return CertifiedMinimum(*found)
+    return _search(scalar, list(map(norm, scalar)), region.corner, region.side, epsilon,
+                   budget)[0]
 
 
 def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: float,
-            budget: int) -> tuple:
+            budget: int) -> tuple[CertifiedMinimum, tuple | np.ndarray]:
     """certified_min over a valid square of this corner and side, given p's
-    norms [|a_0|, ..., |a_n|]: CertifiedMinimum's fields as a plain tuple,
-    with the live cells as a tuple after a first-wave stop."""
+    norms [|a_0|, ..., |a_n|], and the centers of the cells still live at
+    the stop: a tuple after a first-wave stop, else a complex array."""
     x0, y0 = corner.real, corner.imag
     box = (x0, y0, x0 + side, y0 + side)
     center = complex(x0 + side / 2.0, y0 + side / 2.0)
@@ -205,7 +196,7 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
     live = lower < best_val
     gap = best_val - max(0.0, lower) if live else 0.0
     if not live or gap <= epsilon or evaluations + 4 > budget:
-        return (best_pt, best_val, gap, evaluations, live and gap > epsilon,
+        return (CertifiedMinimum(best_pt, best_val, gap, evaluations, live and gap > epsilon),
                 (center,) if live else ())
     cells, side = center + _CHILD * (side / 4.0), side / 2.0
     coeff_array = np.asarray(coeffs, dtype=complex)
@@ -238,7 +229,7 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
             break
         cells = (cells[:, None] + _CHILD * (side / 4.0)).ravel()
         side /= 2.0
-    return best_pt, best_val, gap, evaluations, budget_exhausted, cells
+    return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted), cells
 
 
 def _first_wave(coeffs: Poly, norms: list, center: complex, side: float):

@@ -5,9 +5,9 @@ norm(z) >= threshold_radius satisfies the sandwich
 
     (1/2) |a_n| |z|^n  <=  |p(z)|  <=  (3/2) |a_n| |z|^n,
 
-and every z with norm(z) >= enclosure_radius additionally satisfies
-|p(z)| >= |p(0)|.  The square [-R, R]^2 with R = enclosure_radius therefore
-traps every global minimizer of |p|.
+and with it |p(z)| >= |p(0)|.  The square [-R, R]^2 with R =
+enclosure_radius, the same radius, therefore traps every global minimizer
+of |p|.
 
 The threshold is the smaller of two sufficient radii: the paper's
 max(1, 2 A n / |a_n|), A = max_{i<n} |a_i|, and max(1, 3 F) with
@@ -15,13 +15,13 @@ F = max_{i<n} (|a_i| / |a_n|)^(1/(n-i)), Fujiwara's root bound (Tohoku
 Math. J. 10, 1916) scaled to the sandwich's factor 1/2.  So the square is
 never larger than the paper's, and on wide coefficient ranges, such as
 Wilkinson's polynomials, it is many times smaller.  Both radii need only the
-norms |a_i|: growth_certificate takes them and builds the certificate, while
-the solver hands its own norms to _radii and builds one only for its report.
+norms |a_i|: _radii builds the certificate from them, and growth_certificate
+and the solver each hand it the norms they took.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexmath import norm
 from .errors import BelowThreshold, NotApplicableToConstant
@@ -39,14 +39,13 @@ __all__ = [
 BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
+class GrowthCertificate(NamedTuple):
     """Radii activating the growth bounds for one polynomial.
 
     threshold_radius activates both halves of the sandwich and is at most
-    the paper's max(1, 2 A n / |a_n|); enclosure_radius additionally forces
-    |p(z)| >= |p(0)| outside it.  lead_norm is |a_n|, sub_max the largest
-    |a_i| with i < n (the paper's A).
+    the paper's max(1, 2 A n / |a_n|); enclosure_radius equals it, since
+    |p(z)| >= |p(0)| holds beyond it too.  lead_norm is |a_n|, sub_max the
+    largest |a_i| with i < n (the paper's A).
     """
 
     threshold_radius: float
@@ -78,27 +77,26 @@ def growth_certificate(p) -> GrowthCertificate:
     threshold_radius is the smaller of the two, so it never exceeds the
     paper's radius and never falls below 1, the lemma's |z| >= 1.  Beyond
     it |p(z)| >= (1/2) |a_n| r^n, which is >= |a_0| = |p(0)| once
-    r >= (2 |a_0| / |a_n|)^(1/n); enclosure_radius is the larger of that
-    and the threshold.  Both radii above already reach it (3 F >= 3 (|a_0| /
-    |a_n|)^(1/n), and the paper's >= 2 |a_0| / |a_n| >= its n-th root when
-    that is >= 1), so the two radii agree.  Rounding the n-th roots moves
-    the 1/2 by a few ulps, far inside BOUND_SLACK.
+    r >= (2 |a_0| / |a_n|)^(1/n).  Both radii above already reach that
+    (3 F >= 3 (|a_0| / |a_n|)^(1/n), and the paper's >= 2 |a_0| / |a_n| >=
+    its n-th root when that is >= 1), so enclosure_radius is the threshold
+    itself.  Rounding the n-th roots moves the 1/2 by a few ulps, far
+    inside BOUND_SLACK.
     """
     q = truncate(p)
     if len(q) < 2:
         raise NotApplicableToConstant("growth bounds require a non-constant polynomial")
-    return GrowthCertificate(*_radii(list(map(norm, q))))
+    return _radii(list(map(norm, q)))
 
 
-def _radii(norms: list) -> tuple:
-    """GrowthCertificate's fields from the norms |a_0| .. |a_n|, n >= 1."""
+def _radii(norms: list) -> GrowthCertificate:
+    """The certificate from the norms |a_0| .. |a_n|, n >= 1."""
     *tail, lead = norms
     n = len(tail)
     sub = max(tail)
     fujiwara = max((a / lead) ** (1.0 / (n - i)) for i, a in enumerate(tail))
     threshold = min(max(1.0, 2.0 * sub * n / lead), max(1.0, 3.0 * fujiwara))
-    enclosure = max(threshold, (2.0 * tail[0] / lead) ** (1.0 / n))
-    return threshold, enclosure, lead, sub, n
+    return GrowthCertificate(threshold, threshold, lead, sub, n)
 
 
 def check_bounds(p, z: complex, cert: GrowthCertificate) -> tuple[float, float, float]:

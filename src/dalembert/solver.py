@@ -16,9 +16,9 @@ Each public call checks tol and max_iter, normalizes p and takes the norms
 the noise floor gamma_2n * sum |a_i| |z|^i, whose value gamma_2n |a_0| at
 the origin is the seed's gap target, and the seed search's Lipschitz bounds
 (gridmin._search); one floor serves the first descent and all n - 1
-polishes, and each deflated factor takes its own norms once.  The stages
-pass plain values: a GrowthCertificate and a CertifiedMinimum are built
-only for find_all_roots' report.
+polishes, and each deflated factor takes its own norms once.  _radii and
+_search build the GrowthCertificate and the CertifiedMinimum once, and the
+solver reads them by name and hands them on to find_all_roots' report.
 """
 
 from __future__ import annotations
@@ -52,12 +52,21 @@ class SolveReport:
     seed: CertifiedMinimum
 
 
+def _radius_error(pt: Poly, r: float) -> ArithmeticError:
+    """The error for pt's radius r whose square [-r, r]^2 is not representable."""
+    bad = [i for i, a in enumerate(pt) if not math.isfinite(norm(a))]
+    if bad:
+        return ValueError(f"the enclosure radius is {r}: coefficient a_{bad[0]} = {pt[bad[0]]}")
+    return OverflowError(f"the enclosure radius {r} is too large: the square "
+                         "[-R, R]^2 is not representable in floating point")
+
+
 def _solve_once(p, tol: float, max_iter: int):
     """find_root's chain on p, with p normalized and its norms taken once:
-    the root's result, the normalized pt, its noise floor, and the fields
-    of the growth certificate and of the seed as plain tuples.  The seed's
-    gap target is max(tol, floor(0)), the lowest floor in the square
-    centred on 0: no computed |p| in it resolves a smaller gap."""
+    the root's result, the normalized pt, its noise floor, the growth
+    certificate, the seed and the seed search's live cells.  The seed's gap
+    target is max(tol, floor(0)), the lowest floor in the square centred on
+    0: no computed |p| in it resolves a smaller gap."""
     _check_tol_max_iter(tol, max_iter)
     pt = truncate(p)
     if not pt:
@@ -66,16 +75,12 @@ def _solve_once(p, tol: float, max_iter: int):
         raise NoRootExists("no root exists for a nonzero constant polynomial")
     norms = list(map(norm, pt))
     floor, growth = _noise_floor(norms), _radii(norms)
-    _, r, *_ = growth
+    r = growth.enclosure_radius
     if not math.isfinite(2.0 * r):
-        bad = [i for i, a in enumerate(norms) if not math.isfinite(a)]
-        if bad:
-            raise ValueError(f"the enclosure radius is {r}: coefficient a_{bad[0]} = {pt[bad[0]]}")
-        raise OverflowError(f"the enclosure radius {r} is too large: the square "
-                            "[-R, R]^2 is not representable in floating point")
-    seed = _search(pt, norms, complex(-r, -r), 2.0 * r, max(tol, floor(0j)), _SEED_BUDGET)
-    argmin, value, *_ = seed
-    return _descend(pt, floor, argmin, value, tol, max_iter, True), pt, floor, growth, seed
+        raise _radius_error(pt, r)
+    seed, cells = _search(pt, norms, complex(-r, -r), 2.0 * r, max(tol, floor(0j)), _SEED_BUDGET)
+    return (_descend(pt, floor, seed.argmin, seed.value, tol, max_iter, True), pt, floor,
+            growth, seed, cells)
 
 
 def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
@@ -126,8 +131,7 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     a_n * prod (z - r_i) and the normalized input; it is reported, never
     raised.
     """
-    result, pt, floor, growth, seed = _solve_once(p, tol, max_iter)
-    argmin, *_, cells = seed
+    result, pt, floor, growth, seed, cells = _solve_once(p, tol, max_iter)
     roots = [result]
     work: Poly = pt
     failed = not result.converged
@@ -136,7 +140,7 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
         if len(work) <= 1:
             break
         # only the root and the converged flag are read, so no trace is kept
-        z, pair = _start(work, cells, argmin)
+        z, pair = _start(work, cells, seed.argmin)
         factor_floor = _noise_floor(list(map(norm, work)))
         result = _descend(work, factor_floor, z, norm(pair[0]), tol, max_iter, False, pair)
         failed = failed or not result.converged
@@ -146,4 +150,4 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
         roots.append(replace(polished, converged=False) if failed else polished)
     rebuilt = from_roots(pt[-1], [r.root for r in roots])
     error = max(norm(a - b) for a, b in zip(rebuilt, pt))
-    return SolveReport(tuple(roots), error, GrowthCertificate(*growth), CertifiedMinimum(*seed))
+    return SolveReport(tuple(roots), error, growth, seed)

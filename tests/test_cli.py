@@ -133,6 +133,21 @@ class TestSolveMode:
         assert out == ""
         assert err.startswith("error: the enclosure radius inf is too large")
 
+    def test_a_bounds_radius_that_is_not_finite_is_an_error(self, capsys):
+        # on 1 + 1e-320 z^3, a_i / a_n overflows and the radius is inf,
+        # which is no JSON number: bounds fails as solve does, with its error
+        errors = []
+        for mode in ("solve", "bounds"):
+            code, out, err = run_cli(capsys, "--mode", mode, "1 0 0 1e-320")
+            assert (code, out) == (1, "")
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert errors[1].startswith("error: the enclosure radius inf is too large")
+        # a finite radius whose square [-R, R]^2 overflows is still reported
+        code, out, _ = run_cli(capsys, "--mode", "bounds", "5e307 1")
+        assert code == 0
+        assert json.loads(out)["enclosure"]["enclosure_radius"] == 1e308
+
     def test_zero_polynomial_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "0 0")
         assert code == 1

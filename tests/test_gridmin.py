@@ -14,6 +14,7 @@ from dalembert.gridmin import (
     _cell_radius,
     _derivative_norms,
     _first_wave,
+    _search,
     certified_min,
     lipschitz_bound,
 )
@@ -23,6 +24,13 @@ from helpers import dense_min_oracle, random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
 SQRT2 = math.sqrt(2.0)
+
+
+def _search_cells(p, region, epsilon, budget=1_000_000):
+    """certified_min's result and the centers of the cells still live at
+    its stop, as a complex array: the search's own return, _search's."""
+    cm, cells = _search(as_poly(p), _norms(p), region.corner, region.side, epsilon, budget)
+    return cm, np.asarray(cells, complex)
 
 
 def random_region(rng, max_half=2.0):
@@ -54,6 +62,20 @@ class TestSquareRegion:
     def test_center_and_corners(self):
         region = SquareRegion(complex(-1, -1), 2.0)
         assert region.center == 0j
+
+
+class TestCertifiedMinimumRecord:
+    def test_fields_are_read_only(self):
+        cm = certified_min(QUAD, growth_certificate(QUAD).square, 1e-10, 50_000)
+        for name in CertifiedMinimum._fields:
+            with pytest.raises(AttributeError):
+                setattr(cm, name, getattr(cm, name))
+
+    def test_repr_names_every_field(self):
+        cm = CertifiedMinimum(1 + 2j, 0.5, 0.25, 3)
+        assert repr(cm) == ("CertifiedMinimum(argmin=(1+2j), value=0.5, gap=0.25, "
+                            "evaluations=3, budget_exhausted=False)")
+        assert cm._replace(budget_exhausted=True).budget_exhausted is True
 
 
 class TestLipschitzBound:
@@ -256,13 +278,14 @@ class TestGoldenOutputs:
     )
     def test_pinned(self, p, region, epsilon, budget, argmin, value, gap, evaluations,
                     exhausted, cells):
-        cm = certified_min(p, region, epsilon, budget)
+        cm, live = _search_cells(p, region, epsilon, budget)
+        assert cm == certified_min(p, region, epsilon, budget)
         assert (cm.argmin.real.hex(), cm.argmin.imag.hex()) == argmin
         assert cm.value.hex() == value
         assert cm.gap.hex() == gap
         assert cm.evaluations == evaluations
         assert cm.budget_exhausted is exhausted
-        assert hashlib.sha256(cm.cells.astype("<c16").tobytes()).hexdigest() == cells
+        assert hashlib.sha256(live.astype("<c16").tobytes()).hexdigest() == cells
 
 
 def _live_side(cells, region):
@@ -283,29 +306,16 @@ class TestLiveCells:
         polys = [QUAD] + [random_poly(rng, int(rng.integers(2, 9))) for _ in range(20)]
         for p in polys:
             square = growth_certificate(p).square
-            cm = certified_min(p, square, 1e-6, 50_000)
-            side = _live_side(cm.cells, square)
+            _cm, cells = _search_cells(p, square, 1e-6, 50_000)
+            side = _live_side(cells, square)
             for root in np.roots(np.asarray(p, dtype=complex)[::-1]):
-                d = cm.cells - root
+                d = cells - root
                 inside = np.maximum(np.abs(d.real), np.abs(d.imag)) <= side / 2.0 * (1 + 1e-9)
                 assert inside.any(), (p, root)
 
-    def test_cells_are_read_only_and_not_compared(self):
-        square = growth_certificate(QUAD).square
-        cm = certified_min(QUAD, square, 1e-10, 50_000)
-        assert cm.cells.size > 0
-        assert not cm.cells.flags.writeable
-        with pytest.raises(ValueError):
-            cm.cells[0] = 0j
-        bare = CertifiedMinimum(cm.argmin, cm.value, cm.gap, cm.evaluations, cm.budget_exhausted)
-        assert bare == cm
-        assert hash(bare) == hash(cm)
-        assert repr(bare) == repr(cm)
-        assert bare.cells.size == 0
-
     def test_constant_leaves_no_live_cell(self):
-        cm = certified_min((7,), SquareRegion(0j, 1.0), 1e-6)
-        assert cm.cells.size == 0
+        _cm, cells = _search_cells((7,), SquareRegion(0j, 1.0), 1e-6)
+        assert cells.size == 0
 
 
 def _in_live_cell(root, cells, side):
@@ -338,7 +348,7 @@ class TestStopRules:
     def test_certificate_brackets_the_oracle(self, epsilon, budget):
         for label, p, roots in _stop_rule_cases():
             square = growth_certificate(p).square
-            cm = certified_min(p, square, epsilon, budget)
+            cm, cells = _search_cells(p, square, epsilon, budget)
             coeffs = np.asarray(p, dtype=complex)[::-1]
             if roots is None:
                 roots = np.roots(coeffs)
@@ -353,9 +363,9 @@ class TestStopRules:
                                              abs=1e-14), label
             assert cm.evaluations <= budget, label
             assert cm.budget_exhausted or cm.gap <= epsilon, label
-            side = _live_side(cm.cells, square)
+            side = _live_side(cells, square)
             for root in roots:
-                assert _in_live_cell(root, cm.cells, side), (label, root)
+                assert _in_live_cell(root, cells, side), (label, root)
 
     def test_quad_seed_search_takes_few_waves(self, monkeypatch):
         # bisection alone runs 38 waves to a 1e-10 gap (lower bounds near a
@@ -384,13 +394,13 @@ class TestStopRules:
         # the noise floor, the steps close the gap within a few hundred
         p = from_roots(1.0, roots)
         square = growth_certificate(p).square
-        cm = certified_min(p, square, 1e-10, 50_000)
+        cm, cells = _search_cells(p, square, 1e-10, 50_000)
         assert not cm.budget_exhausted
         assert cm.gap <= 1e-10
         assert cm.evaluations <= 1_000
-        side = _live_side(cm.cells, square)
+        side = _live_side(cells, square)
         for root in roots:
-            assert _in_live_cell(root, cm.cells, side), root
+            assert _in_live_cell(root, cells, side), root
 
     # coefficients from numpy.poly, as the benchmark builds them; the search
     # before the full-step rule took 36 and 79 evaluations
@@ -458,7 +468,7 @@ class TestNonFinite:
         p = from_roots(1.0, range(1, 21))
         half = float.fromhex("0x1.deea03e6b5783p+68")  # 5.52e20
         region = SquareRegion(complex(-half, -half), 2.0 * half)
-        cm = certified_min(p, region, 1e-6, 20_000)
+        cm, cells = _search_cells(p, region, 1e-6, 20_000)
         # the roots 1..20 lie in the square, so the minimum is 0; the Newton
         # run from the center reaches a root, which closes the gap
         assert cm.value - cm.gap <= 0.0
@@ -467,9 +477,9 @@ class TestNonFinite:
         assert cm.gap <= 1e-6
         assert cm.evaluations <= 20_000
         assert region.contains(cm.argmin)
-        side = _live_side(cm.cells, region)
+        side = _live_side(cells, region)
         for root in range(1, 21):
-            assert _in_live_cell(root, cm.cells, side), root
+            assert _in_live_cell(root, cells, side), root
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_center_does_not_block_finite_values(self):
@@ -601,9 +611,9 @@ class TestOnePointHorner:
             monkeypatch.setattr(module, name,
                                 lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
         square = growth_certificate(p).square
-        cm = certified_min(p, square, 1e-10, 50_000)
+        cm, cells = _search_cells(p, square, 1e-10, 50_000)
         assert calls == []
-        assert cm.cells.tolist() == [square.center]  # the first wave's one cell
+        assert cells.tolist() == [square.center]  # the first wave's one cell
         assert cm.gap <= 1e-10 and not cm.budget_exhausted
 
 

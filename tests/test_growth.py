@@ -6,7 +6,7 @@ import pytest
 
 from dalembert.complexmath import norm
 from dalembert.errors import BelowThreshold, NotApplicableToConstant
-from dalembert.growth import check_bounds, growth_certificate
+from dalembert.growth import GrowthCertificate, check_bounds, growth_certificate
 from dalembert.polynomial import evaluate, from_roots
 from helpers import random_poly
 
@@ -41,12 +41,22 @@ def _beyond(rng, cert, radius):
 class TestCertificate:
     def test_sample_quadratic(self):
         cert = growth_certificate(QUAD)
-        # A = 1, n = 2, |a_n| = 3: threshold max(1, 4/3), enclosure max(4/3, 2/3)
+        # A = 1, n = 2, |a_n| = 3: threshold max(1, 4/3), which is also the
+        # enclosure radius, since (2 |a_0| / |a_n|)^(1/2) = 0.82 is below it
         assert cert.threshold_radius == pytest.approx(4.0 / 3.0, abs=1e-15)
         assert cert.enclosure_radius == pytest.approx(4.0 / 3.0, abs=1e-15)
         assert cert.lead_norm == 3.0
         assert cert.sub_max == 1.0
         assert cert.degree == 2
+
+    def test_fields_are_read_only(self):
+        cert = growth_certificate(QUAD)
+        for name in GrowthCertificate._fields:
+            with pytest.raises(AttributeError):
+                setattr(cert, name, getattr(cert, name))
+        assert repr(cert) == ("GrowthCertificate(threshold_radius=1.3333333333333333, "
+                              "enclosure_radius=1.3333333333333333, lead_norm=3.0, "
+                              "sub_max=1.0, degree=2)")
 
     def test_pure_square(self):
         cert = growth_certificate((0, 0, 1))
@@ -70,8 +80,11 @@ class TestCertificate:
             cert = growth_certificate(p)
             paper = max(1.0, 2.0 * cert.sub_max * cert.degree / cert.lead_norm)
             assert 1.0 <= cert.threshold_radius <= paper
-            assert cert.threshold_radius <= cert.enclosure_radius <= max(
-                paper, 2.0 * norm(p[0]) / cert.lead_norm)
+            # beyond (2 |a_0| / |a_n|)^(1/n) the sandwich gives |p(z)| >= |p(0)|;
+            # the threshold already reaches it, so it is the enclosure radius too
+            assert (2.0 * norm(p[0]) / cert.lead_norm) ** (1.0 / cert.degree) <= (
+                cert.threshold_radius)
+            assert cert.enclosure_radius == cert.threshold_radius
 
     def test_lemmas_hold_beyond_the_radii(self):
         rng = np.random.default_rng(14)

@@ -8,9 +8,9 @@ import pytest
 
 from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
-from dalembert.gridmin import CertifiedMinimum, certified_min
+from dalembert.gridmin import _search, certified_min
 from dalembert.growth import growth_certificate
-from dalembert.polynomial import evaluate, from_roots, max_coeff_norm
+from dalembert.polynomial import as_poly, evaluate, from_roots, max_coeff_norm
 from dalembert.solver import find_all_roots, find_root
 from helpers import random_poly
 
@@ -61,6 +61,26 @@ class TestFindRoot:
         for solve in (find_root, find_all_roots):
             with pytest.raises(OverflowError, match=re.escape(f"enclosure radius {radius} ")):
                 solve(p)
+
+    def test_a_finite_radius_solves_where_the_origin_term_overflows(self):
+        # 1e300 + 1e-8 z^2 has the roots +-1e154 i and the radius 3e154,
+        # Fujiwara's; (2 |a_0| / |a_n|)^(1/2), which that radius always
+        # reaches, overflows to inf when it is taken by itself
+        p = (1e300, 0, 1e-8)
+        assert growth_certificate(p).enclosure_radius == 3e154
+        want = [1e154j, -1e154j]
+        result = find_root(p)
+        assert result.converged
+        assert min(abs(result.root - w) for w in want) <= 1e142
+        report = find_all_roots(p)
+        assert all(r.converged for r in report.roots)
+        assert _matched([r.root for r in report.roots], want, 1e142)
+
+    def test_results_are_not_tuples(self):
+        # the benchmark's digest reads a tuple as a CLI (exit code, stdout)
+        # pair, so the solvers' results stay records of their own
+        assert not isinstance(find_root(QUAD), tuple)
+        assert not isinstance(find_all_roots(QUAD), tuple)
 
     @pytest.mark.parametrize("p, coeff", [((math.inf, 1), "a_0 = (inf+0j)"),
                                           ((1, complex(1, math.inf), 1e-300), "a_1 = (1+infj)")])
@@ -114,19 +134,34 @@ def _bits(x):
     if isinstance(x, (tuple, list)):
         return tuple(_bits(y) for y in x)
     if dataclasses.is_dataclass(x):
-        return tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x)
-                     if f.name != "cells")
+        return tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x))
     return x
 
 
-def _search_with(search, **changes):
-    """search, the seed search's core, with the fields in changes replaced
-    in the CertifiedMinimum fields it returns as a tuple."""
+def _search_with(search, cells=None, **changes):
+    """search, the seed search's core, with the CertifiedMinimum fields in
+    changes replaced and, if given, its live cells replaced by cells."""
     def replaced(*args):
-        found = dataclasses.replace(CertifiedMinimum(*search(*args)), **changes)
-        return tuple(getattr(found, f.name) for f in dataclasses.fields(found))
+        found, live = search(*args)
+        return found._replace(**changes), live if cells is None else cells
 
     return replaced
+
+
+def _recording_search(monkeypatch):
+    """The solver's seed search, made to record what it returns: a list
+    that gets one (CertifiedMinimum, live cells) pair per call."""
+    import dalembert.solver
+
+    found = []
+    original = dalembert.solver._search
+
+    def recording(*args):
+        found.append(original(*args))
+        return found[-1]
+
+    monkeypatch.setattr(dalembert.solver, "_search", recording)
+    return found
 
 
 def _gamma(n):
@@ -157,13 +192,18 @@ _PREPARED = {
 class TestSeed:
     # ids p0 .. p12, in _PREPARED's order
     @pytest.mark.parametrize("p", list(_PREPARED.values()))
-    def test_seed_is_the_public_branch_and_bound(self, p):
+    def test_seed_is_the_public_branch_and_bound(self, p, monkeypatch):
+        found = _recording_search(monkeypatch)
         report = find_all_roots(p)
         assert report.enclosure == growth_certificate(p)
         n = report.enclosure.degree
-        want = certified_min(p, report.enclosure.square, max(1e-10, _gamma(n) * norm(p[0])), 50_000)
+        square, epsilon = report.enclosure.square, max(1e-10, _gamma(n) * norm(p[0]))
+        want, want_cells = _search(as_poly(p), list(map(norm, as_poly(p))), square.corner,
+                                   square.side, epsilon, 50_000)
+        assert want == certified_min(p, square, epsilon, 50_000)
         assert _bits(report.seed) == _bits(want)
-        assert np.array_equal(report.seed.cells, want.cells)
+        [(_seed, cells)] = found
+        assert np.array_equal(np.asarray(cells, complex), np.asarray(want_cells, complex))
         # the first root is find_root's result, from the same one descent
         assert _bits(report.roots[0]) == _bits(find_root(p))
         # which starts from the seed's value, |p| at its argmin as norm
@@ -190,24 +230,22 @@ class TestSeed:
         # on them: once each per call, not once per deflated factor
         import dalembert.solver
 
-        calls, seeds = [], []
+        certificates = []
         original = dalembert.solver._radii
-        original_seed = dalembert.solver._search
 
-        def counting(norms):
-            calls.append(len(norms) - 1)
-            return original(norms)
+        def recording(norms):
+            certificates.append(original(norms))
+            return certificates[-1]
 
-        def counting_seed(*args):
-            seeds.append(len(args[0]) - 1)
-            return original_seed(*args)
-
-        monkeypatch.setattr(dalembert.solver, "_radii", counting)
-        monkeypatch.setattr(dalembert.solver, "_search", counting_seed)
+        monkeypatch.setattr(dalembert.solver, "_radii", recording)
+        seeds = _recording_search(monkeypatch)
         report = find_all_roots((2 - 1j, 0.5, 0, -3j, 1))
-        assert calls == [4]
-        assert seeds == [4]
+        assert [c.degree for c in certificates] == [4]
+        assert len(seeds) == 1
         assert len(report.roots) == 4
+        # the report holds the very records the two stages built
+        assert report.enclosure is certificates[0]
+        assert report.seed is seeds[0][0]
 
 
 class TestFindAllRoots:
@@ -434,7 +472,9 @@ class TestDeflatedFactors:
             return original(q, floor, z0, *args)
 
         monkeypatch.setattr(dalembert.solver, "_descend", recording)
-        cells = find_all_roots(p).seed.cells
+        found = _recording_search(monkeypatch)
+        find_all_roots(p)
+        cells = np.asarray(found[0][1], complex)
         assert len(starts) == 6
         for q, z0 in starts:
             values = np.abs(np.polyval(np.asarray(q, dtype=complex)[::-1], cells))
@@ -534,14 +574,15 @@ class TestDeflatedFactors:
         assert (True, True) not in kept
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_input_completes(self):
+    def test_overflowing_input_completes(self, monkeypatch):
         # |p| overflows on most of the enclosure square; those cells bound
         # nothing, so the search keeps them with the trivial certificate
         # [0, value], which is already below the rounding floor
         # gamma_2n |a_0| at the center: it stops there, not on its budget
         p = tuple(1e300 * c for c in random_poly(np.random.default_rng(45), 8))
+        found = _recording_search(monkeypatch)
         report = find_all_roots(p)
-        assert report.seed.cells.size > 0
+        assert len(found[0][1]) > 0
         assert not report.seed.budget_exhausted
         assert report.seed.gap == report.seed.value
         assert len(report.roots) == 8
