@@ -16,17 +16,20 @@ Math. J. 10, 1916) scaled to the sandwich's factor 1/2.  So the square is
 never larger than the paper's, and on wide coefficient ranges, such as
 Wilkinson's polynomials, it is many times smaller.  Both radii need only the
 norms |a_i|: _radii builds the certificate from them, and growth_certificate
-and the solver each hand it the norms they took.
+and the solver each hand it the norms they took.  _radii alone decides
+whether they give a usable radius, so find_root, find_all_roots and the
+CLI's bounds and check modes all refuse the same inputs with the same error.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .complexmath import norm
 from .errors import BelowThreshold, NotApplicableToConstant
 from .gridmin import SquareRegion
-from .polynomial import evaluate, truncate
+from .polynomial import Poly, evaluate, truncate
 
 __all__ = [
     "GrowthCertificate",
@@ -82,21 +85,38 @@ def growth_certificate(p) -> GrowthCertificate:
     its n-th root when that is >= 1), so enclosure_radius is the threshold
     itself.  Rounding the n-th roots moves the 1/2 by a few ulps, far
     inside BOUND_SLACK.
+
+    Raises ValueError naming the first coefficient whose norm is not finite,
+    and OverflowError where the radius is not finite.
     """
     q = truncate(p)
     if len(q) < 2:
         raise NotApplicableToConstant("growth bounds require a non-constant polynomial")
-    return _radii(list(map(norm, q)))
+    return _radii(q, list(map(norm, q)))
 
 
-def _radii(norms: list) -> GrowthCertificate:
-    """The certificate from the norms |a_0| .. |a_n|, n >= 1."""
+def _radii(pt: Poly, norms: list) -> GrowthCertificate:
+    """The certificate of pt from its norms |a_0| .. |a_n|, n >= 1; raises
+    _radius_error's error where a norm or the radius is not finite (max
+    skips a NaN, and a_i / inf is 0, so the radius alone cannot tell)."""
     *tail, lead = norms
     n = len(tail)
     sub = max(tail)
     fujiwara = max((a / lead) ** (1.0 / (n - i)) for i, a in enumerate(tail))
     threshold = min(max(1.0, 2.0 * sub * n / lead), max(1.0, 3.0 * fujiwara))
+    if not (math.isfinite(threshold) and all(map(math.isfinite, norms))):
+        raise _radius_error(pt, threshold)
     return GrowthCertificate(threshold, threshold, lead, sub, n)
+
+
+def _radius_error(pt: Poly, r: float) -> ArithmeticError:
+    """ValueError naming pt's first coefficient whose norm is not finite,
+    which is then the radius, or else OverflowError for the radius r."""
+    for i, a in enumerate(pt):
+        if not math.isfinite(norm(a)):
+            return ValueError(f"the enclosure radius is {norm(a)}: coefficient a_{i} = {a}")
+    return OverflowError(f"the enclosure radius {r} is too large: the square "
+                         "[-R, R]^2 is not representable in floating point")
 
 
 def check_bounds(p, z: complex, cert: GrowthCertificate) -> tuple[float, float, float]:

@@ -19,6 +19,8 @@ the origin is the seed's gap target, and the seed search's Lipschitz bounds
 polishes, and each deflated factor takes its own norms once.  _radii and
 _search build the GrowthCertificate and the CertifiedMinimum once, and the
 solver reads them by name and hands them on to find_all_roots' report.
+growth._radii decides whether p's coefficients and radius are usable; the
+solver tests only that its square's side 2R is finite too.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .complexmath import norm
 from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
 from .errors import DegenerateZeroPolynomial, NoRootExists
 from .gridmin import CertifiedMinimum, _horner, _search
-from .growth import GrowthCertificate, _radii
+from .growth import GrowthCertificate, _radii, _radius_error
 from .polynomial import Poly, deflate, evaluate_with_derivative, from_roots, truncate
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
@@ -52,15 +54,6 @@ class SolveReport:
     seed: CertifiedMinimum
 
 
-def _radius_error(pt: Poly, r: float) -> ArithmeticError:
-    """The error for pt's radius r whose square [-r, r]^2 is not representable."""
-    bad = [i for i, a in enumerate(pt) if not math.isfinite(norm(a))]
-    if bad:
-        return ValueError(f"the enclosure radius is {r}: coefficient a_{bad[0]} = {pt[bad[0]]}")
-    return OverflowError(f"the enclosure radius {r} is too large: the square "
-                         "[-R, R]^2 is not representable in floating point")
-
-
 def _solve_once(p, tol: float, max_iter: int):
     """find_root's chain on p, with p normalized and its norms taken once:
     the root's result, the normalized pt, its noise floor, the growth
@@ -74,9 +67,9 @@ def _solve_once(p, tol: float, max_iter: int):
     if len(pt) == 1:
         raise NoRootExists("no root exists for a nonzero constant polynomial")
     norms = list(map(norm, pt))
-    floor, growth = _noise_floor(norms), _radii(norms)
+    floor, growth = _noise_floor(norms), _radii(pt, norms)
     r = growth.enclosure_radius
-    if not math.isfinite(2.0 * r):
+    if not math.isfinite(2.0 * r):  # R is finite, but the side 2R can overflow
         raise _radius_error(pt, r)
     seed, cells = _search(pt, norms, complex(-r, -r), 2.0 * r, max(tol, floor(0j)), _SEED_BUDGET)
     return (_descend(pt, floor, seed.argmin, seed.value, tol, max_iter, True), pt, floor,

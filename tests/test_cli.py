@@ -148,6 +148,18 @@ class TestSolveMode:
         assert code == 0
         assert json.loads(out)["enclosure"]["enclosure_radius"] == 1e308
 
+    @pytest.mark.parametrize("text", ["1 0 0 1e-320", "1 1e-320"])
+    def test_check_on_a_radius_that_is_not_finite_is_an_error(self, capsys, text):
+        # check takes its radius from growth_certificate, as bounds does, so
+        # it samples nothing at an infinite radius and fails as solve does
+        errors = []
+        for mode in ("solve", "check"):
+            code, out, err = run_cli(capsys, "--mode", mode, text)
+            assert (code, out) == (1, "")
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert errors[1].startswith("error: the enclosure radius inf is too large")
+
     def test_zero_polynomial_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "0 0")
         assert code == 1

@@ -1,5 +1,7 @@
 import math
+import re
 from cmath import rect
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +74,32 @@ class TestCertificate:
         for p in ((7,), (), (0, 0)):
             with pytest.raises(NotApplicableToConstant):
                 growth_certificate(p)
+
+    @pytest.mark.parametrize(
+        "p, error, message",
+        [
+            ((math.nan, 1), ValueError, "the enclosure radius is nan: coefficient a_0 = (nan+0j)"),
+            ((1, math.inf), ValueError, "the enclosure radius is inf: coefficient a_1 = (inf+0j)"),
+            ((1, 1, math.nan), ValueError, "the enclosure radius is nan: coefficient a_2 = (nan+0j)"),
+            # 1 / 1e-320 overflows: every coefficient is finite, the radius is not
+            ((1, 0, 0, 1e-320), OverflowError, "the enclosure radius inf is too large"),
+        ],
+    )
+    def test_refuses_what_gives_no_finite_radius(self, p, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            growth_certificate(p)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the degree-1 radius 2 |a_0| / |a_1| rounds down (ROADMAP item 8)")
+    def test_both_lemmas_hold_at_the_radius_in_exact_arithmetic(self):
+        # 1 + 0.7 z: R = 2 / 0.7 rounds down to 2.857142857142857, 0.27 ulp
+        # below the exact quotient, so at z = -R the exact |p| is 1 - 8.2e-17,
+        # below |p(0)| = 1 and 4.1e-17 below (1/2) |a_1| R
+        a0, a1 = Fraction(1), Fraction(0.7)
+        r = Fraction(growth_certificate((1, 0.7)).enclosure_radius)
+        value = abs(a0 - a1 * r)
+        assert value >= a1 * r / 2
+        assert value >= a0
 
     def test_invariants_on_random_polys(self):
         # the radius never exceeds the paper's max(1, 2 A n / |a_n|) and

@@ -83,15 +83,18 @@ class TestFindRoot:
         assert not isinstance(find_all_roots(QUAD), tuple)
 
     @pytest.mark.parametrize("p, coeff", [((math.inf, 1), "a_0 = (inf+0j)"),
-                                          ((1, complex(1, math.inf), 1e-300), "a_1 = (1+infj)")])
+                                          ((1, complex(1, math.inf), 1e-300), "a_1 = (1+infj)"),
+                                          ((math.nan, 1), "a_0 = (nan+0j)"),
+                                          ((1, math.inf), "a_1 = (inf+0j)"),
+                                          ((1, 1, math.nan), "a_2 = (nan+0j)")])
     def test_a_non_finite_coefficient_is_named(self, p, coeff):
-        # an infinite radius that comes from the input, not from overflow,
-        # is a ValueError, as growth_certificate(p).square raises
-        for solve in (find_root, find_all_roots):
-            with pytest.raises(ValueError, match=re.escape(f"radius is inf: coefficient {coeff}")):
+        # a radius that is not finite because of the input, not of overflow,
+        # is a ValueError that reads the radius as the coefficient's norm, inf
+        # or nan: max skips a NaN and a_i / inf is 0, which would give 1.0
+        radius = abs(complex(coeff.partition(" = ")[2]))
+        for solve in (find_root, find_all_roots, growth_certificate):
+            with pytest.raises(ValueError, match=re.escape(f"radius is {radius}: coefficient {coeff}")):
                 solve(p)
-        with pytest.raises(ValueError):
-            growth_certificate(p).square
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wilkinson20_searches_without_overflow(self):
@@ -233,8 +236,8 @@ class TestSeed:
         certificates = []
         original = dalembert.solver._radii
 
-        def recording(norms):
-            certificates.append(original(norms))
+        def recording(pt, norms):
+            certificates.append(original(pt, norms))
             return certificates[-1]
 
         monkeypatch.setattr(dalembert.solver, "_radii", recording)
