@@ -6,7 +6,12 @@ beyond the radius, which hold from the same radius and share one sample,
 and the strict decrease of a descent step inside the enclosure square.
 They mirror the property suites in tests/ but run from the CLI on any
 polynomial of interest.  The radius comes from growth_certificate, which
-decides whether it is usable, so check refuses what bounds and solve do.
+decides whether it is usable, so check refuses what bounds and solve do;
+it also refuses a finite R whose 10 R, the far end of the radius lemmas'
+sample, overflows, with the OverflowError that solve raises where 2 R
+does.  Each
+LemmaReport is a named tuple, so it compares equal to a plain tuple,
+unpacks, and gives changed copies with ._replace.
 """
 
 from __future__ import annotations
@@ -14,19 +19,18 @@ from __future__ import annotations
 import math
 import random
 from cmath import rect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexmath import norm
 from .descent import descent_step
 from .errors import StepStalled
-from .growth import check_bounds, growth_certificate
+from .growth import _radius_error, check_bounds, growth_certificate
 from .polynomial import evaluate, max_coeff_norm, truncate
 
 __all__ = ["LemmaReport", "run_lemma_checks"]
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     name: str
     samples: int
     failures: int
@@ -38,9 +42,12 @@ class LemmaReport:
 
 def run_lemma_checks(p, samples: int = 1000, seed: int = 0) -> list[LemmaReport]:
     """Replay every lemma on p; raises NotApplicableToConstant when p is
-    constant, since none of them applies."""
+    constant, since none of them applies, and raises growth_certificate's
+    error, or OverflowError where 10 R is not finite."""
     pt = truncate(p)
     cert = growth_certificate(pt)
+    if not math.isfinite(10.0 * cert.threshold_radius):
+        raise _radius_error(pt, cert.threshold_radius)
     rng = random.Random(seed)
     return [*_beyond_radius(pt, cert, rng, samples), _descent_decrease(pt, cert, rng, samples)]
 

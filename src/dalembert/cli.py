@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 
-from .checks import run_lemma_checks
 from .complexmath import format_complex, parse_complex
 from .descent import RootResult
 from .errors import EmptyPolynomial, ParseError
@@ -162,6 +161,8 @@ def _run_bounds(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
 
 
 def _run_check(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
+    from .checks import run_lemma_checks  # here, so that only check mode pays its import
+
     reports = run_lemma_checks(poly, samples=1000, seed=args.seed)
     passed = all(r.passed for r in reports)
     return EXIT_OK if passed else EXIT_ERROR, {

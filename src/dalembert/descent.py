@@ -27,6 +27,12 @@ Because only roots stop the iteration, walking downhill is a root finder.
 descend stops once the residual meets the tolerance or the rounding floor of
 Horner's rule, gamma_2n * sum |a_i| |z|^i (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., 5.1), below which a computed |p| says nothing.
+
+DescentStep and TraceRow are named tuples: they compare equal to plain
+tuples, unpack, and give changed copies with ._replace, while
+dataclasses.replace, fields and asdict do not apply to them.  RootResult
+stays a frozen dataclass: the benchmark's digest reads any tuple as a CLI
+(exit code, stdout) pair, so the solvers' results must not be tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexmath import norm, nth_root
 from .errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
@@ -52,8 +58,7 @@ __all__ = [
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-@dataclass(frozen=True)
-class DescentStep:
+class DescentStep(NamedTuple):
     """Witness for a strict decrease of |p| from z0 to z0 + zs.
 
     k is the exponent of the coefficient ak of the shifted,
@@ -72,8 +77,11 @@ class DescentStep:
     after: float
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One point of a descent: the step count, the point, |p| there, and
+    the step parameter s and exponent k that reached it (0 and 0 at the
+    start)."""
+
     iteration: int
     point: complex
     residual: float

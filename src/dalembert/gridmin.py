@@ -30,6 +30,12 @@ stop: its state, not its claim, and a sound search never prunes a cell that
 holds a global minimizer.  The solver calls _search directly with the
 polynomial and norms it prepared and its enclosure square's corner and
 side, and starts each deflated factor's descent from those cells.
+
+SquareRegion and CertifiedMinimum are named tuples: they compare equal to
+plain tuples, unpack, and give changed copies with ._replace, while
+dataclasses.replace, fields and asdict do not apply to them.  SquareRegion
+checks its square in __new__, and its _make, which ._replace calls, goes
+through __new__ too, so no way of building one skips the checks.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ import cmath
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,28 +61,37 @@ __all__ = [
 HALF_DIAGONAL = math.sqrt(2.0) / 2.0
 
 
-@dataclass(frozen=True)
-class SquareRegion:
+class _Square(NamedTuple):
+    corner: complex
+    side: float
+
+
+class SquareRegion(_Square):
     """The square [x0, x0+side] x [y0, y0+side]; corner = x0 + i y0 (lower left).
 
     The corner, the side and the far corner (x0+side) + i (y0+side) must all
     be finite floats, so every cell center and bound in it is representable.
+    Every way of building one checks that, ._replace and ._make included.
     """
 
-    corner: complex
-    side: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "corner", complex(self.corner))
-        object.__setattr__(self, "side", float(self.side))
-        if not (math.isfinite(self.side) and self.side > 0):
-            raise ValueError(f"side must be positive and finite, got {self.side}")
-        if not (math.isfinite(self.corner.real) and math.isfinite(self.corner.imag)):
-            raise ValueError(f"corner must be finite, got {self.corner}")
-        far = self.corner + complex(self.side, self.side)
+    def __new__(cls, corner: complex, side: float):
+        corner, side = complex(corner), float(side)
+        if not (math.isfinite(side) and side > 0):
+            raise ValueError(f"side must be positive and finite, got {side}")
+        if not (math.isfinite(corner.real) and math.isfinite(corner.imag)):
+            raise ValueError(f"corner must be finite, got {corner}")
+        far = corner + complex(side, side)
         if not (math.isfinite(far.real) and math.isfinite(far.imag)):
-            raise ValueError(f"the far corner {far} of the square at {self.corner} "
-                             f"with side {self.side} is not representable")
+            raise ValueError(f"the far corner {far} of the square at {corner} "
+                             f"with side {side} is not representable")
+        return super().__new__(cls, corner, side)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__'s checks
+        return cls(*iterable)
 
     def contains(self, z: complex) -> bool:
         x0, y0 = self.corner.real, self.corner.imag

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,6 +14,7 @@ from dalembert.cli import main, parse_polynomial, serialize_polynomial
 from dalembert.errors import EmptyPolynomial, ParseError
 from dalembert.polynomial import from_roots
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 QUAD_TEXT = "1 1i 3"
 # 1 + 2z + ... + 41 z^40: descent from the center 0 of its growth square
 # needs 21 steps to converge
@@ -148,17 +154,20 @@ class TestSolveMode:
         assert code == 0
         assert json.loads(out)["enclosure"]["enclosure_radius"] == 1e308
 
-    @pytest.mark.parametrize("text", ["1 0 0 1e-320", "1 1e-320"])
-    def test_check_on_a_radius_that_is_not_finite_is_an_error(self, capsys, text):
+    @pytest.mark.parametrize("text, radius", [("1 0 0 1e-320", "inf"), ("1 1e-320", "inf"),
+                                              ("5e307 1", "1e+308")],
+                             ids=["1 0 0 1e-320", "1 1e-320", "5e307 1"])
+    def test_check_on_a_radius_that_is_not_finite_is_an_error(self, capsys, text, radius):
         # check takes its radius from growth_certificate, as bounds does, so
-        # it samples nothing at an infinite radius and fails as solve does
+        # it samples nothing at an infinite radius and fails as solve does;
+        # a finite R = 1e308 is refused too, since its sample reaches 10 R
         errors = []
         for mode in ("solve", "check"):
             code, out, err = run_cli(capsys, "--mode", mode, text)
             assert (code, out) == (1, "")
             errors.append(err)
         assert errors[0] == errors[1]
-        assert errors[1].startswith("error: the enclosure radius inf is too large")
+        assert errors[1].startswith(f"error: the enclosure radius {radius} is too large")
 
     def test_zero_polynomial_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "0 0")
@@ -305,6 +314,27 @@ class TestOtherModes:
         _, out_b, _ = run_cli(capsys, "--mode", "check", "--seed", "1", QUAD_TEXT)
         assert out_a == out_b
         assert json.loads(out_a)["seed"] == 1
+
+
+class TestImports:
+    def test_only_check_mode_imports_the_lemma_replay(self):
+        # a fresh interpreter loads the package and the CLI without
+        # dalembert.checks, and runs other modes without it
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            import dalembert, dalembert.cli
+            seen = ["dalembert.checks" in sys.modules]
+            with contextlib.redirect_stdout(io.StringIO()):
+                for mode in ("bounds", "check"):
+                    dalembert.cli.main(["--mode", mode, "1 1"])
+                    seen.append("dalembert.checks" in sys.modules)
+            print(seen)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False, True]\n", "")
 
 
 class TestDeterminism:
