@@ -9,9 +9,8 @@ polynomial of interest.  The radius comes from growth_certificate, which
 decides whether it is usable, so check refuses what bounds and solve do;
 it also refuses a finite R whose 10 R, the far end of the radius lemmas'
 sample, overflows, with the OverflowError that solve raises where 2 R
-does.  Each
-LemmaReport is a named tuple, so it compares equal to a plain tuple,
-unpacks, and gives changed copies with ._replace.
+does.  Each LemmaReport is a named tuple, so it compares equal to a plain
+tuple, unpacks, and gives changed copies with ._replace.
 """
 
 from __future__ import annotations

@@ -102,7 +102,7 @@ def _to_json(value, level: int = 0) -> str:
 
 
 # The report keys of each result, in output order.  Named rather than taken
-# from the dataclass, so that a new field does not change the output.
+# from the record, so that a new field does not change the output.
 _ROOT_FIELDS = ("root", "residual", "iterations", "converged")
 _MINIMUM_FIELDS = ("argmin", "value", "gap", "evaluations", "budget_exhausted")
 _GROWTH_FIELDS = ("threshold_radius", "enclosure_radius", "lead_norm", "sub_max", "degree")

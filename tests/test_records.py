@@ -48,10 +48,6 @@ class TestRecords:
         assert record == tuple(getattr(record, name) for name in record._fields)
         assert type(record)(*record) == record
 
-    def test_lemma_report_passes_on_no_failure(self):
-        assert LemmaReport("x", 10, 0).passed
-        assert not LemmaReport("x", 10, 0)._replace(failures=1).passed
-
     @pytest.mark.parametrize("corner, side, match", [
         (0j, -1.0, "side must be positive and finite"),
         (0j, math.nan, "side must be positive and finite"),
