@@ -1,5 +1,5 @@
 """The small records, DescentStep, TraceRow, LemmaReport and SquareRegion, are
-read-only named tuples that print as the frozen dataclasses they replaced."""
+read-only named tuples that print as Name(field=value, ...)."""
 
 import math
 
