@@ -8,9 +8,10 @@ They mirror the property suites in tests/ but run from the CLI on any
 polynomial of interest.  The radius comes from growth_certificate, which
 decides whether it is usable, so check refuses what bounds and solve do;
 it also refuses a finite R whose 10 R, the far end of the radius lemmas'
-sample, overflows, with the OverflowError that solve raises where 2 R
-does.  Each LemmaReport is a named tuple, so it compares equal to a plain
-tuple, unpacks, and gives changed copies with ._replace.
+sample, overflows, with solve's OverflowError where 2 R overflows too and
+one that names 10 R where it does not.  Each LemmaReport is a named tuple,
+so it compares equal to a plain tuple, unpacks, and gives changed copies
+with ._replace.
 """
 
 from __future__ import annotations
@@ -45,8 +46,12 @@ def run_lemma_checks(p, samples: int = 1000, seed: int = 0) -> list[LemmaReport]
     error, or OverflowError where 10 R is not finite."""
     pt = truncate(p)
     cert = growth_certificate(pt)
-    if not math.isfinite(10.0 * cert.threshold_radius):
-        raise _radius_error(pt, cert.threshold_radius)
+    r = cert.threshold_radius
+    if not math.isfinite(2.0 * r):
+        raise _radius_error(pt, r)
+    if not math.isfinite(10.0 * r):
+        raise OverflowError(f"the enclosure radius {r} is too large to check: the far end "
+                            "10 R of the lemmas' sample is not representable in floating point")
     rng = random.Random(seed)
     return [*_beyond_radius(pt, cert, rng, samples), _descent_decrease(pt, cert, rng, samples)]
 

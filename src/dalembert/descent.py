@@ -126,12 +126,12 @@ def _nonconstant(p) -> Poly:
     return pt
 
 
-def _step(pt: Poly, floor: float, z0: complex, before: float, pair=None) -> tuple:
+def _step(pt: Poly, floor: float, z0: complex, before: float, pair: tuple) -> tuple:
     """descent_step's fields (k, ak, s, zs, before, after) and the pair
     (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt
-    whose noise floor at z0 is floor, given before = |p(z0)| and, if
-    known, the pair (p(z0), p'(z0))."""
-    a0, d = pair if pair is not None else evaluate_with_derivative(pt, z0)
+    whose noise floor at z0 is floor, given the pair (p(z0), p'(z0)) and
+    before = |p(z0)|."""
+    a0, d = pair
     if a0 == 0:
         # cancellation made p(z0) exactly zero
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
@@ -197,12 +197,9 @@ def descent_step(p, z0: complex) -> DescentStep:
     and StepStalled when, for every term tried, z0 + zs rounds to z0 or
     the gain s |p(z0)| of the next try is below the noise floor at z0.
     """
-    pt = _nonconstant(p)
-    z0 = complex(z0)
+    pt, z0 = _nonconstant(p), complex(z0)
     pair = evaluate_with_derivative(pt, z0)
     before = norm(pair[0])
-    if before == 0.0:
-        raise AlreadyAtRoot(f"p({z0}) = 0 already")
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
     return DescentStep(*_step(pt, _noise_floor(list(map(norm, pt)))(z0), z0, before, pair)[:6])
@@ -246,21 +243,20 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000) -> RootRe
     integer >= 0.
     """
     _check_tol_max_iter(tol, max_iter)
-    pt = _nonconstant(p)
-    z = complex(z0)
-    pair = evaluate_with_derivative(pt, z)
-    floor = _noise_floor(list(map(norm, pt)))
-    return _descend(pt, floor, z, norm(pair[0]), tol, max_iter, True, pair)
+    pt, z = _nonconstant(p), complex(z0)
+    return _descend(pt, _noise_floor(list(map(norm, pt))), z, evaluate_with_derivative(pt, z),
+                    tol, max_iter, True)
 
 
-def _descend(pt: Poly, floor, z: complex, residual: float, tol: float, max_iter: int,
-             keep_trace: bool, pair=None) -> RootResult:
-    """descend's loop from z, where |p| = residual and (p, p') = pair if
-    given, for a normalized non-constant pt whose noise floor is floor (see
-    _noise_floor), and checked tol and max_iter; with keep_trace unset the
-    trace is None.  floor(z) is computed once per point while residual >
-    tol; below, the loop test and the converged flag read
+def _descend(pt: Poly, floor, z: complex, pair: tuple, tol: float, max_iter: int,
+             keep_trace: bool) -> RootResult:
+    """descend's loop from z, where (p, p') = pair and the residual is
+    norm(p), for a normalized non-constant pt whose noise floor is floor
+    (see _noise_floor), and checked tol and max_iter; with keep_trace unset
+    the trace is None.  floor(z) is computed once per point while the
+    residual > tol; below, the loop test and the converged flag read
     max(tol, floor(z)) = tol whatever it is."""
+    residual = norm(pair[0])
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
     steps, bound = 0, floor(z) if residual > tol else 0.0
     while math.isfinite(residual) and residual > max(tol, bound) and steps < max_iter:

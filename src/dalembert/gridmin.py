@@ -12,24 +12,25 @@ beat the incumbent are pruned.  |p| is never below 0, so the gap is
 value - max(0, lowest lower bound).  Each wave splits every live cell, so a
 wave after the first is one complex array of centers of one side, evaluated
 at once.  The first wave, the region's center alone, runs in scalar Python
-arithmetic with no numpy call; most searches stop there.  Every |p| is norm
-(np.hypot of the parts in the numpy waves), so the scalar wave rounds as
-numpy's loop over one cell does, bit for bit, where numpy's complex
-multiply rounds like CPython's (numpy 2.4 on x86-64); a numpy wave of three
-or more cells can still round |p| unlike the scalar loop in the last bits.
-Both report an overflow with a RuntimeWarning.  A NaN value never becomes
-the incumbent, and a cell whose lower bound is not finite is never pruned.
+arithmetic with no numpy call; most searches stop there.  numpy only ranks
+and prunes later waves' cells, since over three or more cells it can round
+|p| otherwise in the last bits: a wave's best cell replaces the incumbent
+only if evaluate_with_derivative's |p| there is strictly lower, so every
+value reported is that loop's, taken once per point.  Both report an
+overflow with a RuntimeWarning.  A NaN value never becomes the incumbent,
+and a cell whose lower bound is not finite is never pruned.
 Each wave also tries the descent's damped Newton steps from the incumbent
 (see _damped_newton), which drive the value below epsilon far faster than
 bisection alone.
 
 certified_min takes the norms |a_i| once, for every Lipschitz bound, and
 hands them to _search, the search itself, which works on plain values and
-returns the CertifiedMinimum and the centers of the cells still live at the
-stop: its state, not its claim, and a sound search never prunes a cell that
-holds a global minimizer.  The solver calls _search directly with the
-polynomial and norms it prepared and its enclosure square's corner and
-side, and starts each deflated factor's descent from those cells.
+returns the CertifiedMinimum, the centers of the cells still live at the
+stop (its state, not its claim: a sound search never prunes a cell that
+holds a global minimizer) and (p, p') at the argmin.  The solver calls
+_search on the polynomial and norms it prepared and its enclosure square,
+descends from the argmin with that pair, and starts each deflated factor's
+descent from the live cell _start picks.
 
 SquareRegion and CertifiedMinimum are named tuples: they compare equal to
 plain tuples, unpack, and give changed copies with ._replace, while
@@ -197,21 +198,21 @@ def certified_min(
 
 
 def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: float,
-            budget: int) -> tuple[CertifiedMinimum, tuple | np.ndarray]:
+            budget: int) -> tuple[CertifiedMinimum, tuple | np.ndarray, tuple]:
     """certified_min over a valid square of this corner and side, given p's
-    norms [|a_0|, ..., |a_n|], and the centers of the cells still live at
-    the stop: a tuple after a first-wave stop, else a complex array."""
+    norms [|a_0|, ..., |a_n|], with the live cells' centers at the stop (a
+    tuple after a first-wave stop, else an array) and (p, p') at the argmin."""
     x0, y0 = corner.real, corner.imag
     box = (x0, y0, x0 + side, y0 + side)
     center = complex(x0 + side / 2.0, y0 + side / 2.0)
     pair, value, lower = _first_wave(coeffs, norms, center, side)
-    best_pt, best_val, evaluations = _damped_newton(
+    best_pt, best_val, pair, evaluations = _damped_newton(
         coeffs, box, center, value, pair, 1, budget, epsilon)
     live = lower < best_val
     gap = best_val - max(0.0, lower) if live else 0.0
     if not live or gap <= epsilon or evaluations + 4 > budget:
         return (CertifiedMinimum(best_pt, best_val, gap, evaluations, live and gap > epsilon),
-                (center,) if live else ())
+                (center,) if live else (), pair)
     cells, side = center + _CHILD * (side / 4.0), side / 2.0
     coeff_array = np.asarray(coeffs, dtype=complex)
     dnorm = _derivative_norms(norms)
@@ -225,13 +226,17 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
         vals[np.isnan(vals)] = np.inf
         lower[~np.isfinite(lower)] = -np.inf
         i = int(np.argmin(vals))
-        # a strict < keeps the earlier incumbent on ties
-        if vals[i] < best_val:
-            best_val, best_pt = float(vals[i]), complex(cells[i])
+        # numpy's best cell wins only if the scalar |p| there is strictly
+        # lower (ties keep the earlier incumbent, which is never evaluated
+        # again)
+        z = complex(cells[i])
+        if vals[i] < best_val and z != best_pt:
+            cell_pair = evaluate_with_derivative(coeffs, z)
+            if norm(cell_pair[0]) < best_val:
+                best_pt, best_val, pair = z, norm(cell_pair[0]), cell_pair
         evaluations += vals.size
-        best_pt, best_val, evaluations = _damped_newton(
-            coeffs, box, best_pt, best_val, evaluate_with_derivative(coeffs, best_pt),
-            evaluations, budget, epsilon)
+        best_pt, best_val, pair, evaluations = _damped_newton(
+            coeffs, box, best_pt, best_val, pair, evaluations, budget, epsilon)
         keep = lower < best_val
         cells, lower = cells[keep], lower[keep]
         # |p| >= 0, so no lower bound below 0 is needed
@@ -243,7 +248,7 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
             break
         cells = (cells[:, None] + _CHILD * (side / 4.0)).ravel()
         side /= 2.0
-    return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted), cells
+    return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted), cells, pair
 
 
 def _first_wave(coeffs: Poly, norms: list, center: complex, side: float):
@@ -277,37 +282,55 @@ def _damped_newton(coeffs: Poly, box: tuple, z: complex, value: float, pair: tup
 
     box is the region's (x0, y0, x1, y1) and pair is (p(z), p'(z)).  A try
     inside the region costs one evaluation, which gives p and p' there; one
-    outside it is halved for free.  Returns the (point, value, evaluations)
-    the search goes on with, z and value themselves when no try beats them.
+    outside it is halved for free.  Returns the (point, value, pair,
+    evaluations) the search goes on with, the given ones if no try wins.
     """
     x0, y0, x1, y1 = box
     # looked up once, not once per try
     ewd, isfinite = evaluate_with_derivative, cmath.isfinite
-    val, der = pair
     while True:
+        val, der = pair
         if not der:
-            return z, value, evaluations
+            return z, value, pair, evaluations
         step = val / der
         while evaluations < budget and isfinite(step):
             w = z - step
             if w == z:
                 # every smaller step rounds back to z too
-                return z, value, evaluations
+                return z, value, pair, evaluations
             if x0 <= w.real <= x1 and y0 <= w.imag <= y1:
                 evaluations += 1
-                w_val, w_der = ewd(coeffs, w)
-                w_norm = norm(w_val)
+                w_pair = ewd(coeffs, w)
+                w_norm = norm(w_pair[0])
                 if w_norm < value:
                     break
             if value <= epsilon:
                 # the gap is closed: no halving, only full steps
-                return z, value, evaluations
+                return z, value, pair, evaluations
             step *= 0.5
         else:
             # no try lowered |p|, or the budget is spent
-            return z, value, evaluations
+            return z, value, pair, evaluations
         # the accepted try's (p, p') pair gives the next step
-        z, value, val, der = w, w_norm, w_val, w_der
+        z, value, pair = w, w_norm, w_pair
+
+
+def _start(work: Poly, cells, argmin: complex):
+    """The live cell center where |work| is smallest and finite (ties: the
+    first), or argmin if none is, with (work, work') there from the scalar
+    loop.  numpy ranks the centers, unless there is only one."""
+    if len(cells) == 1:
+        z = complex(cells[0])
+        pair = evaluate_with_derivative(work, z)
+        if math.isfinite(norm(pair[0])):
+            return z, pair
+        return argmin, evaluate_with_derivative(work, argmin)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
+        h = _horner(np.asarray(work, dtype=complex), np.asarray(cells, complex))
+        vals = np.hypot(h.real, h.imag)
+    finite = np.flatnonzero(np.isfinite(vals))
+    z = complex(cells[finite[np.argmin(vals[finite])]]) if finite.size else argmin
+    return z, evaluate_with_derivative(work, z)
 
 
 # offsets of the four children's centers, in quarters of the parent's side

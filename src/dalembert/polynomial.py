@@ -35,23 +35,16 @@ def as_poly(coeffs: Iterable[complex]) -> Poly:
 
 
 def evaluate(p: Sequence[complex], z: complex) -> complex:
-    """Horner evaluation of sum a_i z^i; the empty polynomial evaluates to 0."""
-    z = complex(z)
-    acc = 0j
-    for c in reversed(p):
-        acc = acc * z + complex(c)
-    return acc
+    """sum a_i z^i, the value half of evaluate_with_derivative; 0 if p is empty."""
+    return evaluate_with_derivative(as_poly(p), complex(z))[0]
 
 
 def evaluate_with_derivative(p: Poly, z: complex) -> tuple[complex, complex]:
-    """p(z) and p'(z) from one Horner loop, for coefficients given as complex.
+    """p(z) and p'(z) from the library's one complex Horner loop, for complex a_i.
 
     The loop runs the first two passes of shift's synthetic division side
     by side and keeps only the value each pass ends on, so the pair equals
-    shift(p, z)[:2] bit for bit at O(n) cost instead of O(n^2).  The value
-    takes the same Horner operations as evaluate, which only starts from
-    0j * z, so norm(value) equals norm(evaluate(p, z)) bit for bit; the
-    two may differ in the signs of zero parts.
+    shift(p, z)[:2] bit for bit at O(n) cost instead of O(n^2).
     """
     if len(p) < 2:
         return (p[0] if p else 0j), 0j

@@ -3,13 +3,15 @@
 find_root chains the three guarantees: the growth certificate confines every
 global minimizer of |p| to an explicit square, branch-and-bound produces a
 seed whose value is provably near the global minimum, and the descent walks
-strictly downhill from the seed's point and value until the residual meets
-the tolerance or the rounding floor of evaluating p.  find_all_roots takes
-that chain's root as the first, deflates by synthetic division and polishes
-every later root against the original polynomial.  Every root is a global
+strictly downhill from the seed's point and its (p, p') pair, which the
+search hands on, until the residual meets the tolerance or the rounding
+floor of evaluating p.  find_all_roots takes that chain's root as the
+first, deflates by synthetic division and polishes every later root
+against the original polynomial.  Every root is a global
 minimizer of |p|, so the cells that one branch-and-bound leaves live
 surround every root: each deflated factor descends once, from the live cell
-center where it is smallest (see _start), with no search of its own.
+center where it is smallest (see gridmin._start), with no search of its
+own.  Every |p| comes from polynomial.evaluate_with_derivative.
 
 Each public call checks tol and max_iter, normalizes p and takes the norms
 |a_i| once (_solve_once).  Those norms give the growth radii (growth._radii),
@@ -28,12 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .complexmath import norm
 from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
 from .errors import DegenerateZeroPolynomial, NoRootExists
-from .gridmin import CertifiedMinimum, _horner, _search
+from .gridmin import CertifiedMinimum, _search, _start
 from .growth import GrowthCertificate, _radii, _radius_error
 from .polynomial import Poly, deflate, evaluate_with_derivative, from_roots, truncate
 
@@ -71,9 +71,10 @@ def _solve_once(p, tol: float, max_iter: int):
     r = growth.enclosure_radius
     if not math.isfinite(2.0 * r):  # R is finite, but the side 2R can overflow
         raise _radius_error(pt, r)
-    seed, cells = _search(pt, norms, complex(-r, -r), 2.0 * r, max(tol, floor(0j)), _SEED_BUDGET)
-    return (_descend(pt, floor, seed.argmin, seed.value, tol, max_iter, True), pt, floor,
-            growth, seed, cells)
+    seed, cells, pair = _search(pt, norms, complex(-r, -r), 2.0 * r, max(tol, floor(0j)),
+                                _SEED_BUDGET)
+    return (_descend(pt, floor, seed.argmin, pair, tol, max_iter, True), pt, floor, growth,
+            seed, cells)
 
 
 def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
@@ -88,24 +89,6 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     coefficient that is not finite is the cause.
     """
     return _solve_once(p, tol, max_iter)[0]
-
-
-def _start(work: Poly, cells, argmin: complex):
-    """The live cell center where |work| is smallest and finite (ties: the
-    first), or argmin if none is, with (work, work') there.  A single live
-    cell needs no ranking and no numpy."""
-    if len(cells) == 1:
-        z = complex(cells[0])
-        pair = evaluate_with_derivative(work, z)
-        if math.isfinite(norm(pair[0])):
-            return z, pair
-        return argmin, evaluate_with_derivative(work, argmin)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
-        h = _horner(np.asarray(work, dtype=complex), np.asarray(cells, complex))
-        vals = np.hypot(h.real, h.imag)
-    finite = np.flatnonzero(np.isfinite(vals))
-    z = complex(cells[finite[np.argmin(vals[finite])]]) if finite.size else argmin
-    return z, evaluate_with_derivative(work, z)
 
 
 def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
@@ -135,11 +118,10 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
         # only the root and the converged flag are read, so no trace is kept
         z, pair = _start(work, cells, seed.argmin)
         factor_floor = _noise_floor(list(map(norm, work)))
-        result = _descend(work, factor_floor, z, norm(pair[0]), tol, max_iter, False, pair)
+        result = _descend(work, factor_floor, z, pair, tol, max_iter, False)
         failed = failed or not result.converged
         z = result.root
-        pair = evaluate_with_derivative(pt, z)
-        polished = _descend(pt, floor, z, norm(pair[0]), tol, max_iter, True, pair)
+        polished = _descend(pt, floor, z, evaluate_with_derivative(pt, z), tol, max_iter, True)
         roots.append(replace(polished, converged=False) if failed else polished)
     rebuilt = from_roots(pt[-1], [r.root for r in roots])
     error = max(norm(a - b) for a, b in zip(rebuilt, pt))

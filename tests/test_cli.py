@@ -169,6 +169,16 @@ class TestSolveMode:
         assert errors[0] == errors[1]
         assert errors[1].startswith(f"error: the enclosure radius {radius} is too large")
 
+    def test_check_names_the_far_end_of_its_sample_where_only_it_overflows(self, capsys):
+        # R = 4e307: the square [-R, R]^2 is representable, so solve finds
+        # the root and bounds prints R, but check's sample reaches 10 R
+        code, out, _ = run_cli(capsys, "--mode", "solve", "2e307 1")
+        assert code == 0 and json.loads(out)["root"] == [-2e307, 0]
+        code, out, err = run_cli(capsys, "--mode", "check", "2e307 1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the enclosure radius 4e+307 is too large to check")
+        assert "10 R" in err and "[-R, R]^2" not in err
+
     def test_zero_polynomial_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "0 0")
         assert code == 1

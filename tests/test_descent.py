@@ -13,7 +13,14 @@ from dalembert.descent import (
     step_parameter,
 )
 from dalembert.errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
-from dalembert.polynomial import as_poly, evaluate, from_roots, shift, truncate
+from dalembert.polynomial import (
+    as_poly,
+    evaluate,
+    evaluate_with_derivative,
+    from_roots,
+    shift,
+    truncate,
+)
 from helpers import lowest_exponent, random_point, random_poly, unit_constant
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
@@ -35,7 +42,8 @@ def _untraced(p, z0, tol, max_iter):
     each deflated factor."""
     pt = truncate(p)
     floor = _noise_floor([norm(c) for c in pt])
-    return _descend(pt, floor, complex(z0), norm(evaluate(pt, z0)), tol, max_iter, False)
+    return _descend(pt, floor, complex(z0), evaluate_with_derivative(pt, z0), tol, max_iter,
+                    False)
 
 
 def _walk_to_stall(p, z):
@@ -466,7 +474,8 @@ class TestDescend:
             for z0 in (0j, 0.5 + 0.5j, random_point(rng, 3.0), random_point(rng, 9.0)):
                 for tol in (1e-10, 1e-4):
                     want = descend(p, z0, tol, 200)
-                    got = _descend(pt, floor, z0, norm(evaluate(pt, z0)), tol, 200, True)
+                    got = _descend(pt, floor, z0, evaluate_with_derivative(pt, z0), tol, 200,
+                                   True)
                     assert bits(got) == bits(want)
                     steps += want.iterations
         assert steps > 1000
@@ -497,13 +506,14 @@ class TestDescend:
             for z0, tol in ((2 + 1j, 1e-10), (0.5j, 1e-3), (1.5, 1e-12)):
                 seen = []
                 got = _descend(pt, lambda z: seen.append(z) or floor(z), z0,
-                               norm(evaluate(pt, z0)), tol, 200, True)
+                               evaluate_with_derivative(pt, z0), tol, 200, True)
                 assert got == descend(p, z0, tol, 200)
                 assert seen == [row.point for row in got.trace if row.residual > tol]
             # a start at or below tol computes no floor at all
             seen = []
-            got = _descend(pt, lambda z: seen.append(z) or floor(z), got.root, got.residual,
-                           max(1.0, got.residual), 200, True)
+            got = _descend(pt, lambda z: seen.append(z) or floor(z), got.root,
+                           evaluate_with_derivative(pt, got.root), max(1.0, got.residual), 200,
+                           True)
             assert got.converged and got.iterations == 0 and seen == []
 
     def test_rejects_bad_tol(self):

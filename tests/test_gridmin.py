@@ -19,7 +19,7 @@ from dalembert.gridmin import (
     lipschitz_bound,
 )
 from dalembert.growth import growth_certificate
-from dalembert.polynomial import as_poly, from_roots
+from dalembert.polynomial import as_poly, evaluate, from_roots
 from helpers import dense_min_oracle, random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
@@ -29,7 +29,8 @@ SQRT2 = math.sqrt(2.0)
 def _search_cells(p, region, epsilon, budget=1_000_000):
     """certified_min's result and the centers of the cells still live at
     its stop, as a complex array: the search's own return, _search's."""
-    cm, cells = _search(as_poly(p), _norms(p), region.corner, region.side, epsilon, budget)
+    cm, cells, _pair = _search(as_poly(p), _norms(p), region.corner, region.side, epsilon,
+                               budget)
     return cm, np.asarray(cells, complex)
 
 
@@ -615,6 +616,40 @@ class TestOnePointHorner:
         assert calls == []
         assert cells.tolist() == [square.center]  # the first wave's one cell
         assert cm.gap <= 1e-10 and not cm.budget_exhausted
+
+
+def _random_searches(count):
+    """count seeded (p, region, epsilon, budget) draws on small squares,
+    from a degree, coefficients, corner, side, epsilon and budget in turn."""
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        n = int(rng.integers(3, 13))
+        p = tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (n + 1, 2)))
+        corner = complex(*rng.uniform(-2, 2, 2))
+        side = float(rng.uniform(0.05, 1.5))
+        epsilon = 10 ** rng.uniform(-14, -6)
+        yield p, SquareRegion(corner, side), epsilon, int(rng.integers(20, 3000))
+
+
+class TestReportedValue:
+    """numpy ranks and prunes the cells of the later waves, but every |p|
+    the search reports is the scalar Horner loop's, taken once per point."""
+
+    def test_value_is_the_scalar_norm_at_argmin(self):
+        for p, region, epsilon, budget in _random_searches(300):
+            cm = certified_min(p, region, epsilon, budget)
+            assert _bits(cm.value) == _bits(norm(evaluate(p, cm.argmin)))
+
+    def test_argmin_is_evaluated_once(self, monkeypatch):
+        import dalembert.gridmin
+
+        original = dalembert.gridmin.evaluate_with_derivative
+        for p, region, epsilon, budget in _random_searches(300):
+            calls = []
+            monkeypatch.setattr(dalembert.gridmin, "evaluate_with_derivative",
+                                lambda q, z: calls.append(z) or original(q, z))
+            cm = certified_min(p, region, epsilon, budget)
+            assert calls.count(cm.argmin) == 1
 
 
 def _bits(x: float) -> str:

@@ -10,7 +10,13 @@ from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
 from dalembert.gridmin import _search, certified_min
 from dalembert.growth import growth_certificate
-from dalembert.polynomial import as_poly, evaluate, from_roots, max_coeff_norm
+from dalembert.polynomial import (
+    as_poly,
+    evaluate,
+    evaluate_with_derivative,
+    from_roots,
+    max_coeff_norm,
+)
 from dalembert.solver import find_all_roots, find_root
 from helpers import random_poly
 
@@ -143,10 +149,14 @@ def _bits(x):
 
 def _search_with(search, cells=None, **changes):
     """search, the seed search's core, with the CertifiedMinimum fields in
-    changes replaced and, if given, its live cells replaced by cells."""
-    def replaced(*args):
-        found, live = search(*args)
-        return found._replace(**changes), live if cells is None else cells
+    changes replaced and, if given, its live cells replaced by cells; the
+    (p, p') pair is taken again at a replaced argmin."""
+    def replaced(coeffs, *args):
+        found, live, pair = search(coeffs, *args)
+        found = found._replace(**changes)
+        if "argmin" in changes:
+            pair = evaluate_with_derivative(coeffs, found.argmin)
+        return found, live if cells is None else cells, pair
 
     return replaced
 
@@ -201,11 +211,11 @@ class TestSeed:
         assert report.enclosure == growth_certificate(p)
         n = report.enclosure.degree
         square, epsilon = report.enclosure.square, max(1e-10, _gamma(n) * norm(p[0]))
-        want, want_cells = _search(as_poly(p), list(map(norm, as_poly(p))), square.corner,
-                                   square.side, epsilon, 50_000)
+        want, want_cells, _pair = _search(as_poly(p), list(map(norm, as_poly(p))),
+                                          square.corner, square.side, epsilon, 50_000)
         assert want == certified_min(p, square, epsilon, 50_000)
         assert _bits(report.seed) == _bits(want)
-        [(_seed, cells)] = found
+        [(_seed, cells, _pair)] = found
         assert np.array_equal(np.asarray(cells, complex), np.asarray(want_cells, complex))
         # the first root is find_root's result, from the same one descent
         assert _bits(report.roots[0]) == _bits(find_root(p))
@@ -521,11 +531,11 @@ class TestDeflatedFactors:
 
         original = dalembert.solver._descend
 
-        def failing(q, floor, z0, residual, tol, max_iter, keep_trace, pair=None):
+        def failing(q, floor, z0, pair, tol, max_iter, keep_trace):
             # z^6 + i z^4 - z^2 - i, left once the first two roots are out,
             # takes no step from the one center and so does not converge
-            return original(q, floor, z0, residual, tol, 0 if len(q) == 7 else max_iter,
-                            keep_trace, pair)
+            return original(q, floor, z0, pair, tol, 0 if len(q) == 7 else max_iter,
+                            keep_trace)
 
         monkeypatch.setattr(dalembert.solver, "_descend", failing)
         report = self._unity8_from(monkeypatch, [0.5 + 0.5j])
