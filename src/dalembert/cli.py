@@ -161,13 +161,13 @@ def _run_bounds(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
 
 
 def _run_check(args: argparse.Namespace, poly: Poly) -> tuple[int, dict | str]:
-    from .checks import run_lemma_checks  # here, so that only check mode pays its import
+    from .checks import _SAMPLES, run_lemma_checks  # here, so only check mode pays its import
 
-    reports = run_lemma_checks(poly, samples=1000, seed=args.seed)
+    reports = run_lemma_checks(poly, seed=args.seed)
     passed = all(r.passed for r in reports)
     return EXIT_OK if passed else EXIT_ERROR, {
         "seed": args.seed,
-        "samples": 1000,
+        "samples": _SAMPLES,
         "lemmas": [
             {"name": r.name, "samples": r.samples, "failures": r.failures, "pass": r.passed}
             for r in reports

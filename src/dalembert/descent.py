@@ -44,7 +44,8 @@ from typing import NamedTuple, Optional
 
 from .complexmath import norm, nth_root
 from .errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
-from .polynomial import Poly, evaluate_with_derivative, max_coeff_norm, shift, truncate
+from .polynomial import (Poly, _check_finite, evaluate_with_derivative, max_coeff_norm, shift,
+                         truncate)
 
 __all__ = [
     "DescentStep",
@@ -119,11 +120,14 @@ def step_parameter(p) -> float:
     return min(0.5, 0.5 * bound)
 
 
-def _nonconstant(p) -> Poly:
+def _nonconstant(p) -> tuple:
+    """p normalized and its noise floor; raises where p is constant or a norm is not finite."""
     pt = truncate(p)
     if len(pt) <= 1:
         raise NotApplicableToConstant("descent requires a non-constant polynomial")
-    return pt
+    norms = list(map(norm, pt))
+    _check_finite(pt, norms)
+    return pt, _noise_floor(norms)
 
 
 def _step(pt: Poly, floor: float, z0: complex, before: float, pair: tuple) -> tuple:
@@ -193,16 +197,17 @@ def descent_step(p, z0: complex) -> DescentStep:
     rounding can delay it.  A k = 1 halving that stalls while |p(z0)| is
     above the noise floor is followed by the halving of each later nonzero
     Taylor coefficient in turn, until one strictly lowers |p|.  Raises
-    AlreadyAtRoot when p(z0) = 0, OverflowError when |p(z0)| is not finite,
-    and StepStalled when, for every term tried, z0 + zs rounds to z0 or
-    the gain s |p(z0)| of the next try is below the noise floor at z0.
+    ValueError naming a coefficient that is not finite, AlreadyAtRoot when
+    p(z0) = 0, OverflowError when |p(z0)| is not finite, and StepStalled
+    when, for every term tried, z0 + zs rounds to z0 or the gain s |p(z0)|
+    of the next try is below the noise floor at z0.
     """
-    pt, z0 = _nonconstant(p), complex(z0)
+    (pt, floor), z0 = _nonconstant(p), complex(z0)
     pair = evaluate_with_derivative(pt, z0)
     before = norm(pair[0])
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
-    return DescentStep(*_step(pt, _noise_floor(list(map(norm, pt)))(z0), z0, before, pair)[:6])
+    return DescentStep(*_step(pt, floor(z0), z0, before, pair)[:6])
 
 
 def _noise_floor(norms: list):
@@ -240,12 +245,11 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000) -> RootRe
     start where |p| overflows is returned at once, not converged, since no
     step can be computed there.  Running out of iterations or stalling is
     reported through converged=False, not raised.  max_iter must be an
-    integer >= 0.
+    integer >= 0; a coefficient that is not finite is a ValueError.
     """
     _check_tol_max_iter(tol, max_iter)
-    pt, z = _nonconstant(p), complex(z0)
-    return _descend(pt, _noise_floor(list(map(norm, pt))), z, evaluate_with_derivative(pt, z),
-                    tol, max_iter, True)
+    (pt, floor), z = _nonconstant(p), complex(z0)
+    return _descend(pt, floor, z, evaluate_with_derivative(pt, z), tol, max_iter, True)
 
 
 def _descend(pt: Poly, floor, z: complex, pair: tuple, tol: float, max_iter: int,

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexmath import norm
-from .polynomial import Poly, as_poly, evaluate_with_derivative
+from .polynomial import Poly, _check_finite, as_poly, evaluate_with_derivative
 
 __all__ = [
     "SquareRegion",
@@ -186,15 +186,16 @@ def certified_min(
     gap <= epsilon, or when the next wave would take the evaluations past
     budget; a budget stop is flagged on the result, not raised, and its gap
     is still valid.  budget must be an integer >= 1 (budget=1 evaluates the
-    center alone).
+    center alone); a coefficient that is not finite is a ValueError.
     """
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if isinstance(budget, bool) or not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     scalar = as_poly(p)
-    return _search(scalar, list(map(norm, scalar)), region.corner, region.side, epsilon,
-                   budget)[0]
+    norms = list(map(norm, scalar))
+    _check_finite(scalar, norms)
+    return _search(scalar, norms, region.corner, region.side, epsilon, budget)[0]
 
 
 def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: float,

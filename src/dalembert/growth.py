@@ -17,8 +17,8 @@ never larger than the paper's, and on wide coefficient ranges, such as
 Wilkinson's polynomials, it is many times smaller.  Both radii need only the
 norms |a_i|: _radii builds the certificate from them, and growth_certificate
 and the solver each hand it the norms they took.  _radii alone decides
-whether they give a usable radius, so find_root, find_all_roots and the
-CLI's bounds and check modes all refuse the same inputs with the same error.
+whether they give a square of finite side 2R, so find_root, find_all_roots
+and the CLI's bounds and check modes refuse the same inputs with one error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .complexmath import norm
 from .errors import BelowThreshold, NotApplicableToConstant
 from .gridmin import SquareRegion
-from .polynomial import Poly, evaluate, truncate
+from .polynomial import Poly, _check_finite, evaluate, truncate
 
 __all__ = [
     "GrowthCertificate",
@@ -87,7 +87,7 @@ def growth_certificate(p) -> GrowthCertificate:
     inside BOUND_SLACK.
 
     Raises ValueError naming the first coefficient whose norm is not finite,
-    and OverflowError where the radius is not finite.
+    and OverflowError where the side 2R of the square [-R, R]^2 is not.
     """
     q = truncate(p)
     if len(q) < 2:
@@ -97,26 +97,19 @@ def growth_certificate(p) -> GrowthCertificate:
 
 def _radii(pt: Poly, norms: list) -> GrowthCertificate:
     """The certificate of pt from its norms |a_0| .. |a_n|, n >= 1; raises
-    _radius_error's error where a norm or the radius is not finite (max
-    skips a NaN, and a_i / inf is 0, so the radius alone cannot tell)."""
+    ValueError naming a coefficient whose norm is not finite, which is then
+    the radius (max skips a NaN, and a_i / inf is 0, so R alone cannot
+    tell), and OverflowError where the square's side 2R is not finite."""
+    _check_finite(pt, norms, "the enclosure radius")
     *tail, lead = norms
     n = len(tail)
     sub = max(tail)
     fujiwara = max((a / lead) ** (1.0 / (n - i)) for i, a in enumerate(tail))
     threshold = min(max(1.0, 2.0 * sub * n / lead), max(1.0, 3.0 * fujiwara))
-    if not (math.isfinite(threshold) and all(map(math.isfinite, norms))):
-        raise _radius_error(pt, threshold)
+    if not math.isfinite(2.0 * threshold):
+        raise OverflowError(f"the enclosure radius {threshold} is too large: the square "
+                            "[-R, R]^2 is not representable in floating point")
     return GrowthCertificate(threshold, threshold, lead, sub, n)
-
-
-def _radius_error(pt: Poly, r: float) -> ArithmeticError:
-    """ValueError naming pt's first coefficient whose norm is not finite,
-    which is then the radius, or else OverflowError for the radius r."""
-    for i, a in enumerate(pt):
-        if not math.isfinite(norm(a)):
-            return ValueError(f"the enclosure radius is {norm(a)}: coefficient a_{i} = {a}")
-    return OverflowError(f"the enclosure radius {r} is too large: the square "
-                         "[-R, R]^2 is not representable in floating point")
 
 
 def check_bounds(p, z: complex, cert: GrowthCertificate) -> tuple[float, float, float]:

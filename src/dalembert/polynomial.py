@@ -8,6 +8,7 @@ normalized when its last coefficient is nonzero (or it is empty).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .complexmath import norm
@@ -32,6 +33,13 @@ __all__ = [
 def as_poly(coeffs: Iterable[complex]) -> Poly:
     """Coerce an iterable of numbers to a coefficient tuple (a0 first)."""
     return tuple(map(complex, coeffs))
+
+
+def _check_finite(p: Poly, norms: list, what: str = "the norm of a coefficient") -> None:
+    """Raise ValueError naming p's first coefficient whose norm, in norms, is not finite."""
+    if not all(map(math.isfinite, norms)):
+        i = next(i for i, a in enumerate(norms) if not math.isfinite(a))
+        raise ValueError(f"{what} is {norms[i]}: coefficient a_{i} = {p[i]}")
 
 
 def evaluate(p: Sequence[complex], z: complex) -> complex:

@@ -21,20 +21,19 @@ the origin is the seed's gap target, and the seed search's Lipschitz bounds
 polishes, and each deflated factor takes its own norms once.  _radii and
 _search build the GrowthCertificate and the CertifiedMinimum once, and the
 solver reads them by name and hands them on to find_all_roots' report.
-growth._radii decides whether p's coefficients and radius are usable; the
-solver tests only that its square's side 2R is finite too.
+growth._radii alone decides whether p's coefficients and radius give a
+usable square, whose corner and side the solver hands to _search.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .complexmath import norm
 from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
 from .errors import DegenerateZeroPolynomial, NoRootExists
 from .gridmin import CertifiedMinimum, _search, _start
-from .growth import GrowthCertificate, _radii, _radius_error
+from .growth import GrowthCertificate, _radii
 from .polynomial import Poly, deflate, evaluate_with_derivative, from_roots, truncate
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
@@ -69,8 +68,6 @@ def _solve_once(p, tol: float, max_iter: int):
     norms = list(map(norm, pt))
     floor, growth = _noise_floor(norms), _radii(pt, norms)
     r = growth.enclosure_radius
-    if not math.isfinite(2.0 * r):  # R is finite, but the side 2R can overflow
-        raise _radius_error(pt, r)
     seed, cells, pair = _search(pt, norms, complex(-r, -r), 2.0 * r, max(tol, floor(0j)),
                                 _SEED_BUDGET)
     return (_descend(pt, floor, seed.argmin, pair, tol, max_iter, True), pt, floor, growth,

@@ -149,25 +149,21 @@ class TestSolveMode:
             errors.append(err)
         assert errors[0] == errors[1]
         assert errors[1].startswith("error: the enclosure radius inf is too large")
-        # a finite radius whose square [-R, R]^2 overflows is still reported
-        code, out, _ = run_cli(capsys, "--mode", "bounds", "5e307 1")
-        assert code == 0
-        assert json.loads(out)["enclosure"]["enclosure_radius"] == 1e308
 
     @pytest.mark.parametrize("text, radius", [("1 0 0 1e-320", "inf"), ("1 1e-320", "inf"),
                                               ("5e307 1", "1e+308")],
                              ids=["1 0 0 1e-320", "1 1e-320", "5e307 1"])
     def test_check_on_a_radius_that_is_not_finite_is_an_error(self, capsys, text, radius):
-        # check takes its radius from growth_certificate, as bounds does, so
-        # it samples nothing at an infinite radius and fails as solve does;
-        # a finite R = 1e308 is refused too, since its sample reaches 10 R
+        # every mode takes its radius from growth._radii, which refuses an
+        # infinite R and a finite R = 1e308 whose square side 2R overflows,
+        # so solve, bounds and check fail alike, with one message
         errors = []
-        for mode in ("solve", "check"):
+        for mode in ("solve", "bounds", "check"):
             code, out, err = run_cli(capsys, "--mode", mode, text)
-            assert (code, out) == (1, "")
+            assert (code, out) == (1, ""), mode
             errors.append(err)
-        assert errors[0] == errors[1]
-        assert errors[1].startswith(f"error: the enclosure radius {radius} is too large")
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0].startswith(f"error: the enclosure radius {radius} is too large:")
 
     def test_check_names_the_far_end_of_its_sample_where_only_it_overflows(self, capsys):
         # R = 4e307: the square [-R, R]^2 is representable, so solve finds
@@ -311,6 +307,36 @@ class TestOtherModes:
         code, out, _ = run_cli(capsys, "--mode", "check", text)
         assert code == 0
         assert [entry["failures"] for entry in json.loads(out)["lemmas"]] == [0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 1i 3",
+            "1 0 1",
+            "-1 0 0 1",
+            "10 1",
+            "1 -2 1",
+            "0.3-0.4i 1 0 -2i 0 0.5 1.25i",
+            # |p| <= 1e-6 on the whole enclosure square
+            "1e-300 0 0 0 0 0 0 0 1e-300",
+            # |z|^8 leaves the float range on the sampled radii, |a_8| |z|^8 does not
+            "1 0 0 0 0 0 0 0 1e-300",
+        ],
+        ids=["sample quadratic", "classic quadratic", "cube roots of unity", "shifted linear",
+             "double root", "degree six", "tiny scale", "tiny leading term"],
+    )
+    def test_check_passes_on_the_lemma_battery(self, capsys, text):
+        # the descent replay once redrew every start on the tiny-scale
+        # polynomial without end, and the sandwich replay counted the float
+        # overflow of |z|^8 on the tiny-leading-term one as failures
+        code, out, _ = run_cli(capsys, "--mode", "check", text)
+        assert code == 0
+        report = json.loads(out)
+        assert [entry["name"] for entry in report["lemmas"]] == [
+            "growth-sandwich", "enclosure-domination", "descent-decrease"]
+        assert all(entry["samples"] == 1000 and entry["failures"] == 0 and entry["pass"]
+                   for entry in report["lemmas"])
+        assert report["pass"] is True
 
     def test_check_rejects_constant(self, capsys):
         # every replay needs a non-constant polynomial, as bounds mode does

@@ -8,7 +8,8 @@ import pytest
 
 from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
-from dalembert.gridmin import _search, certified_min
+from dalembert.descent import descend, descent_step
+from dalembert.gridmin import SquareRegion, _search, certified_min
 from dalembert.growth import growth_certificate
 from dalembert.polynomial import (
     as_poly,
@@ -21,6 +22,12 @@ from dalembert.solver import find_all_roots, find_root
 from helpers import random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
+# polynomials with a coefficient that is not finite, and the first such
+NON_FINITE = [((math.inf, 1), "a_0 = (inf+0j)"),
+              ((1, complex(1, math.inf), 1e-300), "a_1 = (1+infj)"),
+              ((math.nan, 1), "a_0 = (nan+0j)"),
+              ((1, math.inf), "a_1 = (inf+0j)"),
+              ((1, 1, math.nan), "a_2 = (nan+0j)")]
 QUAD_ROOTS = (
     1j * (-1 + math.sqrt(13.0)) / 6.0,
     1j * (-1 - math.sqrt(13.0)) / 6.0,
@@ -88,11 +95,7 @@ class TestFindRoot:
         assert not isinstance(find_root(QUAD), tuple)
         assert not isinstance(find_all_roots(QUAD), tuple)
 
-    @pytest.mark.parametrize("p, coeff", [((math.inf, 1), "a_0 = (inf+0j)"),
-                                          ((1, complex(1, math.inf), 1e-300), "a_1 = (1+infj)"),
-                                          ((math.nan, 1), "a_0 = (nan+0j)"),
-                                          ((1, math.inf), "a_1 = (inf+0j)"),
-                                          ((1, 1, math.nan), "a_2 = (nan+0j)")])
+    @pytest.mark.parametrize("p, coeff", NON_FINITE)
     def test_a_non_finite_coefficient_is_named(self, p, coeff):
         # a radius that is not finite because of the input, not of overflow,
         # is a ValueError that reads the radius as the coefficient's norm, inf
@@ -101,6 +104,16 @@ class TestFindRoot:
         for solve in (find_root, find_all_roots, growth_certificate):
             with pytest.raises(ValueError, match=re.escape(f"radius is {radius}: coefficient {coeff}")):
                 solve(p)
+
+    @pytest.mark.parametrize("p, coeff", NON_FINITE)
+    def test_every_entry_that_takes_p_names_a_non_finite_coefficient(self, p, coeff):
+        # the search once spent its budget to report inf, descend returned
+        # a NaN residual, and descent_step raised OverflowError on a NaN
+        region = SquareRegion(-1 - 1j, 2.0)
+        for entry in (lambda: certified_min(p, region, 1e-6), lambda: descend(p, 0.5),
+                      lambda: descent_step(p, 0.5)):
+            with pytest.raises(ValueError, match=re.escape(f": coefficient {coeff}")):
+                entry()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wilkinson20_searches_without_overflow(self):
