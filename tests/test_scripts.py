@@ -21,7 +21,14 @@ def _run(argv):
     )
 
 
-@pytest.mark.parametrize("argv", [["scripts/descent_demo.py", "1 1i 3", "--start", "1,1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # from the default start 0, where p'(0) = 0, the first step takes k = 2
+        ["scripts/descent_demo.py", "-2 0 1"],
+        ["scripts/descent_demo.py", "1 1i 3", "--start", "1,1"],
+    ],
+)
 def test_script_exits_zero(argv):
     done = _run(argv)
     assert done.returncode == 0, done.stdout + done.stderr
