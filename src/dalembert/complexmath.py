@@ -30,10 +30,13 @@ def nth_root(z: complex, n: int) -> complex:
     """Principal nth root: radius^(1/n) at one nth of the angle in (-pi, pi].
 
     The root of 0 is 0, and a z on the negative real axis has angle pi
-    whatever the sign of its zero imaginary part.
+    whatever the sign of its zero imaginary part.  n must be an int or a
+    numpy integer, not a bool.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    # an int passes on its first test: every descent try calls this, and
+    # isinstance(n, numbers.Integral) would cost several times as much
+    if n.__class__ is not int and (n.__class__ is bool or not hasattr(n, "__index__")) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     z = complex(z)
     if n == 1:
         return z

@@ -44,8 +44,7 @@ from typing import NamedTuple, Optional
 
 from .complexmath import norm, nth_root
 from .errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
-from .polynomial import (Poly, _check_finite, evaluate_with_derivative, max_coeff_norm, shift,
-                         truncate)
+from .polynomial import Poly, _prepare, evaluate_with_derivative, shift
 
 __all__ = [
     "DescentStep",
@@ -107,26 +106,24 @@ def step_parameter(p) -> float:
     Half of |a_k|^(k+1) / (M^k (n+1)^k), capped at 1/2; within that range the
     tail of the polynomial cannot cancel the 1 - s gain of the a_k term.
     """
-    q = truncate(p)
+    q, norms = _prepare(p)
     if not q or q[0] != 1:
         raise ValueError("step_parameter expects a constant term of exactly 1")
     if len(q) == 1:
         raise NotApplicableToConstant("a constant polynomial has no nonzero exponent")
-    # the lowest exponent k >= 1 with a_k != 0; a_n != 0 after truncate
+    # the lowest exponent k >= 1 with a_k != 0; a_n != 0 after _prepare
     k = next(i for i in range(1, len(q)) if q[i] != 0)
-    ak, m, n = norm(q[k]), max_coeff_norm(q), len(q) - 1
+    ak, m, n = norms[k], max(norms), len(q) - 1
     # algebraically |a_k|^(k+1) / (M^k (n+1)^k); grouped to avoid overflow
     bound = ak * (ak / m) ** k / float((n + 1) ** k)
     return min(0.5, 0.5 * bound)
 
 
 def _nonconstant(p) -> tuple:
-    """p normalized and its noise floor; raises where p is constant or a norm is not finite."""
-    pt = truncate(p)
+    """p normalized and its noise floor; raises where a norm is not finite or p is constant."""
+    pt, norms = _prepare(p)
     if len(pt) <= 1:
         raise NotApplicableToConstant("descent requires a non-constant polynomial")
-    norms = list(map(norm, pt))
-    _check_finite(pt, norms)
     return pt, _noise_floor(norms)
 
 

@@ -23,14 +23,14 @@ Each wave also tries the descent's damped Newton steps from the incumbent
 (see _damped_newton), which drive the value below epsilon far faster than
 bisection alone.
 
-certified_min takes the norms |a_i| once, for every Lipschitz bound, and
-hands them to _search, the search itself, which works on plain values and
-returns the CertifiedMinimum, the centers of the cells still live at the
-stop (its state, not its claim: a sound search never prunes a cell that
-holds a global minimizer) and (p, p') at the argmin.  The solver calls
-_search on the polynomial and norms it prepared and its enclosure square,
-descends from the argmin with that pair, and starts each deflated factor's
-descent from the live cell _start picks.
+certified_min takes p's norms |a_i| once, from polynomial._prepare, for
+every Lipschitz bound, and hands them to _search, the search itself, which
+works on plain values and returns the CertifiedMinimum, the centers of the
+cells still live at the stop (its state, not its claim: a sound search
+never prunes a cell that holds a global minimizer) and (p, p') at the
+argmin.  The solver calls _search on the polynomial and norms it prepared
+and its enclosure square, descends from the argmin with that pair, and
+starts each deflated factor's descent from the live cell _start picks.
 
 SquareRegion and CertifiedMinimum are named tuples: they compare equal to
 plain tuples, unpack, and give changed copies with ._replace, while
@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexmath import norm
-from .polynomial import Poly, _check_finite, as_poly, evaluate_with_derivative
+from .polynomial import Poly, _prepare, evaluate_with_derivative
 
 __all__ = [
     "SquareRegion",
@@ -162,9 +162,9 @@ def lipschitz_bound(p, region: SquareRegion) -> float:
 
     The branch-and-bound's per-cell bound applied to the whole region: the
     sum over i >= 1 of i |a_i| R^(i-1), with R the largest |z| over the
-    square; inf where that overflows.
+    square; inf where that overflows, a ValueError for a coefficient that is not finite.
     """
-    return _cell_lipschitz(list(map(norm, as_poly(p))), region.center, region.side)
+    return _cell_lipschitz(_prepare(p)[1], region.center, region.side)
 
 
 def certified_min(
@@ -192,10 +192,8 @@ def certified_min(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if isinstance(budget, bool) or not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
-    scalar = as_poly(p)
-    norms = list(map(norm, scalar))
-    _check_finite(scalar, norms)
-    return _search(scalar, norms, region.corner, region.side, epsilon, budget)[0]
+    pt, norms = _prepare(p)
+    return _search(pt, norms, region.corner, region.side, epsilon, budget)[0]
 
 
 def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: float,

@@ -16,9 +16,10 @@ Math. J. 10, 1916) scaled to the sandwich's factor 1/2.  So the square is
 never larger than the paper's, and on wide coefficient ranges, such as
 Wilkinson's polynomials, it is many times smaller.  Both radii need only the
 norms |a_i|: _radii builds the certificate from them, and growth_certificate
-and the solver each hand it the norms they took.  _radii alone decides
-whether they give a square of finite side 2R, so find_root, find_all_roots
-and the CLI's bounds and check modes refuse the same inputs with one error.
+and the solver each hand it the finite norms polynomial._prepare took.
+_radii alone decides whether they give a square of finite side 2R, so
+find_root, find_all_roots and the CLI's bounds and check modes refuse the
+same inputs with one error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 from .complexmath import norm
 from .errors import BelowThreshold, NotApplicableToConstant
 from .gridmin import SquareRegion
-from .polynomial import Poly, _check_finite, evaluate, truncate
+from .polynomial import _prepare, evaluate
 
 __all__ = [
     "GrowthCertificate",
@@ -89,18 +90,17 @@ def growth_certificate(p) -> GrowthCertificate:
     Raises ValueError naming the first coefficient whose norm is not finite,
     and OverflowError where the side 2R of the square [-R, R]^2 is not.
     """
-    q = truncate(p)
-    if len(q) < 2:
+    pt, norms = _prepare(p)
+    if len(pt) < 2:
         raise NotApplicableToConstant("growth bounds require a non-constant polynomial")
-    return _radii(q, list(map(norm, q)))
+    return _radii(norms)
 
 
-def _radii(pt: Poly, norms: list) -> GrowthCertificate:
-    """The certificate of pt from its norms |a_0| .. |a_n|, n >= 1; raises
-    ValueError naming a coefficient whose norm is not finite, which is then
-    the radius (max skips a NaN, and a_i / inf is 0, so R alone cannot
-    tell), and OverflowError where the square's side 2R is not finite."""
-    _check_finite(pt, norms, "the enclosure radius")
+def _radii(norms: list) -> GrowthCertificate:
+    """The certificate from _prepare's finite norms |a_0| .. |a_n|, n >= 1
+    (max skips a NaN and a_i / inf is 0, so a NaN or infinite coefficient
+    would give a false R of 1.0); raises OverflowError where the square's
+    side 2R is not finite."""
     *tail, lead = norms
     n = len(tail)
     sub = max(tail)
@@ -115,11 +115,14 @@ def _radii(pt: Poly, norms: list) -> GrowthCertificate:
 def check_bounds(p, z: complex, cert: GrowthCertificate) -> tuple[float, float, float]:
     """Evaluate the sandwich at z: returns (lower, |p(z)|, upper).
 
-    Raises BelowThreshold when norm(z) < cert.threshold_radius (the
+    Raises ValueError naming a coefficient of p or a z whose norm is not
+    finite, BelowThreshold when norm(z) < cert.threshold_radius (the
     hypothesis fails, which says nothing about the bounds), and
     ArithmeticError if the sandwich itself were violated beyond slack.
     """
-    nz = norm(z)
+    pt, nz = _prepare(p)[0], norm(z)
+    if not math.isfinite(nz):
+        raise ValueError(f"norm(z) = {nz} is not finite: z = {z}")
     if nz < cert.threshold_radius:
         raise BelowThreshold(
             f"norm(z) = {nz} is below the certificate threshold {cert.threshold_radius}"
@@ -130,7 +133,7 @@ def check_bounds(p, z: complex, cert: GrowthCertificate) -> tuple[float, float, 
     for _ in range(cert.degree):
         scale *= nz
     lower, upper = 0.5 * scale, 1.5 * scale
-    value = norm(evaluate(truncate(p), z))
+    value = norm(evaluate(pt, z))
     if lower > value + BOUND_SLACK * (1.0 + value) or value > upper + BOUND_SLACK * (1.0 + upper):
         raise ArithmeticError(
             f"growth sandwich violated at z = {z}: {lower} <= {value} <= {upper} failed"

@@ -4,6 +4,8 @@ A polynomial is a sequence of coefficients with a0 first, so (1, 1j, 3)
 stands for 1 + i z + 3 z^2.  Operations return plain tuples, the values are
 immutable, and the zero polynomial is the empty tuple.  A polynomial is
 normalized when its last coefficient is nonzero (or it is empty).
+Every public entry that reads coefficient norms takes p through _prepare,
+which normalizes it, takes its norms and refuses one that is not finite.
 """
 
 from __future__ import annotations
@@ -35,11 +37,14 @@ def as_poly(coeffs: Iterable[complex]) -> Poly:
     return tuple(map(complex, coeffs))
 
 
-def _check_finite(p: Poly, norms: list, what: str = "the norm of a coefficient") -> None:
-    """Raise ValueError naming p's first coefficient whose norm, in norms, is not finite."""
+def _prepare(p: Sequence[complex]) -> tuple[Poly, list]:
+    """p truncated and its norms; raises ValueError naming the first one that is not finite."""
+    pt = truncate(p)
+    norms = list(map(norm, pt))
     if not all(map(math.isfinite, norms)):
         i = next(i for i, a in enumerate(norms) if not math.isfinite(a))
-        raise ValueError(f"{what} is {norms[i]}: coefficient a_{i} = {p[i]}")
+        raise ValueError(f"the norm of a coefficient is {norms[i]}: coefficient a_{i} = {pt[i]}")
+    return pt, norms
 
 
 def evaluate(p: Sequence[complex], z: complex) -> complex:
@@ -98,10 +103,10 @@ def shift(p: Sequence[complex], z0: complex) -> Poly:
 
 def max_coeff_norm(p: Sequence[complex]) -> float:
     """Largest coefficient norm."""
-    q = as_poly(p)
-    if not q:
+    norms = _prepare(p)[1]
+    if not norms:
         raise DegenerateZeroPolynomial("no coefficients to take a maximum over")
-    return max(norm(c) for c in q)
+    return max(norms)
 
 
 def deflate(p: Sequence[complex], r: complex) -> tuple[Poly, complex]:

@@ -14,15 +14,16 @@ center where it is smallest (see gridmin._start), with no search of its
 own.  Every |p| comes from polynomial.evaluate_with_derivative.
 
 Each public call checks tol and max_iter, normalizes p and takes the norms
-|a_i| once (_solve_once).  Those norms give the growth radii (growth._radii),
-the noise floor gamma_2n * sum |a_i| |z|^i, whose value gamma_2n |a_0| at
-the origin is the seed's gap target, and the seed search's Lipschitz bounds
+|a_i| once (polynomial._prepare, in _solve_once), which refuses a norm that
+is not finite.  Those norms give the growth radii (growth._radii), the noise
+floor gamma_2n * sum |a_i| |z|^i, whose value gamma_2n |a_0| at the origin
+is the seed's gap target, and the seed search's Lipschitz bounds
 (gridmin._search); one floor serves the first descent and all n - 1
 polishes, and each deflated factor takes its own norms once.  _radii and
 _search build the GrowthCertificate and the CertifiedMinimum once, and the
 solver reads them by name and hands them on to find_all_roots' report.
-growth._radii alone decides whether p's coefficients and radius give a
-usable square, whose corner and side the solver hands to _search.
+growth._radii alone decides whether finite norms give a usable square,
+whose corner and side the solver hands to _search.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
 from .errors import DegenerateZeroPolynomial, NoRootExists
 from .gridmin import CertifiedMinimum, _search, _start
 from .growth import GrowthCertificate, _radii
-from .polynomial import Poly, deflate, evaluate_with_derivative, from_roots, truncate
+from .polynomial import Poly, _prepare, deflate, evaluate_with_derivative, from_roots
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
 
@@ -60,13 +61,12 @@ def _solve_once(p, tol: float, max_iter: int):
     target is max(tol, floor(0)), the lowest floor in the square centred on
     0: no computed |p| in it resolves a smaller gap."""
     _check_tol_max_iter(tol, max_iter)
-    pt = truncate(p)
+    pt, norms = _prepare(p)
     if not pt:
         raise DegenerateZeroPolynomial("every point is a root of the zero polynomial")
     if len(pt) == 1:
         raise NoRootExists("no root exists for a nonzero constant polynomial")
-    norms = list(map(norm, pt))
-    floor, growth = _noise_floor(norms), _radii(pt, norms)
+    floor, growth = _noise_floor(norms), _radii(norms)
     r = growth.enclosure_radius
     seed, cells, pair = _search(pt, norms, complex(-r, -r), 2.0 * r, max(tol, floor(0j)),
                                 _SEED_BUDGET)
@@ -82,8 +82,8 @@ def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
 
     A failure to converge within max_iter is reported on the result
     (converged=False, best point kept), not raised.  Where the enclosure
-    square [-R, R]^2 overflows, OverflowError is raised, or ValueError if a
-    coefficient that is not finite is the cause.
+    square [-R, R]^2 overflows, OverflowError is raised; a coefficient that
+    is not finite is a ValueError.
     """
     return _solve_once(p, tol, max_iter)[0]
 

@@ -135,8 +135,12 @@ class TestNthRoot:
         assert abs(w**2 - complex(-4.0 / 3.0, 0.0)) <= 1e-12
 
     def test_rejects_n_zero(self):
-        with pytest.raises(ValueError):
-            nth_root(1 + 0j, 0)
+        # and every n that is not a positive integer: a bool or a float,
+        # even an integral one, is refused, while numpy integers are taken
+        for n in (0, -2, 2.5, 2.0, True, False, "2", None):
+            with pytest.raises(ValueError):
+                nth_root(1 + 0j, n)
+        assert nth_root(4 + 0j, np.int64(2)) == nth_root(4 + 0j, 2) == 2
 
     def test_zero_root(self):
         assert nth_root(0j, 5) == 0j

@@ -1,16 +1,18 @@
 import cmath
 import dataclasses
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
 
+import dalembert
 from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
-from dalembert.descent import descend, descent_step
-from dalembert.gridmin import SquareRegion, _search, certified_min
-from dalembert.growth import growth_certificate
+from dalembert.descent import descend, descent_step, step_parameter
+from dalembert.gridmin import SquareRegion, _search, certified_min, lipschitz_bound
+from dalembert.growth import check_bounds, growth_certificate
 from dalembert.polynomial import (
     as_poly,
     evaluate,
@@ -22,12 +24,20 @@ from dalembert.solver import find_all_roots, find_root
 from helpers import random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
-# polynomials with a coefficient that is not finite, and the first such
+# polynomials with a coefficient that is not finite, and the first such;
+# the constant (nan,) is refused for its coefficient before its degree
 NON_FINITE = [((math.inf, 1), "a_0 = (inf+0j)"),
               ((1, complex(1, math.inf), 1e-300), "a_1 = (1+infj)"),
               ((math.nan, 1), "a_0 = (nan+0j)"),
               ((1, math.inf), "a_1 = (inf+0j)"),
-              ((1, 1, math.nan), "a_2 = (nan+0j)")]
+              ((1, 1, math.nan), "a_2 = (nan+0j)"),
+              ((math.nan, 0), "a_0 = (nan+0j)")]
+# the public functions of p that read its coefficient norms, and so refuse
+# one that is not finite, and the arithmetic ones, which pass NaN through
+REFUSE_NON_FINITE = {"growth_certificate", "check_bounds", "certified_min", "lipschitz_bound",
+                     "descend", "descent_step", "step_parameter", "max_coeff_norm", "find_root",
+                     "find_all_roots"}
+ARITHMETIC = {"evaluate", "truncate", "degree", "shift", "deflate"}
 QUAD_ROOTS = (
     1j * (-1 + math.sqrt(13.0)) / 6.0,
     1j * (-1 - math.sqrt(13.0)) / 6.0,
@@ -96,24 +106,52 @@ class TestFindRoot:
         assert not isinstance(find_all_roots(QUAD), tuple)
 
     @pytest.mark.parametrize("p, coeff", NON_FINITE)
-    def test_a_non_finite_coefficient_is_named(self, p, coeff):
-        # a radius that is not finite because of the input, not of overflow,
-        # is a ValueError that reads the radius as the coefficient's norm, inf
-        # or nan: max skips a NaN and a_i / inf is 0, which would give 1.0
-        radius = abs(complex(coeff.partition(" = ")[2]))
-        for solve in (find_root, find_all_roots, growth_certificate):
-            with pytest.raises(ValueError, match=re.escape(f"radius is {radius}: coefficient {coeff}")):
-                solve(p)
-
-    @pytest.mark.parametrize("p, coeff", NON_FINITE)
     def test_every_entry_that_takes_p_names_a_non_finite_coefficient(self, p, coeff):
-        # the search once spent its budget to report inf, descend returned
-        # a NaN residual, and descent_step raised OverflowError on a NaN
+        # each entry takes p through polynomial._prepare, so each gives the
+        # one message; before, the search spent its budget to report inf,
+        # descend returned a NaN residual, descent_step raised OverflowError,
+        # and lipschitz_bound, step_parameter, max_coeff_norm and
+        # check_bounds returned numbers (max skips a NaN, a_i / inf is 0)
+        norm_text = abs(complex(coeff.partition(" = ")[2]))
         region = SquareRegion(-1 - 1j, 2.0)
-        for entry in (lambda: certified_min(p, region, 1e-6), lambda: descend(p, 0.5),
-                      lambda: descent_step(p, 0.5)):
-            with pytest.raises(ValueError, match=re.escape(f": coefficient {coeff}")):
+        entries = {
+            "growth_certificate": lambda: growth_certificate(p),
+            "check_bounds": lambda: check_bounds(p, 10.0, growth_certificate(QUAD)),
+            "certified_min": lambda: certified_min(p, region, 1e-6),
+            "lipschitz_bound": lambda: lipschitz_bound(p, region),
+            "descend": lambda: descend(p, 0.5),
+            "descent_step": lambda: descent_step(p, 0.5),
+            "step_parameter": lambda: step_parameter(p),
+            "max_coeff_norm": lambda: max_coeff_norm(p),
+            "find_root": lambda: find_root(p),
+            "find_all_roots": lambda: find_all_roots(p),
+        }
+        assert entries.keys() == REFUSE_NON_FINITE
+        message = f"the norm of a coefficient is {norm_text}: coefficient {coeff}"
+        for entry in entries.values():
+            with pytest.raises(ValueError, match=re.escape(message)):
                 entry()
+
+    def test_every_public_entry_on_p_is_sorted_into_refusing_or_arithmetic(self):
+        # a public function whose first parameter is p either reads
+        # coefficient norms, and takes p through _prepare (the entries the
+        # test above checks), or is arithmetic that passes NaN through
+        on_p = {name for name in dalembert.__all__
+                if inspect.isfunction(getattr(dalembert, name))
+                and next(iter(inspect.signature(getattr(dalembert, name)).parameters)) == "p"}
+        assert on_p == REFUSE_NON_FINITE | ARITHMETIC
+        assert not REFUSE_NON_FINITE & ARITHMETIC
+
+    def test_trailing_zeros_change_no_bit_of_the_search_or_its_bound(self):
+        # certified_min and lipschitz_bound truncate p first
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            p = random_poly(rng, int(rng.integers(1, 9)))
+            region = growth_certificate(p).square
+            padded = tuple(p) + (0j, 0j)
+            assert repr(certified_min(padded, region, 1e-6, 2_000)) == repr(
+                certified_min(p, region, 1e-6, 2_000))
+            assert repr(lipschitz_bound(padded, region)) == repr(lipschitz_bound(p, region))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wilkinson20_searches_without_overflow(self):
@@ -259,8 +297,8 @@ class TestSeed:
         certificates = []
         original = dalembert.solver._radii
 
-        def recording(pt, norms):
-            certificates.append(original(pt, norms))
+        def recording(norms):
+            certificates.append(original(norms))
             return certificates[-1]
 
         monkeypatch.setattr(dalembert.solver, "_radii", recording)
