@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 
 from .complexmath import norm, nth_root
 from .errors import AlreadyAtRoot, NotApplicableToConstant, StepStalled
-from .polynomial import Poly, _prepare, evaluate_with_derivative, shift
+from .polynomial import Poly, _noise_floor, _prepare, evaluate_with_derivative, shift
 
 __all__ = [
     "DescentStep",
@@ -54,9 +54,6 @@ __all__ = [
     "descent_step",
     "descend",
 ]
-
-_UNIT_ROUNDOFF = 2.0**-53
-
 
 class DescentStep(NamedTuple):
     """Witness for a strict decrease of |p| from z0 to z0 + zs.
@@ -172,7 +169,8 @@ def _halve(pt: Poly, z0: complex, before: float, floor: float, k: int, ak: compl
     that is below floor, the noise floor at z0."""
     s = 1.0
     while True:
-        zs = nth_root(-s / ak, k)
+        # nth_root(x, 1) is complex(x), the same bits, after a check and a call
+        zs = -s / ak if k == 1 else nth_root(-s / ak, k)
         if z0 + zs == z0:
             # every smaller s rounds back to z0 too, so nothing can decrease
             raise StepStalled(f"the step rounds to nothing at s = {s}, z0 = {z0}")
@@ -207,23 +205,6 @@ def descent_step(p, z0: complex) -> DescentStep:
     return DescentStep(*_step(pt, floor(z0), z0, before, pair)[:6])
 
 
-def _noise_floor(norms: list):
-    """z -> gamma_2n * sum |a_i| |z|^i, the rounding bound of Horner's rule
-    at z, from norms = [|a_0|, ..., |a_n|]."""
-    k = 2 * (len(norms) - 1) * _UNIT_ROUNDOFF
-    gamma = k / (1.0 - k)
-    absc = norms[::-1]
-
-    def at(z: complex) -> float:
-        # a bound in real arithmetic, not an evaluation of p
-        r, acc = norm(z), 0.0
-        for c in absc:
-            acc = acc * r + c
-        return gamma * acc
-
-    return at
-
-
 def _check_tol_max_iter(tol: float, max_iter: int) -> None:
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -253,10 +234,10 @@ def _descend(pt: Poly, floor, z: complex, pair: tuple, tol: float, max_iter: int
              keep_trace: bool) -> RootResult:
     """descend's loop from z, where (p, p') = pair and the residual is
     norm(p), for a normalized non-constant pt whose noise floor is floor
-    (see _noise_floor), and checked tol and max_iter; with keep_trace unset
-    the trace is None.  floor(z) is computed once per point while the
-    residual > tol; below, the loop test and the converged flag read
-    max(tol, floor(z)) = tol whatever it is."""
+    (see polynomial._noise_floor), and checked tol and max_iter; with
+    keep_trace unset the trace is None.  floor(z) is computed once per
+    point while the residual > tol; below, the loop test and the converged
+    flag read max(tol, floor(z)) = tol whatever it is."""
     residual = norm(pair[0])
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
     steps, bound = 0, floor(z) if residual > tol else 0.0

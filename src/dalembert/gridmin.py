@@ -19,9 +19,12 @@ only if evaluate_with_derivative's |p| there is strictly lower, so every
 value reported is that loop's, taken once per point.  Both report an
 overflow with a RuntimeWarning.  A NaN value never becomes the incumbent,
 and a cell whose lower bound is not finite is never pruned.
-Each wave also tries the descent's damped Newton steps from the incumbent
-(see _damped_newton), which drive the value below epsilon far faster than
-bisection alone.
+Each wave also tries the descent's damped Newton steps from the incumbent,
+scaled by the multiplicity of the root they approach (see _damped_newton),
+which drive the value below epsilon far faster than bisection alone, at a
+multiple root or a cluster too.  Below epsilon the run tries only the full
+step, except from where a scaled step landed, which may be a cluster's
+centroid: there it halves on to the noise floor.
 
 certified_min takes p's norms |a_i| once, from polynomial._prepare, for
 every Lipschitz bound, and hands them to _search, the search itself, which
@@ -50,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexmath import norm
-from .polynomial import Poly, _prepare, evaluate_with_derivative
+from .polynomial import Poly, _noise_floor, _prepare, evaluate_with_derivative
 
 __all__ = [
     "SquareRegion",
@@ -178,10 +181,13 @@ def certified_min(
     Cells whose lower bound f(center) - L_cell * (sqrt(2)/2) * side_cell
     reaches the incumbent are pruned, the rest split 2x2.  After each wave
     the damped Newton step from the incumbent replaces it with the first
-    try, s = 1, 1/2, 1/4, ..., that stays in the region and strictly lowers
-    |p|, and is repeated from there until a step finds no drop; once |p| <=
-    epsilon only the full step s = 1 is tried.  Each try in the region
-    costs one evaluation, within budget.  The gap is
+    try, s = m, m/2, m/4, ... times p/p', that stays in the region and
+    strictly lowers |p|, and is repeated from there until a step finds no
+    drop; m is the multiplicity the run reads off its last two steps, 1 at
+    first.  Once |p| <= epsilon the first try is s = 1 and the halving
+    goes on only from a point a scaled step reached, down to the noise
+    floor.  Each try in the region costs one evaluation, within budget.
+    The gap is
     value - max(0, lowest live lower bound).  Stops after the wave where
     gap <= epsilon, or when the next wave would take the evaluations past
     budget; a budget stop is flagged on the result, not raised, and its gap
@@ -206,7 +212,7 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
     center = complex(x0 + side / 2.0, y0 + side / 2.0)
     pair, value, lower = _first_wave(coeffs, norms, center, side)
     best_pt, best_val, pair, evaluations = _damped_newton(
-        coeffs, box, center, value, pair, 1, budget, epsilon)
+        coeffs, norms, box, center, value, pair, 1, budget, epsilon)
     live = lower < best_val
     gap = best_val - max(0.0, lower) if live else 0.0
     if not live or gap <= epsilon or evaluations + 4 > budget:
@@ -235,7 +241,7 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
                 best_pt, best_val, pair = z, norm(cell_pair[0]), cell_pair
         evaluations += vals.size
         best_pt, best_val, pair, evaluations = _damped_newton(
-            coeffs, box, best_pt, best_val, pair, evaluations, budget, epsilon)
+            coeffs, norms, box, best_pt, best_val, pair, evaluations, budget, epsilon)
         keep = lower < best_val
         cells, lower = cells[keep], lower[keep]
         # |p| >= 0, so no lower bound below 0 is needed
@@ -268,16 +274,27 @@ def _first_wave(coeffs: Poly, norms: list, center: complex, side: float):
     return pair, value, lower if math.isfinite(lower) else -math.inf
 
 
-def _damped_newton(coeffs: Poly, box: tuple, z: complex, value: float, pair: tuple,
-                   evaluations: int, budget: int, epsilon: float):
-    """The descent's damped steps from the incumbent z: z - s p(z)/p'(z) for
-    s = 1, 1/2, 1/4, ... until |p| strictly drops below value or the try
-    rounds back to z, repeated from each accepted point until a step finds
-    no drop.  Once value <= epsilon only the full step s = 1 is tried: the
-    gap is already closed, so a halved try could only push the value
-    further below epsilon, and a full step that does not strictly lower |p|
-    ends the run.  Unlike the descent's, the halving does not stop at the
-    noise floor: the value and gap need the decreases found below it.
+def _damped_newton(coeffs: Poly, norms: list, box: tuple, z: complex, value: float,
+                   pair: tuple, evaluations: int, budget: int, epsilon: float):
+    """The descent's damped Newton steps from the incumbent z, scaled by
+    the multiplicity m of the root ahead: with u = p(z)/p'(z), the tries
+    z - s u for s = m, m/2, m/4, ... until |p| strictly drops below value
+    or the try rounds back to z, repeated from each accepted point until a
+    step finds no drop.  Above epsilon the halving, unlike the descent's,
+    does not stop at the noise floor: the value and gap need the decreases
+    found below it.
+
+    m starts at 1 and is read off each accepted try z1 = z0 - t as
+    round(Re(t / (u0 - u1))), clamped to [1, deg p].  It is exact on
+    (z - r)^m, where u = (z - r)/m, and there Schroeder's step z - m u
+    lands on r, where Newton's (m = 1) gains only a constant factor.
+
+    Once value <= epsilon the gap is closed and the first try is s = 1,
+    the only one: a halved try could only push the value further below
+    epsilon.  Only a point that an unhalved try with m >= 2 reached, which
+    can be a cluster's centroid with no root near, halves on, until the
+    gain s |p| of the next try is below the noise floor at z
+    (polynomial._noise_floor of p's norms): no computed |p| shows less.
 
     box is the region's (x0, y0, x1, y1) and pair is (p(z), p'(z)).  A try
     inside the region costs one evaluation, which gives p and p' there; one
@@ -287,11 +304,19 @@ def _damped_newton(coeffs: Poly, box: tuple, z: complex, value: float, pair: tup
     x0, y0, x1, y1 = box
     # looked up once, not once per try
     ewd, isfinite = evaluate_with_derivative, cmath.isfinite
+    top, m, reached, scaled = len(coeffs) - 1, 1, None, False
     while True:
         val, der = pair
         if not der:
             return z, value, pair, evaluations
-        step = val / der
+        u = val / der
+        if reached is not None:
+            # z was reached by the try z0 - t, and u0 = p(z0)/p'(z0)
+            t, u0 = reached
+            ratio = (t / (u0 - u)).real if u0 != u else 0.0
+            m = round(ratio) if 1.0 <= ratio <= top else (top if ratio > top else 1)
+        # u itself for m = 1: 1 * u can flip the sign of a zero part
+        s, step = (m, m * u) if m > 1 and value > epsilon else (1, u)
         while evaluations < budget and isfinite(step):
             w = z - step
             if w == z:
@@ -303,14 +328,17 @@ def _damped_newton(coeffs: Poly, box: tuple, z: complex, value: float, pair: tup
                 w_norm = norm(w_pair[0])
                 if w_norm < value:
                     break
-            if value <= epsilon:
-                # the gap is closed: no halving, only full steps
-                return z, value, pair, evaluations
             step *= 0.5
+            s *= 0.5
+            # the gap is closed: only the full step, or a cluster's
+            # halving down to the noise floor
+            if value <= epsilon and not (scaled and s * value >= _noise_floor(norms)(z)):
+                return z, value, pair, evaluations
         else:
             # no try lowered |p|, or the budget is spent
             return z, value, pair, evaluations
         # the accepted try's (p, p') pair gives the next step
+        scaled, reached = m > 1 and s == m, (step, u)
         z, value, pair = w, w_norm, w_pair
 
 

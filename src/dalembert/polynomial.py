@@ -6,6 +6,9 @@ immutable, and the zero polynomial is the empty tuple.  A polynomial is
 normalized when its last coefficient is nonzero (or it is empty).
 Every public entry that reads coefficient norms takes p through _prepare,
 which normalizes it, takes its norms and refuses one that is not finite.
+From those norms _noise_floor gives the rounding bound of the Horner loop
+in evaluate_with_derivative (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 5.1), below which a computed |p| says nothing.
 """
 
 from __future__ import annotations
@@ -68,6 +71,26 @@ def evaluate_with_derivative(p: Poly, z: complex) -> tuple[complex, complex]:
     return p[0] + z * val, der
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _noise_floor(norms: list):
+    """z -> gamma_2n * sum |a_i| |z|^i, the rounding bound of Horner's rule
+    at z, from norms = [|a_0|, ..., |a_n|]."""
+    k = 2 * (len(norms) - 1) * _UNIT_ROUNDOFF
+    gamma = k / (1.0 - k)
+    absc = norms[::-1]
+
+    def at(z: complex) -> float:
+        # a bound in real arithmetic, not an evaluation of p
+        r, acc = norm(z), 0.0
+        for c in absc:
+            acc = acc * r + c
+        return gamma * acc
+
+    return at
+
+
 def truncate(p: Sequence[complex]) -> Poly:
     """Drop the trailing run of exactly zero coefficients."""
     q = as_poly(p)
@@ -120,7 +143,12 @@ def deflate(p: Sequence[complex], r: complex) -> tuple[Poly, complex]:
         raise DegenerateZeroPolynomial("cannot deflate the zero polynomial")
     if len(q) == 1:
         raise CannotDeflateConstant("cannot deflate a constant polynomial")
-    r = complex(r)
+    return _deflate(q, complex(r))
+
+
+def _deflate(q: Poly, r: complex) -> tuple[Poly, complex]:
+    """deflate's synthetic division alone, for a normalized q of degree >= 1
+    and a complex r."""
     n = len(q) - 1
     b = [0j] * n
     b[n - 1] = q[n]

@@ -31,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .complexmath import norm
-from .descent import RootResult, _check_tol_max_iter, _descend, _noise_floor
+from .descent import RootResult, _check_tol_max_iter, _descend
 from .errors import DegenerateZeroPolynomial, NoRootExists
 from .gridmin import CertifiedMinimum, _search, _start
 from .growth import GrowthCertificate, _radii
-from .polynomial import Poly, _prepare, deflate, evaluate_with_derivative, from_roots
+from .polynomial import (Poly, _deflate, _noise_floor, _prepare, evaluate_with_derivative,
+                         from_roots)
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
 
@@ -109,7 +110,7 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     work: Poly = pt
     failed = not result.converged
     while True:
-        work, _rem = deflate(work, roots[-1].root)
+        work, _rem = _deflate(work, roots[-1].root)
         if len(work) <= 1:
             break
         # only the root and the converged flag are read, so no trace is kept

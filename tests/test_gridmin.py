@@ -19,7 +19,7 @@ from dalembert.gridmin import (
     lipschitz_bound,
 )
 from dalembert.growth import growth_certificate
-from dalembert.polynomial import as_poly, evaluate, from_roots
+from dalembert.polynomial import _noise_floor, as_poly, evaluate, from_roots
 from helpers import dense_min_oracle, random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
@@ -404,34 +404,43 @@ class TestStopRules:
             assert _in_live_cell(root, cells, side), root
 
     # coefficients from numpy.poly, as the benchmark builds them; the search
-    # before the full-step rule took 36 and 79 evaluations
-    @pytest.mark.parametrize("roots, most", [([1.0] * 5, 34), (_CLUSTER4_8, 23)],
+    # before the full-step rule took 36 and 79 evaluations, and before the
+    # multiplicity-scaled tries 34 and 23
+    @pytest.mark.parametrize("roots, most", [([1.0] * 5, 34), (_CLUSTER4_8, 12)],
                              ids=["(z-1)^5", "cluster4+8"])
     def test_newton_run_below_epsilon_takes_only_full_steps(self, monkeypatch, roots, most):
-        # once |p| <= epsilon the gap is closed, so the run tries only s = 1
-        # and ends at the first full step that does not lower |p|
+        # once |p| <= epsilon the gap is closed, so the run tries s = 1 and
+        # ends at the first full step that does not lower |p|; only past a
+        # scaled step, which can land on a cluster's centroid, does it halve
+        # on, and never to a gain s |p| below the noise floor at the point
         import dalembert.gridmin
 
-        norms = []
+        tries = []
         original = dalembert.gridmin.evaluate_with_derivative
 
         def recording(p, z):
             pair = original(p, z)
-            norms.append(abs(pair[0]))
+            tries.append((z, pair))
             return pair
 
         monkeypatch.setattr(dalembert.gridmin, "evaluate_with_derivative", recording)
         p = tuple(complex(c) for c in np.poly(np.asarray(roots, dtype=complex))[::-1])
         cm = certified_min(p, growth_certificate(p).square, 1e-10, 50_000)
         assert cm.value <= 1e-10 and not cm.budget_exhausted
-        first = next(i for i, v in enumerate(norms) if v <= 1e-10)
-        best, rejected = norms[first], 0
-        for v in norms[first + 1:]:
-            if v < best:
-                best = v
+        floor = _noise_floor(_norms(p))
+        first = next(i for i, (_w, pair) in enumerate(tries) if abs(pair[0]) <= 1e-10)
+        (z, (val, der)), rejected, halved = tries[first], 0, 0
+        for w, pair in tries[first + 1:]:
+            s = 2.0 ** round(math.log2(abs((z - w) / (val / der))))
+            if s < 1:
+                halved += 1
+                assert s * abs(val) >= floor(z), (s, z)
+            if abs(pair[0]) < abs(val):
+                z, (val, der) = w, pair
             else:
                 rejected += 1
-        assert rejected <= 1
+        # a rejected try that does not end the run is followed by its halving
+        assert rejected <= 1 + halved
         assert cm.evaluations <= most
 
     def test_newton_try_is_counted_and_kept_in_the_region(self):

@@ -461,6 +461,17 @@ class TestAccuracy:
         assert all(r.converged for r in report.roots)
         assert _matched([r.root for r in report.roots], roots, 1.01 * every)
 
+    # the seed search's Newton run scales its step by the multiplicity it
+    # reads off its iterates, so it lands on the k-fold root in a few
+    # tries, where plain Newton steps gain a constant factor each
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_a_multiple_root_is_found_exactly(self, k):
+        p = tuple(complex(c) for c in np.poly(np.ones(k))[::-1])
+        result = find_root(p)
+        assert result.converged
+        assert abs(result.root - 1) <= 1e-12
+        assert find_all_roots(p).seed.evaluations <= 6
+
 
 # a seeded random degree-40 input, whose numpy.roots answer is checked
 # against mpmath.polyroots in TestDeflatedFactors
