@@ -183,16 +183,16 @@ def certified_min(
     the damped Newton step from the incumbent replaces it with the first
     try, s = m, m/2, m/4, ... times p/p', that stays in the region and
     strictly lowers |p|, and is repeated from there until a step finds no
-    drop; m is the multiplicity the run reads off its last two steps, 1 at
-    first.  Once |p| <= epsilon the first try is s = 1 and the halving
-    goes on only from a point a scaled step reached, down to the noise
-    floor.  Each try in the region costs one evaluation, within budget.
-    The gap is
-    value - max(0, lowest live lower bound).  Stops after the wave where
-    gap <= epsilon, or when the next wave would take the evaluations past
-    budget; a budget stop is flagged on the result, not raised, and its gap
-    is still valid.  budget must be an integer >= 1 (budget=1 evaluates the
-    center alone); a coefficient that is not finite is a ValueError.
+    drop; m is the multiplicity read off the last two Newton corrections,
+    1 at first.  Once |p| <= epsilon the first try is s = 1 and the
+    halving goes on only from a point a scaled step reached, down to the
+    noise floor.  Each try in the region costs one evaluation, within
+    budget.  The gap is value - max(0, lowest live lower bound).  Stops
+    after the wave where gap <= epsilon, or when the next wave would take
+    the evaluations past budget; a budget stop is flagged on the result,
+    not raised, and its gap is still valid.  budget must be an integer >= 1
+    (budget=1 evaluates the center alone); a coefficient that is not finite
+    is a ValueError.
     """
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
