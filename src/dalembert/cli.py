@@ -4,13 +4,17 @@ Modes: solve (one root), solve-all (all roots via deflation), evt (certified
 minimum over a square), bounds (growth certificate), check (replay the lemma
 suites on the given polynomial).  Reports are JSON with floats printed to 17
 significant digits so every double round-trips; traces are CSV with columns
-iter,re,im,residual,s,k.  Identical invocations produce byte-identical output.
+iter,re,im,residual,s,k.  Identical invocations produce byte-identical output,
+--help included: it is wrapped at 78 columns whatever the terminal or COLUMNS
+says.  --tol and --epsilon must be positive and finite.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from .complexmath import format_complex, parse_complex
@@ -98,7 +102,13 @@ def _to_json(value, level: int = 0) -> str:
             + ",\n".join("  " * (level + 1) + s for s in parts)
             + "\n" + pad + "]"
         )
-    return json.dumps(value)  # bool, int, str, None; TypeError for any other type
+    if type(value) is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value)  # str; TypeError for any other type
 
 
 # The report keys of each result, in output order.  Named rather than taken
@@ -189,6 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dalembert",
         description="Certified complex-polynomial root finding by norm descent.",
+        # argparse's width off a terminal, fixed: no build probes the terminal
+        # (once per argument), and --help reads the same under any COLUMNS
+        formatter_class=functools.partial(argparse.HelpFormatter, width=78),
     )
     parser.add_argument("poly", nargs="?", help="inline polynomial, e.g. '1 1i 3'")
     parser.add_argument("--input", metavar="FILE", help="read the polynomial from a file")
@@ -218,10 +231,10 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError(f"--corner must be re,im, got {args.corner!r}")
     if args.output_format == "csv" and args.mode != "solve":
         raise ValueError("csv output is only available for solve mode (the trace)")
-    if not (args.tol > 0):
-        raise ValueError(f"--tol must be positive, got {args.tol}")
-    if not (args.epsilon > 0):
-        raise ValueError(f"--epsilon must be positive, got {args.epsilon}")
+    if not (0 < args.tol < math.inf):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    if not (0 < args.epsilon < math.inf):
+        raise ValueError(f"--epsilon must be positive and finite, got {args.epsilon}")
     if args.max_iter < 0:
         raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
     if args.budget < 1:

@@ -206,8 +206,8 @@ def descent_step(p, z0: complex) -> DescentStep:
 
 
 def _check_tol_max_iter(tol: float, max_iter: int) -> None:
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
 
@@ -222,8 +222,9 @@ def descend(p, z0: complex, tol: float = 1e-10, max_iter: int = 10000) -> RootRe
     trace is strictly decreasing, so only the start can be non-finite; a
     start where |p| overflows is returned at once, not converged, since no
     step can be computed there.  Running out of iterations or stalling is
-    reported through converged=False, not raised.  max_iter must be an
-    integer >= 0; a coefficient that is not finite is a ValueError.
+    reported through converged=False, not raised.  tol must be positive and
+    finite and max_iter an integer >= 0; a coefficient that is not finite is
+    a ValueError.
     """
     _check_tol_max_iter(tol, max_iter)
     (pt, floor), z = _nonconstant(p), complex(z0)

@@ -190,12 +190,12 @@ def certified_min(
     budget.  The gap is value - max(0, lowest live lower bound).  Stops
     after the wave where gap <= epsilon, or when the next wave would take
     the evaluations past budget; a budget stop is flagged on the result,
-    not raised, and its gap is still valid.  budget must be an integer >= 1
-    (budget=1 evaluates the center alone); a coefficient that is not finite
-    is a ValueError.
+    not raised, and its gap is still valid.  epsilon must be positive and
+    finite and budget an integer >= 1 (budget=1 evaluates the center alone);
+    a coefficient that is not finite is a ValueError.
     """
-    if not (epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if isinstance(budget, bool) or not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     pt, norms = _prepare(p)

@@ -1,16 +1,18 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dalembert.cli import main, parse_polynomial, serialize_polynomial
+from dalembert.cli import _to_json, main, parse_polynomial, serialize_polynomial
 from dalembert.errors import EmptyPolynomial, ParseError
 from dalembert.polynomial import from_roots
 
@@ -389,6 +391,17 @@ class TestDeterminism:
         assert json.loads(again)["root"] == [re_, im_]
 
 
+class TestToJson:
+    @pytest.mark.parametrize("value", [True, False, None, 0, -7, 2**70])
+    def test_scalars_print_json_dumps_bytes(self, value):
+        assert _to_json(value) == json.dumps(value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), object()])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _to_json(value)
+
+
 class TestReportBytes:
     """Every report's exact stdout and exit code, pinned by sha256: the
     output contract of each mode, JSON and CSV alike."""
@@ -434,8 +447,29 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_no_parser_build_probes_the_terminal(self, capsys, monkeypatch):
+        def probe(*args, **kwargs):
+            raise AssertionError("the terminal was probed")
+
+        monkeypatch.setattr(shutil, "get_terminal_size", probe)
+        assert main(["--mode", "bounds", QUAD_TEXT]) == 0
+        assert main(["--help"]) == 0
+
+    def test_help_is_the_same_whatever_the_terminal(self, capsys, monkeypatch):
+        outputs = []
+        for columns in (None, "40", "200"):
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run_cli(capsys, "--help")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert max(len(line) for line in outputs[0].splitlines()) <= 78
+
     @pytest.mark.parametrize("flag", ["--tol", "--epsilon"])
-    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
     def test_non_positive_tolerance_exits_one(self, capsys, flag, value):
         code, out, err = run_cli(
             capsys, "--mode", "evt", "--corner=-1.34,-1.34", "--side", "2.68",

@@ -524,6 +524,11 @@ class TestDescend:
         with pytest.raises(ValueError):
             descend(QUAD, 0j, tol=math.nan)
 
+    def test_rejects_infinite_tol(self):
+        # every finite residual meets tol=inf, so any start would be a "root"
+        with pytest.raises(ValueError, match="positive and finite"):
+            descend(QUAD, 0j, tol=math.inf)
+
     def test_rejects_bad_max_iter(self):
         for max_iter in (-3, -1, 2.5, 10.0, math.nan, math.inf, "10"):
             with pytest.raises(ValueError):

@@ -141,6 +141,10 @@ class TestCertifiedMin:
         with pytest.raises(ValueError):
             certified_min(QUAD, SquareRegion(0j, 1.0), math.nan)
 
+    def test_rejects_infinite_epsilon(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            certified_min(QUAD, SquareRegion(0j, 1.0), math.inf)
+
     def test_rejects_bad_budget(self):
         for budget in (0, -5, 2.5, 3.0, math.nan):
             with pytest.raises(ValueError):

@@ -76,6 +76,12 @@ class TestFindRoot:
             with pytest.raises(ValueError):
                 find_root((1, 0, 1), max_iter=max_iter)
 
+    @pytest.mark.parametrize("solve", [find_root, find_all_roots])
+    def test_rejects_infinite_tol(self, solve):
+        # with tol=inf the center 0 of z^2 + 1, where |p| = 1, passed as a root
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve((1, 0, 1), tol=math.inf)
+
     @pytest.mark.parametrize("p, radius", [((1e200, 1e-200), "inf"), ((5e307, 1), "1e+308")])
     def test_an_overflowing_enclosure_is_reported(self, p, radius):
         # the root -1e400 of the first is not a double, and its radius is
