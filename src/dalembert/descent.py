@@ -124,27 +124,34 @@ def _nonconstant(p) -> tuple:
     return pt, _noise_floor(norms)
 
 
-def _step(pt: Poly, floor: float, z0: complex, before: float, pair: tuple) -> tuple:
+def _step(pt: Poly, floor, z0: complex, before: float, pair: tuple) -> tuple:
     """descent_step's fields (k, ak, s, zs, before, after) and the pair
     (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt
-    whose noise floor at z0 is floor, given the pair (p(z0), p'(z0)) and
-    before = |p(z0)|."""
+    whose noise floor is floor, given the pair (p(z0), p'(z0)) and before =
+    |p(z0)|; floor(z0) is computed once, by the first failed try or stall
+    test that reads it."""
     a0, d = pair
     if a0 == 0:
         # cancellation made p(z0) exactly zero
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
+    bound = []
+
+    def floor_at_z0() -> float:
+        bound or bound.append(floor(z0))
+        return bound[0]
+
     # q(h) = p(z0 + h) / p(z0) = 1 + (p'(z0) / p(z0)) h + ...; the Taylor
     # shift is needed only when that first coefficient is zero or its step
     # stalls
     ak, stall = d / a0, None
     if ak != 0:
         try:
-            return _halve(pt, z0, before, floor, 1, ak)
+            return _halve(pt, z0, before, floor_at_z0, 1, ak)
         except StepStalled as error:
             # at the noise floor a computed |p| says nothing, so the stall
             # is final; above it a later term can leave the line or the
             # rounding dust that k = 1 is stuck on
-            if before <= floor:
+            if before <= floor_at_z0():
                 raise
             stall = error
     # shift(pt, z0)[1] is d bit for bit: either the term just tried or zero
@@ -152,7 +159,7 @@ def _step(pt: Poly, floor: float, z0: complex, before: float, pair: tuple) -> tu
         ak = c / a0
         if ak != 0:
             try:
-                return _halve(pt, z0, before, floor, k, ak)
+                return _halve(pt, z0, before, floor_at_z0, k, ak)
             except StepStalled as error:
                 stall = error
     if stall is None:
@@ -160,13 +167,13 @@ def _step(pt: Poly, floor: float, z0: complex, before: float, pair: tuple) -> tu
     raise stall
 
 
-def _halve(pt: Poly, z0: complex, before: float, floor: float, k: int, ak: complex) -> tuple:
+def _halve(pt: Poly, z0: complex, before: float, floor_at_z0, k: int, ak: complex) -> tuple:
     """The step z0 + (-s/ak)^(1/k) for the first s = 1, 1/2, ... that
     strictly lowers |p| below before, as the tuple (k, ak, s, zs, before,
     after, pair), pair being (p, p') at z0 + zs.  Each try is one Horner
     loop for p and p', so the accepted one starts the next step.  The try
     with parameter s gains about s * before, so the halving stalls once
-    that is below floor, the noise floor at z0."""
+    that is below floor_at_z0(), the noise floor at z0."""
     s = 1.0
     while True:
         # nth_root(x, 1) is complex(x), the same bits, after a check and a call
@@ -179,7 +186,7 @@ def _halve(pt: Poly, z0: complex, before: float, floor: float, k: int, ak: compl
         if after < before:
             return k, ak, s, zs, before, after, pair
         s *= 0.5
-        if s * before < floor:
+        if s * before < floor_at_z0():
             # the gain left is below what a computed |p| can show
             raise StepStalled(f"the gain at s = {s} is below the noise floor at z0 = {z0}")
 
@@ -202,7 +209,7 @@ def descent_step(p, z0: complex) -> DescentStep:
     before = norm(pair[0])
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
-    return DescentStep(*_step(pt, floor(z0), z0, before, pair)[:6])
+    return DescentStep(*_step(pt, floor, z0, before, pair)[:6])
 
 
 def _check_tol_max_iter(tol: float, max_iter: int) -> None:
@@ -236,19 +243,25 @@ def _descend(pt: Poly, floor, z: complex, pair: tuple, tol: float, max_iter: int
     """descend's loop from z, where (p, p') = pair and the residual is
     norm(p), for a normalized non-constant pt whose noise floor is floor
     (see polynomial._noise_floor), and checked tol and max_iter; with
-    keep_trace unset the trace is None.  floor(z) is computed once per
-    point while the residual > tol; below, the loop test and the converged
-    flag read max(tol, floor(z)) = tol whatever it is."""
+    keep_trace unset the trace is None.  The loop goes on while the
+    residual is above max(tol, floor(z)), and computes floor(z) only above
+    tol and at or below cap = floor(rc), its bound wherever |z| <= rc: sum
+    |a_i| r^i, non-negative terms, rounds monotonically in r."""
     residual = norm(pair[0])
     rows = [TraceRow(0, z, residual, 0.0, 0)] if keep_trace else None
-    steps, bound = 0, floor(z) if residual > tol else 0.0
-    while math.isfinite(residual) and residual > max(tol, bound) and steps < max_iter:
+    # a NaN cap, from an rc that overflowed, bounds nothing
+    steps, rc, cap, at_floor = 0, -1.0, math.nan, False
+    while math.isfinite(residual) and residual > tol:
+        if norm(z) > rc:
+            cap = floor(rc := 2.0 * max(norm(z), 1.0))
+        at_floor = not residual > cap and residual <= floor(z)
+        if at_floor or steps >= max_iter:
+            break
         try:
-            k, _ak, s, zs, _before, residual, pair = _step(pt, bound, z, residual, pair)
+            k, _ak, s, zs, _before, residual, pair = _step(pt, floor, z, residual, pair)
         except (StepStalled, AlreadyAtRoot):
             break
         z = z + zs
-        bound = floor(z) if residual > tol else 0.0
         steps += 1
         if keep_trace:
             rows.append(TraceRow(steps, z, residual, s, k))
@@ -256,6 +269,6 @@ def _descend(pt: Poly, floor, z: complex, pair: tuple, tol: float, max_iter: int
         root=z,
         residual=residual,
         iterations=steps,
-        converged=math.isfinite(residual) and residual <= max(tol, bound),
+        converged=math.isfinite(residual) and (residual <= tol or at_floor),
         trace=tuple(rows) if keep_trace else None,
     )

@@ -498,8 +498,13 @@ class TestDescend:
 
     def test_floor_is_computed_only_above_tol(self):
         # the loop test and the converged flag read max(tol, floor(z)), so
-        # at or below tol the floor decides nothing and is not computed
+        # at or below tol the floor decides nothing and is not computed;
+        # above it floor(z) is computed only where the residual is at or
+        # below floor(rc), its bound for |z| <= rc, and a step computes
+        # floor(z0) only for a failed try: so a descent of three or more
+        # steps computes fewer floors than it has points above tol
         rng = np.random.default_rng(49)
+        long_runs = 0
         for p in [random_poly(rng, d) for d in (3, 8, 20)] + [from_roots(1, range(1, 7))]:
             pt = truncate(p)
             floor = _noise_floor([norm(c) for c in pt])
@@ -508,13 +513,18 @@ class TestDescend:
                 got = _descend(pt, lambda z: seen.append(z) or floor(z), z0,
                                evaluate_with_derivative(pt, z0), tol, 200, True)
                 assert got == descend(p, z0, tol, 200)
-                assert seen == [row.point for row in got.trace if row.residual > tol]
+                above = [row.point for row in got.trace if row.residual > tol]
+                assert not {row.point for row in got.trace if row.residual <= tol} & set(seen)
+                if got.iterations >= 3:
+                    long_runs += 1
+                    assert len(seen) < len(above)
             # a start at or below tol computes no floor at all
             seen = []
             got = _descend(pt, lambda z: seen.append(z) or floor(z), got.root,
                            evaluate_with_derivative(pt, got.root), max(1.0, got.residual), 200,
                            True)
             assert got.converged and got.iterations == 0 and seen == []
+        assert long_runs >= 6
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
