@@ -21,19 +21,14 @@ overflow with a RuntimeWarning.  A NaN value never becomes the incumbent,
 and a cell whose lower bound is not finite is never pruned.
 Each wave also tries the descent's damped Newton steps from the incumbent,
 scaled by the multiplicity of the root they approach (see _damped_newton),
-which drive the value below epsilon far faster than bisection alone, at a
-multiple root or a cluster too.  Below epsilon the run tries only the full
-step, except from where a scaled step landed, which may be a cluster's
-centroid: there it halves on to the noise floor.
+which drive the value below epsilon far faster than bisection alone.
 
-certified_min takes p's norms |a_i| once, from polynomial._prepare, for
-every Lipschitz bound, and hands them to _search, the search itself, which
-works on plain values and returns the CertifiedMinimum, the centers of the
-cells still live at the stop (its state, not its claim: a sound search
-never prunes a cell that holds a global minimizer) and (p, p') at the
-argmin.  The solver calls _search on the polynomial and norms it prepared
-and its enclosure square, descends from the argmin with that pair, and
-starts each deflated factor's descent from the live cell _start picks.
+certified_min takes p's norms |a_i| once, from polynomial._prepare, and
+hands them to _search, the search itself, which returns the
+CertifiedMinimum, the centers of the cells still live at the stop and
+(p, p') at the argmin.  The solver calls _search on its own prepared p,
+descends from the argmin with that pair, and starts each deflated factor
+where _start says.
 
 SquareRegion and CertifiedMinimum are named tuples: they compare equal to
 plain tuples, unpack, and give changed copies with ._replace, while
@@ -53,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexmath import norm
-from .polynomial import Poly, _noise_floor, _prepare, evaluate_with_derivative
+from .polynomial import Poly, _fujiwara, _noise_floor, _prepare, evaluate_with_derivative
 
 __all__ = [
     "SquareRegion",
@@ -342,21 +337,20 @@ def _damped_newton(coeffs: Poly, norms: list, box: tuple, z: complex, value: flo
         z, value, pair = w, w_norm, w_pair
 
 
-def _start(work: Poly, cells, argmin: complex):
-    """The live cell center where |work| is smallest and finite (ties: the
-    first), or argmin if none is, with (work, work') there from the scalar
-    loop.  numpy ranks the centers, unless there is only one."""
+def _start(work: Poly, norms: list, cells):
+    """The deflated factor work's start, given its norms [|a_0|, ..., |a_n|],
+    and (work, work') there: the one live cell's center if |work| is finite
+    there; else beta e^(0.8i), off both axes, beta = 1 / (2 F) with F
+    Fujiwara's term of the reversed factor, so no root lies in |z| < beta;
+    or 0 if a_0 = 0."""
     if len(cells) == 1:
         z = complex(cells[0])
         pair = evaluate_with_derivative(work, z)
         if math.isfinite(norm(pair[0])):
             return z, pair
-        return argmin, evaluate_with_derivative(work, argmin)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are skipped
-        h = _horner(np.asarray(work, dtype=complex), np.asarray(cells, complex))
-        vals = np.hypot(h.real, h.imag)
-    finite = np.flatnonzero(np.isfinite(vals))
-    z = complex(cells[finite[np.argmin(vals[finite])]]) if finite.size else argmin
+    # f = 0 only where |a_0| is infinite or every ratio underflows
+    f = _fujiwara(norms[::-1]) if norms[0] else 0.0
+    z = 0.5 / f * cmath.exp(0.8j) if f else 0j
     return z, evaluate_with_derivative(work, z)
 
 

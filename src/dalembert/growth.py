@@ -9,17 +9,13 @@ and with it |p(z)| >= |p(0)|.  The square [-R, R]^2 with R =
 enclosure_radius, the same radius, therefore traps every global minimizer
 of |p|.
 
-The threshold is the smaller of two sufficient radii: the paper's
-max(1, 2 A n / |a_n|), A = max_{i<n} |a_i|, and max(1, 3 F) with
-F = max_{i<n} (|a_i| / |a_n|)^(1/(n-i)), Fujiwara's root bound (Tohoku
-Math. J. 10, 1916) scaled to the sandwich's factor 1/2.  So the square is
-never larger than the paper's, and on wide coefficient ranges, such as
-Wilkinson's polynomials, it is many times smaller.  Both radii need only the
-norms |a_i|: _radii builds the certificate from them, and growth_certificate
-and the solver each hand it the finite norms polynomial._prepare took.
-_radii alone decides whether they give a square of finite side 2R, so
-find_root, find_all_roots and the CLI's bounds and check modes refuse the
-same inputs with one error.
+The threshold is the smaller of two sufficient radii, the paper's
+max(1, 2 A n / |a_n|), A = max_{i<n} |a_i|, and max(1, 3 F), F Fujiwara's
+term (polynomial._fujiwara): never larger than the paper's, and many times
+smaller on wide coefficient ranges such as Wilkinson's.  _radii builds the
+certificate from the finite norms polynomial._prepare took, and alone
+decides whether they give a square of finite side 2R, so every entry
+refuses the same inputs with one error.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from typing import NamedTuple
 from .complexmath import norm
 from .errors import BelowThreshold, NotApplicableToConstant
 from .gridmin import SquareRegion
-from .polynomial import _prepare, evaluate
+from .polynomial import _fujiwara, _prepare, evaluate
 
 __all__ = [
     "GrowthCertificate",
@@ -102,10 +98,8 @@ def _radii(norms: list) -> GrowthCertificate:
     would give a false R of 1.0); raises OverflowError where the square's
     side 2R is not finite."""
     *tail, lead = norms
-    n = len(tail)
-    sub = max(tail)
-    fujiwara = max((a / lead) ** (1.0 / (n - i)) for i, a in enumerate(tail))
-    threshold = min(max(1.0, 2.0 * sub * n / lead), max(1.0, 3.0 * fujiwara))
+    n, sub = len(tail), max(tail)
+    threshold = min(max(1.0, 2.0 * sub * n / lead), max(1.0, 3.0 * _fujiwara(norms)))
     if not math.isfinite(2.0 * threshold):
         raise OverflowError(f"the enclosure radius {threshold} is too large: the square "
                             "[-R, R]^2 is not representable in floating point")

@@ -7,23 +7,20 @@ strictly downhill from the seed's point and its (p, p') pair, which the
 search hands on, until the residual meets the tolerance or the rounding
 floor of evaluating p.  find_all_roots takes that chain's root as the
 first, deflates by synthetic division and polishes every later root
-against the original polynomial.  Every root is a global
-minimizer of |p|, so the cells that one branch-and-bound leaves live
-surround every root: each deflated factor descends once, from the live cell
-center where it is smallest (see gridmin._start), with no search of its
-own.  Every |p| comes from polynomial.evaluate_with_derivative.
+against the original polynomial.  Each deflated factor descends once, with
+no search of its own, from the one cell the branch-and-bound left live, or
+else from its root-free circle (see gridmin._start).  Every |p| comes from
+polynomial.evaluate_with_derivative.
 
-Each public call checks tol and max_iter, normalizes p and takes the norms
-|a_i| once (polynomial._prepare, in _solve_once), which refuses a norm that
-is not finite.  Those norms give the growth radii (growth._radii), the noise
-floor gamma_2n * sum |a_i| |z|^i, whose value gamma_2n |a_0| at the origin
-is the seed's gap target, and the seed search's Lipschitz bounds
-(gridmin._search); one floor serves the first descent and all n - 1
-polishes, and each deflated factor takes its own norms once.  _radii and
-_search build the GrowthCertificate and the CertifiedMinimum once, and the
-solver reads them by name and hands them on to find_all_roots' report.
-growth._radii alone decides whether finite norms give a usable square,
-whose corner and side the solver hands to _search.
+Each public call checks tol and max_iter, and takes p's norms |a_i| once
+(polynomial._prepare, in _solve_once).  They give the growth radii
+(growth._radii, which alone decides whether the square is usable), the
+noise floor, whose value gamma_2n |a_0| at the origin is the seed's gap
+target, and the seed search's Lipschitz bounds (gridmin._search).  One
+floor serves the first descent and all n - 1 polishes; each deflated
+factor takes its own norms once, for its floor and its start.  The
+GrowthCertificate and the CertifiedMinimum are built once and handed on
+to find_all_roots' report.
 """
 
 from __future__ import annotations
@@ -94,16 +91,15 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
 
     The first root is find_root's result, from its seed search to gap
     max(tol, gamma_2n * |a_0|) and one descent on p.  Each deflated factor
-    descends once, from the live cell center where it is smallest; a k = 1
-    stall above the noise floor is left by the descent's later Taylor
-    terms, not by a retry from another center.  Each later estimate is
-    polished by descending on the original polynomial, which undoes
-    deflation drift.  A root whose descent on its factor (p for the first)
-    does not converge is reported with converged=False, and so is every
-    later one, whose quotients come from deflating by a non-root.
-    reconstruction_error is the largest coefficient-wise distance between
-    a_n * prod (z - r_i) and the normalized input; it is reported, never
-    raised.
+    descends once, from the search's one live cell center or else its
+    root-free circle (see gridmin._start), and is not retried from another
+    start.  Each later estimate is polished by descending on the original
+    polynomial, which undoes deflation drift.  A root whose descent on its
+    factor (p for the first) does not converge is reported with
+    converged=False, and so is every later one, whose quotients come from
+    deflating by a non-root.  reconstruction_error is the largest
+    coefficient-wise distance between a_n * prod (z - r_i) and the
+    normalized input; it is reported, never raised.
     """
     result, pt, floor, growth, seed, cells = _solve_once(p, tol, max_iter)
     roots = [result]
@@ -114,9 +110,9 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
         if len(work) <= 1:
             break
         # only the root and the converged flag are read, so no trace is kept
-        z, pair = _start(work, cells, seed.argmin)
-        factor_floor = _noise_floor(list(map(norm, work)))
-        result = _descend(work, factor_floor, z, pair, tol, max_iter, False)
+        norms = list(map(norm, work))
+        z, pair = _start(work, norms, cells)
+        result = _descend(work, _noise_floor(norms), z, pair, tol, max_iter, False)
         failed = failed or not result.converged
         z = result.root
         polished = _descend(pt, floor, z, evaluate_with_derivative(pt, z), tol, max_iter, True)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dalembert.complexmath import norm
 from dalembert.gridmin import (
@@ -15,11 +17,13 @@ from dalembert.gridmin import (
     _derivative_norms,
     _first_wave,
     _search,
+    _start,
     certified_min,
     lipschitz_bound,
 )
 from dalembert.growth import growth_certificate
-from dalembert.polynomial import _noise_floor, as_poly, evaluate, from_roots
+from dalembert.polynomial import (_noise_floor, as_poly, evaluate, evaluate_with_derivative,
+                                 from_roots)
 from helpers import dense_min_oracle, random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
@@ -691,3 +695,37 @@ def _numpy_wave(p, center, side, shape):
     vals = np.where(np.isnan(vals), np.inf, vals)
     lower = np.where(np.isfinite(lower), lower, -np.inf)
     return _bits(vals.item()), _bits(lower.item())
+
+
+_PART = st.floats(-10.0, 10.0, allow_nan=False)
+_COMPLEX = st.builds(complex, _PART, _PART)
+_REAL = st.builds(complex, _PART)
+
+
+class TestStart:
+    """Without one usable live cell a factor starts on the circle |z| =
+    beta, beta = 1/2 min_{k>=1} (|a_0| / |a_k|)^(1/k), which no root lies
+    inside: Fujiwara's bound on the reversed polynomial."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(_COMPLEX, min_size=2, max_size=13),
+        st.lists(st.one_of(st.just(0j), _COMPLEX), min_size=2, max_size=13),
+        st.lists(st.one_of(st.just(0j), _REAL), min_size=2, max_size=13),
+    ))
+    def test_no_root_lies_inside_the_start_circle(self, coeffs):
+        assume(abs(coeffs[0]) >= 1e-3 and abs(coeffs[-1]) >= 1e-3)
+        q = tuple(coeffs)
+        z0, pair = _start(q, [norm(c) for c in q], ())
+        assert pair == evaluate_with_derivative(q, z0)
+        roots = np.roots(np.asarray(q, dtype=complex)[::-1])
+        assert np.abs(roots).min() >= abs(z0) * (1 - 1e-9)
+
+    def test_one_cell_is_the_start_where_the_factor_is_finite(self):
+        z0, pair = _start(QUAD, [norm(c) for c in QUAD], (0.25 + 0.5j,))
+        assert (z0, pair) == (0.25 + 0.5j, evaluate_with_derivative(QUAD, 0.25 + 0.5j))
+        # two cells, or one where |p| overflows, are no start
+        beta = 0.5 * min(1.0, (1.0 / 3.0) ** 0.5)
+        for cells in ((0.25 + 0.5j, 0j), (1e200 + 0j,)):
+            z0 = _start(QUAD, [norm(c) for c in QUAD], cells)[0]
+            assert abs(abs(z0) - beta) <= 1e-15

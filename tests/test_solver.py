@@ -11,7 +11,7 @@ import dalembert
 from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
 from dalembert.descent import descend, descent_step, step_parameter
-from dalembert.gridmin import SquareRegion, _search, certified_min, lipschitz_bound
+from dalembert.gridmin import SquareRegion, _search, _start, certified_min, lipschitz_bound
 from dalembert.growth import check_bounds, growth_certificate
 from dalembert.polynomial import (
     as_poly,
@@ -488,9 +488,32 @@ _ABSOLUTE_TOL = pytest.mark.xfail(
     reason="tol is absolute, so a tiny scale converges anywhere (ROADMAP item 3)")
 
 
+def _beta(q):
+    """1/2 min_{k>=1} (|a_0| / |a_k|)^(1/k) over the nonzero a_k of q."""
+    a = np.abs(np.asarray(q, dtype=complex))
+    return 0.5 * min((a[0] / a[k]) ** (1.0 / k) for k in range(1, len(a)) if a[k])
+
+
+def _factor_starts(monkeypatch, degree):
+    """A list that gets (factor, start) for each deflated factor's descent
+    in find_all_roots of a polynomial of this degree."""
+    import dalembert.solver
+
+    starts = []
+    original = dalembert.solver._descend
+
+    def recording(q, floor, z0, *args):
+        if len(q) <= degree:  # a deflated factor, not p itself
+            starts.append((q, z0))
+        return original(q, floor, z0, *args)
+
+    monkeypatch.setattr(dalembert.solver, "_descend", recording)
+    return starts
+
+
 class TestDeflatedFactors:
-    """Each later factor descends once, from the first search's live cell
-    center where it is smallest; no other start is tried."""
+    """Each later factor descends once, from the first search's one live
+    cell center or else from its root-free circle; no other start is tried."""
 
     # at residual tol = 1e-10 a root of multiplicity m may sit ~tol^(1/m)
     # away, and a root inside the 1e-3 cluster ~tol / |p'| ~ 3e-5 away
@@ -540,39 +563,55 @@ class TestDeflatedFactors:
         oracle = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in RAND40[::-1]])
         assert _matched([complex(z) for z in oracle], list(want), 1e-12)
 
-    def test_each_factor_starts_at_its_smallest_live_cell(self, monkeypatch):
-        import dalembert.solver
-
+    def test_each_factor_starts_at_the_one_live_cell(self, monkeypatch):
         p = random_poly(np.random.default_rng(46), 7)
-        starts = []
-        original = dalembert.solver._descend
-
-        def recording(q, floor, z0, *args):
-            if len(q) < len(p):  # a deflated factor, not p itself
-                starts.append((q, z0))
-            return original(q, floor, z0, *args)
-
-        monkeypatch.setattr(dalembert.solver, "_descend", recording)
+        starts = _factor_starts(monkeypatch, 7)
         found = _recording_search(monkeypatch)
         find_all_roots(p)
-        cells = np.asarray(found[0][1], complex)
+        [cell] = found[0][1]
         assert len(starts) == 6
+        assert all(z0 == cell for _q, z0 in starts)
+
+    # from a start on a critical line, such as a diagonal center of z^8 - 1,
+    # a factor's k = 1 steps can stall; the escape by a later Taylor term is
+    # covered at the descent level by test_steps_off_a_critical_line, and
+    # from one such cell by test_a_stalled_factor_steps_off_by_a_later_term
+    @pytest.mark.parametrize("p", [(-1,) + (0,) * 7 + (1,), (1, 0, 2 - 1j, 0.5, 3),
+                                   (2, 0, 0, 1j, 0, 1)], ids=["z^8-1", "a1=0", "a1=a2=0"])
+    def test_several_live_cells_start_each_factor_on_its_root_free_circle(self, p, monkeypatch):
+        n = len(p) - 1
+        starts = _factor_starts(monkeypatch, n)
+        found = _recording_search(monkeypatch)
+        report = find_all_roots(p)
+        assert len(found[0][1]) > 1
+        assert len(starts) == n - 1
         for q, z0 in starts:
-            values = np.abs(np.polyval(np.asarray(q, dtype=complex)[::-1], cells))
-            assert z0 in cells
-            assert abs(np.polyval(np.asarray(q, dtype=complex)[::-1], z0)) <= values.min() * (1 + 1e-9)
+            beta = _beta(q)
+            assert abs(abs(z0) - beta) <= 1e-12 * beta
+            assert z0.real > 0 and z0.imag > 0  # off both axes
+        assert all(r.converged for r in report.roots)
+        want = np.roots(np.asarray(p, dtype=complex)[::-1])
+        assert _matched([r.root for r in report.roots], list(want), 1e-8)
 
     @pytest.mark.parametrize("cells", [np.empty(0, complex), np.array([1e308 + 1e308j]),
                                        np.array([complex("nan")])],
                              ids=["no-live-cell", "overflowing-cell", "nan-cell"])
-    def test_falls_back_to_the_seed(self, monkeypatch, cells):
+    def test_falls_back_to_the_root_free_circle(self, monkeypatch, cells):
         import dalembert.solver
 
+        starts = _factor_starts(monkeypatch, 2)
         monkeypatch.setattr(dalembert.solver, "_search",
                             _search_with(dalembert.solver._search, cells=cells))
         report = find_all_roots(QUAD)
+        [(q, z0)] = starts
+        assert abs(abs(z0) - _beta(q)) <= 1e-12 * _beta(q)
         for want in QUAD_ROOTS:
             assert min(abs(r.root - want) for r in report.roots) <= 1e-8
+
+    def test_a_factor_with_a_zero_constant_term_starts_at_its_root_0(self):
+        # a_0 = 0 leaves no root-free circle, and 0 is a root
+        q = (0j, 2 - 1j, 0.5, 1)
+        assert _start(q, [norm(c) for c in q], ()) == (0j, (0j, 2 - 1j))
 
     @staticmethod
     def _unity8_from(monkeypatch, cells):
@@ -585,12 +624,25 @@ class TestDeflatedFactors:
         return find_all_roots((-1,) + (0,) * 7 + (1,))
 
     def test_a_stalled_factor_steps_off_by_a_later_term(self, monkeypatch):
-        # from a diagonal center, the k = 1 steps on z^4 - 1 (the factor left
-        # once the four diagonal roots are out) head for its critical point
-        # 0 and stall; polished on p, that estimate would be a diagonal root
-        # again, so the factor's descent must leave it by a later term
-        report = self._unity8_from(monkeypatch, [0.5 + 0.5j, -0.5 + 0.5j, -0.5 - 0.5j, 0.5 - 0.5j])
+        # from the one diagonal center, the k = 1 steps on the degree-6 and
+        # degree-4 factors head for a critical point on the diagonal and
+        # stall; polished on p, such an estimate would be a root found
+        # before, so the factor's descent must leave it by a later term
+        import dalembert.solver
+
+        ks = []
+        original = dalembert.solver._descend
+
+        def tracing(q, floor, z0, pair, tol, max_iter, keep_trace):
+            result = original(q, floor, z0, pair, tol, max_iter, True)
+            if len(q) < 9:
+                ks.extend(row.k for row in result.trace[1:])
+            return result if keep_trace else dataclasses.replace(result, trace=None)
+
+        monkeypatch.setattr(dalembert.solver, "_descend", tracing)
+        report = self._unity8_from(monkeypatch, [0.5 + 0.5j])
         want = [cmath.exp(2j * math.pi * j / 8) for j in range(8)]
+        assert max(ks) >= 2
         assert all(r.converged for r in report.roots)
         assert _matched([r.root for r in report.roots], want, 1e-8)
 
@@ -614,9 +666,9 @@ class TestDeflatedFactors:
         assert all(abs(a - b) > 1e-8 for i, a in enumerate(converged) for b in converged[:i])
 
     def test_many_live_cells_on_a_critical_line(self, monkeypatch):
-        # z^4 - 1, left once the four diagonal roots are out, has p' = 0 only
-        # at 0; descent from a diagonal center steps off that critical point,
-        # so each factor descends once
+        # live cells all along the diagonal, where z^8 - 1's factors have
+        # critical points: none is a start, each factor starts on its
+        # root-free circle and descends once, and so does each polish
         import dalembert.solver
 
         calls = []
@@ -632,7 +684,7 @@ class TestDeflatedFactors:
         want = [cmath.exp(2j * math.pi * j / 8) for j in range(8)]
         assert all(r.converged for r in report.roots)
         assert _matched([r.root for r in report.roots], want, 1e-8)
-        assert len(calls) <= 50
+        assert len(calls) == 15
 
     def test_factor_descents_keep_no_trace(self, monkeypatch):
         import dalembert.solver
