@@ -85,10 +85,11 @@ def _to_json(value, level: int = 0) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            f'{"  " * (level + 1)}{json.dumps(key)}: {_to_json(val, level + 1)}'
-            for key, val in value.items()
-        ]
+        items = []
+        for key, val in value.items():
+            # an ASCII identifier needs no escape: json.dumps's bytes, without it
+            key = f'"{key}"' if key.isascii() and key.isidentifier() else json.dumps(key)
+            items.append(f'{"  " * (level + 1)}{key}: {_to_json(val, level + 1)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:

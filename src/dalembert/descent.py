@@ -11,18 +11,13 @@ In floating point the try with parameter s lowers |p| by about s |p(z0)|,
 so the halving stops once that is below the noise floor at z0 (below): no
 computed |p| can show a smaller gain.
 q's first coefficient is p'(z0)/p(z0), so one O(n) Horner loop for p and p'
-gives the step whenever p'(z0) != 0.  Each try of the halving runs that loop
-at its point, so the try that is kept already holds the next step's p and
-p', and a step costs one loop per try.  The O(n^2) Taylor shift of p is built
-only when it is 0 (k >= 2), or when the k = 1 halving stalls while |p(z0)|
-is above the noise floor below.  Such a stall is rounding's doing: from a
-real start with real coefficients every k = 1 try stays on the real axis
-and can stall near a critical point on it with |p| far from 0, and a
-"lowest nonzero" coefficient can be rounding dust.  The later nonzero
-coefficients of q are then tried in order (k = 2, 3, ...), and the first
-whose halving strictly lowers |p| gives the step; it stalls only if every
-term does.  So a stalled descent has this one way out, and no caller
-retries it from another start.
+gives the step whenever p'(z0) != 0, and the try that is kept holds the
+next step's p and p'.  The O(n^2) Taylor shift of p is built only when it
+is 0 (k >= 2), or when the k = 1 halving stalls while |p(z0)| is above the
+noise floor, which is rounding's doing (a real start on real coefficients
+stays on the real axis; a "lowest nonzero" coefficient can be rounding
+dust).  The later nonzero coefficients of q are then tried in order, and
+the step stalls only if every term does: no caller retries it elsewhere.
 Because only roots stop the iteration, walking downhill is a root finder.
 descend stops once the residual meets the tolerance or the rounding floor of
 Horner's rule, gamma_2n * sum |a_i| |z|^i (Higham, Accuracy and Stability of
@@ -30,9 +25,9 @@ Numerical Algorithms, 2nd ed., 5.1), below which a computed |p| says nothing.
 
 DescentStep and TraceRow are named tuples: they compare equal to plain
 tuples, unpack, and give changed copies with ._replace, while
-dataclasses.replace, fields and asdict do not apply to them.  RootResult
-stays a frozen dataclass: the benchmark's digest reads any tuple as a CLI
-(exit code, stdout) pair, so the solvers' results must not be tuples.
+dataclasses.replace, fields and asdict do not apply to them.  RootResult is
+a frozen dataclass with slots: the benchmark's digest reads any tuple as a
+CLI (exit code, stdout) pair, so the solvers' results must not be tuples.
 """
 
 from __future__ import annotations
@@ -86,7 +81,7 @@ class TraceRow(NamedTuple):
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootResult:
     """Outcome of a descent: final point, |p| there, and the residual trace."""
 

@@ -42,7 +42,7 @@ __all__ = ["SolveReport", "find_root", "find_all_roots"]
 _SEED_BUDGET = 50_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveReport:
     """All-roots outcome: the roots, how well they rebuild p, and the certificates."""
 

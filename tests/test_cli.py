@@ -401,6 +401,11 @@ class TestToJson:
         with pytest.raises(TypeError):
             _to_json(value)
 
+    @pytest.mark.parametrize("key", ["root", "budget_exhausted", "_x1", 'a"b', "\u00e9", "a b",
+                                     "1st", "tab\t", "", "\u2028"])
+    def test_keys_print_json_dumps_bytes(self, key):
+        assert _to_json({key: 1}) == "{\n  " + json.dumps(key) + ": 1\n}"
+
 
 class TestReportBytes:
     """Every report's exact stdout and exit code, pinned by sha256: the

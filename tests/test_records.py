@@ -1,6 +1,8 @@
 """The small records, DescentStep, TraceRow, LemmaReport and SquareRegion, are
-read-only named tuples that print as Name(field=value, ...)."""
+read-only named tuples that print as Name(field=value, ...); the results,
+RootResult and SolveReport, are frozen dataclasses with slots."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from dalembert.checks import LemmaReport
 from dalembert.descent import DescentStep, TraceRow, descend, descent_step
 from dalembert.gridmin import SquareRegion
+from dalembert.solver import find_all_roots
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
 
@@ -69,3 +72,19 @@ class TestRecords:
         assert (type(square.corner), type(square.side)) == (complex, float)
         assert square == (1 + 0j, 2.0)
         assert square.center == 2 + 1j
+
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: descend(QUAD, 0.5), "converged", False),
+        (lambda: find_all_roots(QUAD), "reconstruction_error", 0.0),
+    ], ids=["RootResult", "SolveReport"])
+    def test_results_are_frozen_and_replaced_by_copy(self, make, field, value):
+        record = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, value)
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+            record.extra = 1
+        assert not hasattr(record, "__dict__")
+        changed = dataclasses.replace(record, **{field: value})
+        assert type(changed) is type(record) and getattr(changed, field) == value
+        others = [f.name for f in dataclasses.fields(record) if f.name != field]
+        assert all(getattr(changed, name) is getattr(record, name) for name in others)
