@@ -129,11 +129,11 @@ def _step(pt: Poly, floor, z0: complex, before: float, pair: tuple) -> tuple:
     if a0 == 0:
         # cancellation made p(z0) exactly zero
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
-    bound = []
+    memo = []
 
     def floor_at_z0() -> float:
-        bound or bound.append(floor(z0))
-        return bound[0]
+        memo or memo.append(floor(z0))
+        return memo[0]
 
     # q(h) = p(z0 + h) / p(z0) = 1 + (p'(z0) / p(z0)) h + ...; the Taylor
     # shift is needed only when that first coefficient is zero or its step
@@ -169,7 +169,7 @@ def _halve(pt: Poly, z0: complex, before: float, floor_at_z0, k: int, ak: comple
     loop for p and p', so the accepted one starts the next step.  The try
     with parameter s gains about s * before, so the halving stalls once
     that is below floor_at_z0(), the noise floor at z0."""
-    s = 1.0
+    s, bound = 1.0, None
     while True:
         # nth_root(x, 1) is complex(x), the same bits, after a check and a call
         zs = -s / ak if k == 1 else nth_root(-s / ak, k)
@@ -181,7 +181,8 @@ def _halve(pt: Poly, z0: complex, before: float, floor_at_z0, k: int, ak: comple
         if after < before:
             return k, ak, s, zs, before, after, pair
         s *= 0.5
-        if s * before < floor_at_z0():
+        bound = floor_at_z0() if bound is None else bound
+        if s * before < bound:
             # the gain left is below what a computed |p| can show
             raise StepStalled(f"the gain at s = {s} is below the noise floor at z0 = {z0}")
 

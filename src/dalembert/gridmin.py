@@ -342,13 +342,12 @@ def _start(work: Poly, norms: list, cells):
     and (work, work') there: the one live cell's center if |work| is finite
     there; else beta e^(0.8i), off both axes, beta = 1 / (2 F) with F
     Fujiwara's term of the reversed factor, so no root lies in |z| < beta;
-    or 0 if a_0 = 0."""
+    0 where a_0 = 0, a root, or F = 0, from an infinite |a_0| or underflow."""
     if len(cells) == 1:
         z = complex(cells[0])
         pair = evaluate_with_derivative(work, z)
         if math.isfinite(norm(pair[0])):
             return z, pair
-    # f = 0 only where |a_0| is infinite or every ratio underflows
     f = _fujiwara(norms[::-1]) if norms[0] else 0.0
     z = 0.5 / f * cmath.exp(0.8j) if f else 0j
     return z, evaluate_with_derivative(work, z)
