@@ -94,8 +94,8 @@ def _noise_floor(norms: list):
 def _fujiwara(norms: list) -> float:
     """Fujiwara's F = max_{i<n} (|a_i| / |a_n|)^(1/(n-i)) from norms [|a_0|,
     ..., |a_n|] (Tohoku Math. J. 10, 1916): every root has modulus < 2 F."""
-    n = len(norms) - 1
-    return max((a / norms[n]) ** (1.0 / (n - i)) for i, a in enumerate(norms[:n]))
+    n, lead = len(norms) - 1, norms[-1]
+    return max((a / lead) ** (1.0 / (n - i)) for i, a in enumerate(norms[:n]))
 
 
 def truncate(p: Sequence[complex]) -> Poly:
