@@ -13,7 +13,7 @@ value - max(0, lowest lower bound).  Each wave splits every live cell, so a
 wave after the first is one complex array of centers of one side, evaluated
 at once.  The first wave, the region's center alone, runs in scalar Python
 arithmetic with no numpy call; most searches stop there.  numpy only ranks
-and prunes later waves' cells, since over three or more cells it can round
+and prunes later waves' cells, since over two or more cells it can round
 |p| otherwise in the last bits: a wave's best cell replaces the incumbent
 only if evaluate_with_derivative's |p| there is strictly lower, so every
 value reported is that loop's, taken once per point.  Both report an
@@ -26,9 +26,10 @@ which drive the value below epsilon far faster than bisection alone.
 certified_min takes p's norms |a_i| once, from polynomial._prepare, and
 hands them to _search, the search itself, which returns the
 CertifiedMinimum, the centers of the cells still live at the stop and
-(p, p') at the argmin.  The solver calls _search on its own prepared p,
-descends from the argmin with that pair, and starts each deflated factor
-where _start says.
+(p, p') at the argmin.  _search turns the norms into i |a_i| once, and
+every wave sums those, and p in the numpy waves, with polynomial._horner.
+The solver calls _search on its own prepared p, descends from the argmin
+with that pair, and starts each deflated factor from those cells.
 
 SquareRegion and CertifiedMinimum are named tuples: they compare equal to
 plain tuples, unpack, and give changed copies with ._replace, while
@@ -48,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexmath import norm
-from .polynomial import Poly, _fujiwara, _noise_floor, _prepare, evaluate_with_derivative
+from .polynomial import Poly, _horner, _noise_floor, _prepare, evaluate_with_derivative
 
 __all__ = [
     "SquareRegion",
@@ -116,43 +117,22 @@ class CertifiedMinimum(NamedTuple):
     budget_exhausted: bool = False
 
 
-def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum of coeffs[i] x^i at every x of an array (coefficients a0 first)."""
-    # in place: one array per call, not two per coefficient
-    acc = np.zeros(xs.shape, dtype=np.result_type(coeffs, xs))
-    for c in coeffs[::-1]:
-        acc *= xs
-        acc += c
-    return acc
-
-
-def _derivative_norms(norms: list) -> np.ndarray:
+def _derivative_norms(norms: list) -> list:
     """i |a_i| for i >= 1, from norms = [|a_0|, ..., |a_n|].
 
     _horner of these at r is sum i |a_i| r^(i-1), which dominates |p'| on
     the disk of radius r: a Lipschitz constant for |p| on that disk.
     """
-    return np.array([i * norms[i] for i in range(1, len(norms))], dtype=float)
+    return [i * norms[i] for i in range(1, len(norms))]
 
 
-def _cell_lipschitz(norms: list, center: complex, side: float) -> float:
-    """_horner(_derivative_norms(norms), _cell_radius(center, side)) for
-    one cell, as a Python scalar loop, or inf where a step overflows.
-
-    Every operation is one numpy's loops take too, in the same order: the
-    abs of a Python complex is norm, C's hypot, as in the norms and
-    np.hypot in _cell_radius; float products and sums round alike.  So the
-    bound is theirs bit for bit.
-    """
+def _cell_lipschitz(dnorm: list, center: complex, side: float) -> float:
+    """_horner(dnorm, r) for dnorm = _derivative_norms(norms) and r the
+    cell's largest |z|, taken by norm as np.hypot in _cell_radius takes it:
+    the numpy wave's bound on this one cell bit for bit; inf where r overflows."""
     half = side / 2.0
-    try:
-        r = abs(complex(abs(center.real) + half, abs(center.imag) + half))
-    except OverflowError:
-        return math.inf
-    acc = 0.0
-    for i in range(len(norms) - 1, 0, -1):
-        acc = acc * r + i * norms[i]
-    return acc
+    r = norm(complex(abs(center.real) + half, abs(center.imag) + half))
+    return _horner(dnorm, r) if r < math.inf else math.inf
 
 
 def lipschitz_bound(p, region: SquareRegion) -> float:
@@ -162,7 +142,7 @@ def lipschitz_bound(p, region: SquareRegion) -> float:
     sum over i >= 1 of i |a_i| R^(i-1), with R the largest |z| over the
     square; inf where that overflows, a ValueError for a coefficient that is not finite.
     """
-    return _cell_lipschitz(_prepare(p)[1], region.center, region.side)
+    return _cell_lipschitz(_derivative_norms(_prepare(p)[1]), region.center, region.side)
 
 
 def certified_min(
@@ -205,7 +185,8 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
     x0, y0 = corner.real, corner.imag
     box = (x0, y0, x0 + side, y0 + side)
     center = complex(x0 + side / 2.0, y0 + side / 2.0)
-    pair, value, lower = _first_wave(coeffs, norms, center, side)
+    dnorm = _derivative_norms(norms)
+    pair, value, lower = _first_wave(coeffs, dnorm, center, side)
     best_pt, best_val, pair, evaluations = _damped_newton(
         coeffs, norms, box, center, value, pair, 1, budget, epsilon)
     live = lower < best_val
@@ -214,12 +195,10 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
         return (CertifiedMinimum(best_pt, best_val, gap, evaluations, live and gap > epsilon),
                 (center,) if live else (), pair)
     cells, side = center + _CHILD * (side / 4.0), side / 2.0
-    coeff_array = np.asarray(coeffs, dtype=complex)
-    dnorm = _derivative_norms(norms)
     budget_exhausted = False
     # one wave: the centers of its cells, which all have the same side
     while True:
-        h = _horner(coeff_array, cells)
+        h = _horner(coeffs, cells)
         vals = np.hypot(h.real, h.imag)  # norm of each cell's value
         lower = vals - _horner(dnorm, _cell_radius(cells, side)) * (HALF_DIAGONAL * side)
         # a NaN value never wins, and a non-finite lower bound bounds nothing
@@ -251,16 +230,17 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
     return CertifiedMinimum(best_pt, best_val, gap, evaluations, budget_exhausted), cells, pair
 
 
-def _first_wave(coeffs: Poly, norms: list, center: complex, side: float):
+def _first_wave(coeffs: Poly, dnorm: list, center: complex, side: float):
     """The first wave, the one cell of this center and side, in scalar
-    arithmetic: (p, p') at the center, |p| = norm(p) there and the cell's
-    lower bound, the last two bit for bit as the numpy loop in _search
-    computes them.  As in that loop, a NaN value is inf and a lower bound
-    that is not finite is -inf.  Where p or the bound overflows a
-    RuntimeWarning reports it, until stop reasons on the result can.
+    arithmetic, given dnorm = _derivative_norms(norms): (p, p') at the
+    center, |p| = norm(p) there and the cell's lower bound, the last two
+    bit for bit as the numpy wave in _search computes them.  As in that
+    wave, a NaN value is inf and a lower bound that is not finite is -inf.
+    Where p or the bound overflows a RuntimeWarning reports it, until stop
+    reasons on the result can.
     """
     pair = evaluate_with_derivative(coeffs, center)
-    reach = _cell_lipschitz(norms, center, side) * (HALF_DIAGONAL * side)
+    reach = _cell_lipschitz(dnorm, center, side) * (HALF_DIAGONAL * side)
     if not (cmath.isfinite(pair[0]) and math.isfinite(reach)):
         warnings.warn(f"overflow in |p| or its Lipschitz bound at {center}", RuntimeWarning,
                       stacklevel=4)
@@ -335,22 +315,6 @@ def _damped_newton(coeffs: Poly, norms: list, box: tuple, z: complex, value: flo
         # the accepted try's (p, p') pair gives the next step
         scaled, reached = m > 1 and s == m, (step, u)
         z, value, pair = w, w_norm, w_pair
-
-
-def _start(work: Poly, norms: list, cells):
-    """The deflated factor work's start, given its norms [|a_0|, ..., |a_n|],
-    and (work, work') there: the one live cell's center if |work| is finite
-    there; else beta e^(0.8i), off both axes, beta = 1 / (2 F) with F
-    Fujiwara's term of the reversed factor, so no root lies in |z| < beta;
-    0 where a_0 = 0, a root, or F = 0, from an infinite |a_0| or underflow."""
-    if len(cells) == 1:
-        z = complex(cells[0])
-        pair = evaluate_with_derivative(work, z)
-        if math.isfinite(norm(pair[0])):
-            return z, pair
-    f = _fujiwara(norms[::-1]) if norms[0] else 0.0
-    z = 0.5 / f * cmath.exp(0.8j) if f else 0j
-    return z, evaluate_with_derivative(work, z)
 
 
 # offsets of the four children's centers, in quarters of the parent's side

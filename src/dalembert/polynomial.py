@@ -9,6 +9,9 @@ which normalizes it, takes its norms and refuses one that is not finite.
 From those norms _noise_floor gives the rounding bound of the Horner loop
 in evaluate_with_derivative (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 5.1), below which a computed |p| says nothing.
+That loop gives every |p| the library reports; _horner, the plain sum at
+a float, a complex or an array, gives the floor, every Lipschitz bound
+and p over the branch-and-bound's numpy waves.
 """
 
 from __future__ import annotations
@@ -71,6 +74,18 @@ def evaluate_with_derivative(p: Poly, z: complex) -> tuple[complex, complex]:
     return p[0] + z * val, der
 
 
+def _horner(coeffs: Sequence, x):
+    """sum coeffs[i] x^i (a0 first) at a float, a complex or, elementwise, an
+    array x of the coefficients' kind.  From the second product on, numpy
+    multiplies in place: out of place it can round unlike CPython even on
+    one element (numpy 2.4 on x86-64 with AVX-512), in place it does not."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc *= x
+        acc += c
+    return acc
+
+
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -79,16 +94,8 @@ def _noise_floor(norms: list):
     at z, from norms = [|a_0|, ..., |a_n|]."""
     k = 2 * (len(norms) - 1) * _UNIT_ROUNDOFF
     gamma = k / (1.0 - k)
-    absc = norms[::-1]
-
-    def at(z: complex) -> float:
-        # a bound in real arithmetic, not an evaluation of p
-        r, acc = norm(z), 0.0
-        for c in absc:
-            acc = acc * r + c
-        return gamma * acc
-
-    return at
+    # a bound in real arithmetic, not an evaluation of p
+    return lambda z: gamma * _horner(norms, norm(z))
 
 
 def _fujiwara(norms: list) -> float:

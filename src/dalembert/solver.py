@@ -9,7 +9,7 @@ floor of evaluating p.  find_all_roots takes that chain's root as the
 first, deflates by synthetic division and polishes every later root
 against the original polynomial.  Each deflated factor descends once, with
 no search of its own, from the one cell the branch-and-bound left live, or
-else from its root-free circle (see gridmin._start).  Every |p| comes from
+else from its root-free circle (see _start).  Every |p| comes from
 polynomial.evaluate_with_derivative.
 
 Each public call checks tol and max_iter, and takes p's norms |a_i| once
@@ -25,15 +25,17 @@ to find_all_roots' report.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, replace
 
 from .complexmath import norm
 from .descent import RootResult, _check_tol_max_iter, _descend
 from .errors import DegenerateZeroPolynomial, NoRootExists
-from .gridmin import CertifiedMinimum, _search, _start
+from .gridmin import CertifiedMinimum, _search
 from .growth import GrowthCertificate, _radii
-from .polynomial import (Poly, _deflate, _noise_floor, _prepare, evaluate_with_derivative,
-                         from_roots)
+from .polynomial import (Poly, _deflate, _fujiwara, _noise_floor, _prepare,
+                         evaluate_with_derivative, from_roots)
 
 __all__ = ["SolveReport", "find_root", "find_all_roots"]
 
@@ -72,6 +74,22 @@ def _solve_once(p, tol: float, max_iter: int):
             seed, cells)
 
 
+def _start(work: Poly, norms: list, cells):
+    """The deflated factor work's start, given its norms [|a_0|, ..., |a_n|],
+    and (work, work') there: the one live cell's center if |work| is finite
+    there; else beta e^(0.8i), off both axes, beta = 1 / (2 F) with F
+    Fujiwara's term of the reversed factor, so no root lies in |z| < beta;
+    0 where a_0 = 0, a root, or F = 0, from an infinite |a_0| or underflow."""
+    if len(cells) == 1:
+        z = complex(cells[0])
+        pair = evaluate_with_derivative(work, z)
+        if math.isfinite(norm(pair[0])):
+            return z, pair
+    f = _fujiwara(norms[::-1]) if norms[0] else 0.0
+    z = 0.5 / f * cmath.exp(0.8j) if f else 0j
+    return z, evaluate_with_derivative(work, z)
+
+
 def find_root(p, tol: float = 1e-10, max_iter: int = 10000) -> RootResult:
     """One root of a non-constant polynomial, to residual |p(root)| <= tol
     or, where tol is below what evaluating p can resolve, to the rounding
@@ -92,7 +110,7 @@ def find_all_roots(p, tol: float = 1e-10, max_iter: int = 10000) -> SolveReport:
     The first root is find_root's result, from its seed search to gap
     max(tol, gamma_2n * |a_0|) and one descent on p.  Each deflated factor
     descends once, from the search's one live cell center or else its
-    root-free circle (see gridmin._start), and is not retried from another
+    root-free circle (see _start), and is not retried from another
     start.  Each later estimate is polished by descending on the original
     polynomial, which undoes deflation drift.  A root whose descent on its
     factor (p for the first) does not converge is reported with

@@ -1,6 +1,17 @@
-"""Shared test utilities: random polynomials and independent oracles."""
+"""Shared test utilities: random polynomials, independent oracles and a
+shared hard input."""
 
 import numpy as np
+
+# z^4 - 1 with the rounding dust that deflating z^8 - 1 by its four diagonal
+# roots exp(2 pi i (j + 1/2) / 4), j = 0..3 in order, leaves on it
+UNITY8_DUST_FACTOR = (
+    complex(-1.0000000000000002, 5.265388888363904e-16),
+    complex(-1.300707181133075e-16, -9.197388681172373e-17),
+    complex(-9.197388681172368e-17, 2.220446049250314e-16),
+    complex(-2.220446049250313e-16, -2.220446049250313e-16),
+    1 + 0j,
+)
 
 
 def random_poly(rng, degree):

@@ -21,20 +21,10 @@ from dalembert.polynomial import (
     shift,
     truncate,
 )
-from helpers import lowest_exponent, random_point, random_poly, unit_constant
+from helpers import (UNITY8_DUST_FACTOR, lowest_exponent, random_point, random_poly,
+                     unit_constant)
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
-
-
-# z^4 - 1 with the rounding dust that deflating z^8 - 1 by its four diagonal
-# roots exp(2 pi i (j + 1/2) / 4), j = 0..3 in order, leaves on it
-_UNITY8_DUST_FACTOR = (
-    complex(-1.0000000000000002, 5.265388888363904e-16),
-    complex(-1.300707181133075e-16, -9.197388681172373e-17),
-    complex(-9.197388681172368e-17, 2.220446049250314e-16),
-    complex(-2.220446049250313e-16, -2.220446049250313e-16),
-    1 + 0j,
-)
 
 
 def _untraced(p, z0, tol, max_iter):
@@ -361,8 +351,8 @@ class TestDescend:
         "p, z0, max_calls",
         [((1, 0, 1), 0.5, None), ((1 + 1e-8, -2, 1), 0j, None),
          ((-1j, 0, -1, 0, 1j, 0, 1), 0.5 + 0.5j, None),
-         (_UNITY8_DUST_FACTOR, 0.5 + 0.5j, 250), (_UNITY8_DUST_FACTOR, 0j, 250),
-         (_UNITY8_DUST_FACTOR, -0.5 + 0.5j, 250)],
+         (UNITY8_DUST_FACTOR, 0.5 + 0.5j, 250), (UNITY8_DUST_FACTOR, 0j, 250),
+         (UNITY8_DUST_FACTOR, -0.5 + 0.5j, 250)],
         ids=["1+z^2", "double-root-split-1e-4i", "diagonal-critical-point",
              "z^8-1-dust-factor-diagonal", "z^8-1-dust-factor-origin",
              "z^8-1-dust-factor-antidiagonal"],

@@ -11,7 +11,7 @@ import dalembert
 from dalembert.complexmath import norm
 from dalembert.errors import DegenerateZeroPolynomial, NoRootExists
 from dalembert.descent import descend, descent_step, step_parameter
-from dalembert.gridmin import SquareRegion, _search, _start, certified_min, lipschitz_bound
+from dalembert.gridmin import SquareRegion, _search, certified_min, lipschitz_bound
 from dalembert.growth import check_bounds, growth_certificate
 from dalembert.polynomial import (
     as_poly,
@@ -20,7 +20,7 @@ from dalembert.polynomial import (
     from_roots,
     max_coeff_norm,
 )
-from dalembert.solver import find_all_roots, find_root
+from dalembert.solver import _start, find_all_roots, find_root
 from helpers import random_poly
 
 QUAD = (1 + 0j, 1j, 3 + 0j)
