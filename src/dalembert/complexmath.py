@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 
 from .errors import ParseError
@@ -33,9 +34,7 @@ def nth_root(z: complex, n: int) -> complex:
     whatever the sign of its zero imaginary part.  n must be an int or a
     numpy integer, not a bool.
     """
-    # an int passes on its first test: every descent try calls this, and
-    # isinstance(n, numbers.Integral) would cost several times as much
-    if n.__class__ is not int and (n.__class__ is bool or not hasattr(n, "__index__")) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     z = complex(z)
     if n == 1:

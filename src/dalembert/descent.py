@@ -9,7 +9,8 @@ of -s/a_k.  s starts at the full step 1, which for k = 1 is the Newton step
 the halving: over exact reals every s <= step_parameter(q) decreases |p|.
 In floating point the try with parameter s lowers |p| by about s |p(z0)|,
 so the halving stops once that is below the noise floor at z0 (below): no
-computed |p| can show a smaller gain.
+computed |p| can show a smaller gain.  The seed search's Newton runs
+(gridmin._damped_newton) stop their halving by the same rule.
 q's first coefficient is p'(z0)/p(z0), so one O(n) Horner loop for p and p'
 gives the step whenever p'(z0) != 0, and the try that is kept holds the
 next step's p and p'.  The O(n^2) Taylor shift of p is built only when it
@@ -123,30 +124,24 @@ def _step(pt: Poly, floor, z0: complex, before: float, pair: tuple) -> tuple:
     """descent_step's fields (k, ak, s, zs, before, after) and the pair
     (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt
     whose noise floor is floor, given the pair (p(z0), p'(z0)) and before =
-    |p(z0)|; floor(z0) is computed once, by the first failed try or stall
-    test that reads it."""
+    |p(z0)|.  floor(z0) is read by each halving's first failed try and by
+    the k = 1 stall test."""
     a0, d = pair
     if a0 == 0:
         # cancellation made p(z0) exactly zero
         raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
-    memo = []
-
-    def floor_at_z0() -> float:
-        memo or memo.append(floor(z0))
-        return memo[0]
-
     # q(h) = p(z0 + h) / p(z0) = 1 + (p'(z0) / p(z0)) h + ...; the Taylor
     # shift is needed only when that first coefficient is zero or its step
     # stalls
     ak, stall = d / a0, None
     if ak != 0:
         try:
-            return _halve(pt, z0, before, floor_at_z0, 1, ak)
+            return _halve(pt, z0, before, floor, 1, ak)
         except StepStalled as error:
             # at the noise floor a computed |p| says nothing, so the stall
             # is final; above it a later term can leave the line or the
             # rounding dust that k = 1 is stuck on
-            if before <= floor_at_z0():
+            if before <= floor(z0):
                 raise
             stall = error
     # shift(pt, z0)[1] is d bit for bit: either the term just tried or zero
@@ -154,7 +149,7 @@ def _step(pt: Poly, floor, z0: complex, before: float, pair: tuple) -> tuple:
         ak = c / a0
         if ak != 0:
             try:
-                return _halve(pt, z0, before, floor_at_z0, k, ak)
+                return _halve(pt, z0, before, floor, k, ak)
             except StepStalled as error:
                 stall = error
     if stall is None:
@@ -162,13 +157,14 @@ def _step(pt: Poly, floor, z0: complex, before: float, pair: tuple) -> tuple:
     raise stall
 
 
-def _halve(pt: Poly, z0: complex, before: float, floor_at_z0, k: int, ak: complex) -> tuple:
+def _halve(pt: Poly, z0: complex, before: float, floor, k: int, ak: complex) -> tuple:
     """The step z0 + (-s/ak)^(1/k) for the first s = 1, 1/2, ... that
     strictly lowers |p| below before, as the tuple (k, ak, s, zs, before,
     after, pair), pair being (p, p') at z0 + zs.  Each try is one Horner
     loop for p and p', so the accepted one starts the next step.  The try
     with parameter s gains about s * before, so the halving stalls once
-    that is below floor_at_z0(), the noise floor at z0."""
+    that is below floor(z0), the noise floor at z0, read at the first
+    failed try."""
     s, bound = 1.0, None
     while True:
         # nth_root(x, 1) is complex(x), the same bits, after a check and a call
@@ -181,7 +177,7 @@ def _halve(pt: Poly, z0: complex, before: float, floor_at_z0, k: int, ak: comple
         if after < before:
             return k, ak, s, zs, before, after, pair
         s *= 0.5
-        bound = floor_at_z0() if bound is None else bound
+        bound = floor(z0) if bound is None else bound
         if s * before < bound:
             # the gain left is below what a computed |p| can show
             raise StepStalled(f"the gain at s = {s} is below the noise floor at z0 = {z0}")

@@ -21,7 +21,10 @@ overflow with a RuntimeWarning.  A NaN value never becomes the incumbent,
 and a cell whose lower bound is not finite is never pruned.
 Each wave also tries the descent's damped Newton steps from the incumbent,
 scaled by the multiplicity of the root they approach (see _damped_newton),
-which drive the value below epsilon far faster than bisection alone.
+which drive the value below epsilon far faster than bisection alone.  Their
+halving stops where descent._halve's does, at the noise floor; epsilon is
+only the gap the search stops at, so a search whose gap already meets a
+tighter target returns what the search at that target returns.
 
 certified_min takes p's norms |a_i| once, from polynomial._prepare, and
 hands them to _search, the search itself, which returns the
@@ -159,15 +162,16 @@ def certified_min(
     try, s = m, m/2, m/4, ... times p/p', that stays in the region and
     strictly lowers |p|, and is repeated from there until a step finds no
     drop; m is the multiplicity read off the last two Newton corrections,
-    1 at first.  Once |p| <= epsilon the first try is s = 1 and the
-    halving goes on only from a point a scaled step reached, down to the
-    noise floor.  Each try in the region costs one evaluation, within
-    budget.  The gap is value - max(0, lowest live lower bound).  Stops
-    after the wave where gap <= epsilon, or when the next wave would take
-    the evaluations past budget; a budget stop is flagged on the result,
-    not raised, and its gap is still valid.  epsilon must be positive and
-    finite and budget an integer >= 1 (budget=1 evaluates the center alone);
-    a coefficient that is not finite is a ValueError.
+    1 at first.  As the descent's, the halving stops once the gain s |p|
+    of the next try is below the rounding noise floor of |p|, or the try
+    rounds back to the incumbent.  Each try in the region costs one
+    evaluation, within budget.  The gap is value - max(0, lowest live
+    lower bound).  Stops after the wave where gap <= epsilon, or when the
+    next wave would take the evaluations past budget; a budget stop is
+    flagged on the result, not raised, and its gap is still valid.
+    epsilon is only that gap target, and must be positive and finite;
+    budget must be an integer >= 1 (budget=1 evaluates the center alone).
+    A coefficient that is not finite is a ValueError.
     """
     if not (0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -185,10 +189,10 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
     x0, y0 = corner.real, corner.imag
     box = (x0, y0, x0 + side, y0 + side)
     center = complex(x0 + side / 2.0, y0 + side / 2.0)
-    dnorm = _derivative_norms(norms)
+    dnorm, floor = _derivative_norms(norms), _noise_floor(norms)
     pair, value, lower = _first_wave(coeffs, dnorm, center, side)
     best_pt, best_val, pair, evaluations = _damped_newton(
-        coeffs, norms, box, center, value, pair, 1, budget, epsilon)
+        coeffs, floor, box, center, value, pair, 1, budget)
     live = lower < best_val
     gap = best_val - max(0.0, lower) if live else 0.0
     if not live or gap <= epsilon or evaluations + 4 > budget:
@@ -215,7 +219,7 @@ def _search(coeffs: Poly, norms: list, corner: complex, side: float, epsilon: fl
                 best_pt, best_val, pair = z, norm(cell_pair[0]), cell_pair
         evaluations += vals.size
         best_pt, best_val, pair, evaluations = _damped_newton(
-            coeffs, norms, box, best_pt, best_val, pair, evaluations, budget, epsilon)
+            coeffs, floor, box, best_pt, best_val, pair, evaluations, budget)
         keep = lower < best_val
         cells, lower = cells[keep], lower[keep]
         # |p| >= 0, so no lower bound below 0 is needed
@@ -249,27 +253,21 @@ def _first_wave(coeffs: Poly, dnorm: list, center: complex, side: float):
     return pair, value, lower if math.isfinite(lower) else -math.inf
 
 
-def _damped_newton(coeffs: Poly, norms: list, box: tuple, z: complex, value: float,
-                   pair: tuple, evaluations: int, budget: int, epsilon: float):
+def _damped_newton(coeffs: Poly, floor, box: tuple, z: complex, value: float, pair: tuple,
+                   evaluations: int, budget: int):
     """The descent's damped Newton steps from the incumbent z, scaled by
     the multiplicity m of the root ahead: with u = p(z)/p'(z), the tries
-    z - s u for s = m, m/2, m/4, ... until |p| strictly drops below value
-    or the try rounds back to z, repeated from each accepted point until a
-    step finds no drop.  Above epsilon the halving, unlike the descent's,
-    does not stop at the noise floor: the value and gap need the decreases
-    found below it.
+    z - s u for s = m, m/2, m/4, ... until |p| strictly drops below value,
+    repeated from each accepted point until a step finds no drop.  The
+    halving stops as descent._halve's does: once the gain s |p| of the next
+    try is below floor(z), the noise floor at z (polynomial._noise_floor of
+    p's norms), which no computed |p| shows, or once the try rounds back to
+    z.  floor(z) is read at most once per step, at its first failed try.
 
     m starts at 1 and is read off each accepted try z1 = z0 - t as
     round(Re(t / (u0 - u1))), clamped to [1, deg p].  It is exact on
     (z - r)^m, where u = (z - r)/m, and there Schroeder's step z - m u
     lands on r, where Newton's (m = 1) gains only a constant factor.
-
-    Once value <= epsilon the gap is closed and the first try is s = 1,
-    the only one: a halved try could only push the value further below
-    epsilon.  Only a point that an unhalved try with m >= 2 reached, which
-    can be a cluster's centroid with no root near, halves on, until the
-    gain s |p| of the next try is below the noise floor at z
-    (polynomial._noise_floor of p's norms): no computed |p| shows less.
 
     box is the region's (x0, y0, x1, y1) and pair is (p(z), p'(z)).  A try
     inside the region costs one evaluation, which gives p and p' there; one
@@ -279,7 +277,7 @@ def _damped_newton(coeffs: Poly, norms: list, box: tuple, z: complex, value: flo
     x0, y0, x1, y1 = box
     # looked up once, not once per try
     ewd, isfinite = evaluate_with_derivative, cmath.isfinite
-    top, m, reached, scaled = len(coeffs) - 1, 1, None, False
+    top, m, reached = len(coeffs) - 1, 1, None
     while True:
         val, der = pair
         if not der:
@@ -291,7 +289,8 @@ def _damped_newton(coeffs: Poly, norms: list, box: tuple, z: complex, value: flo
             ratio = (t / (u0 - u)).real if u0 != u else 0.0
             m = round(ratio) if 1.0 <= ratio <= top else (top if ratio > top else 1)
         # u itself for m = 1: 1 * u can flip the sign of a zero part
-        s, step = (m, m * u) if m > 1 and value > epsilon else (1, u)
+        s, step = (m, m * u) if m > 1 else (1, u)
+        bound = None
         while evaluations < budget and isfinite(step):
             w = z - step
             if w == z:
@@ -305,15 +304,15 @@ def _damped_newton(coeffs: Poly, norms: list, box: tuple, z: complex, value: flo
                     break
             step *= 0.5
             s *= 0.5
-            # the gap is closed: only the full step, or a cluster's
-            # halving down to the noise floor
-            if value <= epsilon and not (scaled and s * value >= _noise_floor(norms)(z)):
+            bound = floor(z) if bound is None else bound
+            if s * value < bound:
+                # the gain left is below what a computed |p| can show
                 return z, value, pair, evaluations
         else:
             # no try lowered |p|, or the budget is spent
             return z, value, pair, evaluations
         # the accepted try's (p, p') pair gives the next step
-        scaled, reached = m > 1 and s == m, (step, u)
+        reached = (step, u)
         z, value, pair = w, w_norm, w_pair
 
 

@@ -279,8 +279,8 @@ class TestGoldenOutputs:
             # 0.5 + 0.5i: stopped by its budget after eight waves, part way
             # through a Newton run
             (QUAD, SquareRegion(0.5 + 0.5j, 1.0), 1e-12, 100,
-             ("0x1.000000002b040p-1", "0x1.0125209d60703p-1"),
-             "0x1.086fe02c307e4p+1", "0x1.05f675c562100p-7", 100, True,
+             ("0x1.000000000696dp-1", "0x1.0125209d50f49p-1"),
+             "0x1.086fe02bfee96p+1", "0x1.05f67593cd300p-7", 100, True,
              "8b331ff24b6a2574b69639709568a10871006f3699232c0aff33444ba8fa3b36"),
         ],
         ids=["quad", "deg8", "budget"],
@@ -346,6 +346,29 @@ def _stop_rule_cases():
 # four roots within 1e-3 of 1, eight on |z| = 1/2
 _CLUSTER4_8 = (list(1 + 1e-3 * np.exp(2j * np.pi * np.arange(4) / 4))
                + list(0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)))
+
+
+def _recorded_tries(monkeypatch) -> list:
+    """The list that each later (z, (p(z), p'(z))) the search evaluates in
+    scalar arithmetic is appended to: its first wave's center, its Newton
+    tries and its waves' best cells."""
+    import dalembert.gridmin
+
+    original, tries = dalembert.gridmin.evaluate_with_derivative, []
+
+    def recording(p, z):
+        pair = original(p, z)
+        tries.append((z, pair))
+        return pair
+
+    monkeypatch.setattr(dalembert.gridmin, "evaluate_with_derivative", recording)
+    return tries
+
+
+def _numpy_poly(roots) -> tuple:
+    """The monic polynomial with these roots, a0 first, from numpy.poly as
+    the benchmark builds it."""
+    return tuple(complex(c) for c in np.poly(np.asarray(roots, dtype=complex))[::-1])
 
 
 class TestStopRules:
@@ -416,40 +439,70 @@ class TestStopRules:
     # multiplicity-scaled tries 34 and 23
     @pytest.mark.parametrize("roots, most", [([1.0] * 5, 34), (_CLUSTER4_8, 12)],
                              ids=["(z-1)^5", "cluster4+8"])
-    def test_newton_run_below_epsilon_takes_only_full_steps(self, monkeypatch, roots, most):
-        # once |p| <= epsilon the gap is closed, so the run tries s = 1 and
-        # ends at the first full step that does not lower |p|; only past a
-        # scaled step, which can land on a cluster's centroid, does it halve
-        # on, and never to a gain s |p| below the noise floor at the point
-        import dalembert.gridmin
-
-        tries = []
-        original = dalembert.gridmin.evaluate_with_derivative
-
-        def recording(p, z):
-            pair = original(p, z)
-            tries.append((z, pair))
-            return pair
-
-        monkeypatch.setattr(dalembert.gridmin, "evaluate_with_derivative", recording)
-        p = tuple(complex(c) for c in np.poly(np.asarray(roots, dtype=complex))[::-1])
+    def test_newton_halving_stops_at_the_noise_floor(self, monkeypatch, roots, most):
+        # as in the descent, a try that does not lower |p| is halved while
+        # the halved try's gain s |p| is at or above the noise floor at the
+        # point, and the run stops once it is below; epsilon plays no part
+        tries = _recorded_tries(monkeypatch)
+        p = _numpy_poly(roots)
         cm = certified_min(p, growth_certificate(p).square, 1e-10, 50_000)
         assert cm.value <= 1e-10 and not cm.budget_exhausted
+        # the search stops after its first wave, so the tries are the
+        # center and one Newton run from there
+        assert len(tries) == cm.evaluations <= most
         floor = _noise_floor(_norms(p))
-        first = next(i for i, (_w, pair) in enumerate(tries) if abs(pair[0]) <= 1e-10)
-        (z, (val, der)), rejected, halved = tries[first], 0, 0
-        for w, pair in tries[first + 1:]:
-            s = 2.0 ** round(math.log2(abs((z - w) / (val / der))))
-            if s < 1:
-                halved += 1
-                assert s * abs(val) >= floor(z), (s, z)
+        (z, (val, der)), halved = tries[0], None
+        for w, pair in tries[1:]:
+            s = abs((z - w) / (val / der))
+            if halved is not None:
+                # the try before, from z, was rejected, and the run went on
+                assert halved * abs(val) >= floor(z), (halved, z)
+                assert s == pytest.approx(halved, rel=1e-9)
             if abs(pair[0]) < abs(val):
-                z, (val, der) = w, pair
+                (z, (val, der)), halved = (w, pair), None
             else:
-                rejected += 1
-        # a rejected try that does not end the run is followed by its halving
-        assert rejected <= 1 + halved
-        assert cm.evaluations <= most
+                halved = s / 2.0
+        # the run ends on a rejected try whose halving would gain too little
+        assert halved is not None and halved * abs(val) < floor(z)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="full Newton tries from a point at the noise floor are still "
+                              "spent, and can be accepted (ROADMAP item 7)")
+    def test_no_try_starts_at_the_noise_floor(self, monkeypatch):
+        # a computed |p| at or below the floor says nothing, so no try from
+        # there can show a gain; today (z-1)^5 spends 1 such try, and
+        # cluster4+8 spends 2 and accepts 1 of them
+        tries = _recorded_tries(monkeypatch)
+        at_floor = []
+        for roots in ([1.0] * 5, _CLUSTER4_8):
+            p = _numpy_poly(roots)
+            tries.clear()
+            certified_min(p, growth_certificate(p).square, 1e-10, 50_000)
+            floor = _noise_floor(_norms(p))
+            z, (val, _der) = tries[0]
+            for w, pair in tries[1:]:
+                if abs(val) <= floor(z):
+                    at_floor.append((roots, w))
+                if abs(pair[0]) < abs(val):
+                    z, (val, _der) = w, pair
+        assert at_floor == []
+
+    def test_result_does_not_depend_on_epsilon_once_both_gaps_are_met(self):
+        # the Newton runs read no epsilon, so a search whose gap at 1e-6 is
+        # already within 1e-12 stops where the search at 1e-12 does
+        rng = np.random.default_rng(32)
+        polys = [random_poly(rng, int(rng.integers(2, 13))) for _ in range(100)]
+        polys += [from_roots(1.0, [1.0] * k) for k in range(2, 6)]
+        polys += [from_roots(1.0, _CLUSTER4_8)]
+        compared = 0
+        for p in polys:
+            square = growth_certificate(p).square
+            loose = certified_min(p, square, 1e-6, 50_000)
+            tight = certified_min(p, square, 1e-12, 50_000)
+            if loose.gap <= 1e-12 and tight.gap <= 1e-12:
+                assert loose == tight, p
+                compared += 1
+        assert compared >= 100
 
     def test_newton_try_is_counted_and_kept_in_the_region(self):
         # a budget of 2 is the center and one Newton try from it
@@ -473,19 +526,15 @@ class TestStopRules:
         assert cm.value <= 1e-6
         assert not cm.budget_exhausted
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the Newton halving from an incumbent at 0 runs on about a "
-                              "thousand times (ROADMAP item 7)")
     def test_few_tries_near_an_incumbent_at_0(self, monkeypatch):
-        # the z^8 - 1 dust factor from the center 0 of its square: today
-        # 2,083 of the search's 2,193 evaluations are tries within 1e-10 of 0
-        import dalembert.gridmin
-
-        original, tries = dalembert.gridmin.evaluate_with_derivative, []
-        monkeypatch.setattr(dalembert.gridmin, "evaluate_with_derivative",
-                            lambda q, z: tries.append(z) or original(q, z))
-        certified_min(UNITY8_DUST_FACTOR, SquareRegion(-1 - 1j, 2.0), 1e-10)
-        assert sum(abs(z) < 1e-10 for z in tries) < 100
+        # the z^8 - 1 dust factor from the center 0 of its square: the
+        # halving used to run on to the try that rounds back to 0, and 2,083
+        # of the search's 2,193 evaluations were tries within 1e-10 of 0;
+        # the noise floor stops it after 45, 1 of them that near
+        tries = _recorded_tries(monkeypatch)
+        cm = certified_min(UNITY8_DUST_FACTOR, SquareRegion(-1 - 1j, 2.0), 1e-10)
+        assert sum(abs(z) < 1e-10 for z, _pair in tries) < 100
+        assert cm.evaluations <= 100
 
 
 class TestNonFinite:
