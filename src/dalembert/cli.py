@@ -50,8 +50,7 @@ def _parse_json_pairs(text: str) -> Poly:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON polynomial: {exc}", 1)
-    if not isinstance(data, list):
-        raise ParseError("JSON polynomial must be an array of [re, im] pairs", 1)
+    # text that starts with "[" and decodes is an array
     if not data:
         raise EmptyPolynomial("no coefficients given")
     out = []
@@ -92,8 +91,6 @@ def _to_json(value, level: int = 0) -> str:
             items.append(f'{"  " * (level + 1)}{key}: {_to_json(val, level + 1)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
         parts = [_to_json(v, level + 1) for v in value]
         flat = all(not isinstance(v, (dict, list, tuple, complex)) for v in value)
         if flat and sum(len(s) for s in parts) < 72:
@@ -105,11 +102,9 @@ def _to_json(value, level: int = 0) -> str:
         )
     if type(value) is bool:
         return "true" if value else "false"
-    if value is None:
-        return "null"
     if type(value) is int:
         return repr(value)
-    return json.dumps(value)  # str; TypeError for any other type
+    return json.dumps(value)  # str or None; TypeError for any other type
 
 
 # The report keys of each result, in output order.  Named rather than taken

@@ -31,8 +31,9 @@ def nth_root(z: complex, n: int) -> complex:
     """Principal nth root: radius^(1/n) at one nth of the angle in (-pi, pi].
 
     The root of 0 is 0, and a z on the negative real axis has angle pi
-    whatever the sign of its zero imaginary part.  n must be an int or a
-    numpy integer, not a bool.
+    whatever the sign of its zero imaginary part.  Where |z| overflows, the
+    root is that of z / 2, which halving leaves exact, times the nth root
+    of 2, for every n.  n must be an int or a numpy integer, not a bool.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -41,7 +42,10 @@ def nth_root(z: complex, n: int) -> complex:
         return z
     if z == 0:
         return 0j
-    radius, angle = cmath.polar(z)
+    try:
+        radius, angle = cmath.polar(z)
+    except OverflowError:
+        return nth_root(z * 0.5, n) * 2.0 ** (1.0 / n)
     if angle <= -math.pi:
         angle = math.pi  # atan2 can return -pi; keep the angle in (-pi, pi]
     return cmath.rect(radius ** (1.0 / n), angle / n)

@@ -19,9 +19,11 @@ noise floor, which is rounding's doing (a real start on real coefficients
 stays on the real axis; a "lowest nonzero" coefficient can be rounding
 dust).  The later nonzero coefficients of q are then tried in order, and
 the step stalls only if every term does: no caller retries it elsewhere.
-Because only roots stop the iteration, walking downhill is a root finder.
-descend stops once the residual meets the tolerance or the rounding floor of
-Horner's rule, gamma_2n * sum |a_i| |z|^i (Higham, Accuracy and Stability of
+A stalled step is None, as the seed search's Newton run returns its
+incumbent; descend stops on it, and only descent_step raises.  Because only
+roots stop the iteration, walking downhill is a root finder.  descend stops
+once the residual meets the tolerance or the rounding floor of Horner's
+rule, gamma_2n * sum |a_i| |z|^i (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., 5.1), below which a computed |p| says nothing.
 
 DescentStep and TraceRow are named tuples: they compare equal to plain
@@ -120,47 +122,38 @@ def _nonconstant(p) -> tuple:
     return pt, _noise_floor(norms)
 
 
-def _step(pt: Poly, floor, z0: complex, before: float, pair: tuple) -> tuple:
+def _step(pt: Poly, floor, z0: complex, before: float, pair: tuple) -> tuple | None:
     """descent_step's fields (k, ak, s, zs, before, after) and the pair
     (p, p') at z0 + zs as a plain tuple, for a normalized non-constant pt
-    whose noise floor is floor, given the pair (p(z0), p'(z0)) and before =
-    |p(z0)|.  floor(z0) is read by each halving's first failed try and by
-    the k = 1 stall test."""
+    whose noise floor is floor, given the pair (p(z0), p'(z0)), p(z0) != 0,
+    and before = |p(z0)|; None where no term of q strictly lowers |p|.
+    floor(z0) is read by each halving's first failed try and by the k = 1
+    stall test."""
     a0, d = pair
-    if a0 == 0:
-        # cancellation made p(z0) exactly zero
-        raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
     # q(h) = p(z0 + h) / p(z0) = 1 + (p'(z0) / p(z0)) h + ...; the Taylor
     # shift is needed only when that first coefficient is zero or its step
     # stalls
-    ak, stall = d / a0, None
+    ak = d / a0
     if ak != 0:
-        try:
-            return _halve(pt, z0, before, floor, 1, ak)
-        except StepStalled as error:
-            # at the noise floor a computed |p| says nothing, so the stall
-            # is final; above it a later term can leave the line or the
-            # rounding dust that k = 1 is stuck on
-            if before <= floor(z0):
-                raise
-            stall = error
+        step = _halve(pt, z0, before, floor, 1, ak)
+        # at the noise floor a computed |p| says nothing, so the stall is
+        # final; above it a later term can leave the line or the rounding
+        # dust that k = 1 is stuck on
+        if step is not None or before <= floor(z0):
+            return step
     # shift(pt, z0)[1] is d bit for bit: either the term just tried or zero
     for k, c in enumerate(shift(pt, z0)[2:], 2):
         ak = c / a0
-        if ak != 0:
-            try:
-                return _halve(pt, z0, before, floor, k, ak)
-            except StepStalled as error:
-                stall = error
-    if stall is None:
-        raise NotApplicableToConstant("the shifted polynomial is constant to working precision")
-    raise stall
+        if ak != 0 and (step := _halve(pt, z0, before, floor, k, ak)) is not None:
+            return step
+    return None
 
 
-def _halve(pt: Poly, z0: complex, before: float, floor, k: int, ak: complex) -> tuple:
+def _halve(pt: Poly, z0: complex, before: float, floor, k: int, ak: complex) -> tuple | None:
     """The step z0 + (-s/ak)^(1/k) for the first s = 1, 1/2, ... that
     strictly lowers |p| below before, as the tuple (k, ak, s, zs, before,
-    after, pair), pair being (p, p') at z0 + zs.  Each try is one Horner
+    after, pair), pair being (p, p') at z0 + zs; None once z0 + zs rounds
+    to z0 or the gain is below the noise floor.  Each try is one Horner
     loop for p and p', so the accepted one starts the next step.  The try
     with parameter s gains about s * before, so the halving stalls once
     that is below floor(z0), the noise floor at z0, read at the first
@@ -170,8 +163,7 @@ def _halve(pt: Poly, z0: complex, before: float, floor, k: int, ak: complex) -> 
         # nth_root(x, 1) is complex(x), the same bits, after a check and a call
         zs = -s / ak if k == 1 else nth_root(-s / ak, k)
         if z0 + zs == z0:
-            # every smaller s rounds back to z0 too, so nothing can decrease
-            raise StepStalled(f"the step rounds to nothing at s = {s}, z0 = {z0}")
+            return None  # every smaller s rounds back to z0 too
         pair = evaluate_with_derivative(pt, z0 + zs)
         after = norm(pair[0])
         if after < before:
@@ -179,8 +171,7 @@ def _halve(pt: Poly, z0: complex, before: float, floor, k: int, ak: complex) -> 
         s *= 0.5
         bound = floor(z0) if bound is None else bound
         if s * before < bound:
-            # the gain left is below what a computed |p| can show
-            raise StepStalled(f"the gain at s = {s} is below the noise floor at z0 = {z0}")
+            return None  # the gain left is below what a computed |p| can show
 
 
 def descent_step(p, z0: complex) -> DescentStep:
@@ -193,15 +184,20 @@ def descent_step(p, z0: complex) -> DescentStep:
     Taylor coefficient in turn, until one strictly lowers |p|.  Raises
     ValueError naming a coefficient that is not finite, AlreadyAtRoot when
     p(z0) = 0, OverflowError when |p(z0)| is not finite, and StepStalled
-    when, for every term tried, z0 + zs rounds to z0 or the gain s |p(z0)|
-    of the next try is below the noise floor at z0.
+    when no term lowers |p|: for each one tried, z0 + zs rounds to z0 or
+    the gain s |p(z0)| of the next try is below the noise floor at z0, and
+    none is tried where every coefficient of q but the first underflows.
     """
     (pt, floor), z0 = _nonconstant(p), complex(z0)
     pair = evaluate_with_derivative(pt, z0)
     before = norm(pair[0])
     if not math.isfinite(before):
         raise OverflowError(f"|p| overflows at z0 = {z0}")
-    return DescentStep(*_step(pt, floor, z0, before, pair)[:6])
+    if before == 0:
+        raise AlreadyAtRoot(f"p({z0}) vanishes to working precision")
+    if (step := _step(pt, floor, z0, before, pair)) is None:
+        raise StepStalled(f"no term of the shifted polynomial strictly lowers |p| at z0 = {z0}")
+    return DescentStep(*step[:6])
 
 
 def _check_tol_max_iter(tol: float, max_iter: int) -> None:
@@ -249,10 +245,10 @@ def _descend(pt: Poly, floor, z: complex, pair: tuple, tol: float, max_iter: int
         at_floor = not residual > cap and residual <= floor(z)
         if at_floor or steps >= max_iter:
             break
-        try:
-            k, _ak, s, zs, _before, residual, pair = _step(pt, floor, z, residual, pair)
-        except (StepStalled, AlreadyAtRoot):
+        # residual > tol > 0, so p(z) != 0
+        if (step := _step(pt, floor, z, residual, pair)) is None:
             break
+        k, _ak, s, zs, _before, residual, pair = step
         z = z + zs
         steps += 1
         if keep_trace:

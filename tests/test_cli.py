@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dalembert.cli import _to_json, main, parse_polynomial, serialize_polynomial
-from dalembert.errors import EmptyPolynomial, ParseError
+from dalembert.errors import EmptyPolynomial, ParseError, StepStalled
 from dalembert.polynomial import from_roots
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -21,6 +21,9 @@ QUAD_TEXT = "1 1i 3"
 # 1 + 2z + ... + 41 z^40: descent from the center 0 of its growth square
 # needs 21 steps to converge
 RAMP41 = " ".join(str(k) for k in range(1, 42))
+# degree 5, coefficients from 1e-44 to 1e297
+WIDE_SCALE_TEXT = ("2.09e284+1e284i 3.97e-13+4.48e-13i 2.31e-34+1.81e-34i -3.32e297+4.28e297i "
+                   "1.5e-44-1.92e-44i 8.71e154+5.98e154i")
 
 
 @pytest.fixture
@@ -140,6 +143,16 @@ class TestSolveMode:
         assert code == 1
         assert out == ""
         assert err.startswith("error: the enclosure radius inf is too large")
+
+    def test_a_root_of_an_overflowing_modulus_is_no_error(self, capsys):
+        # a descent step on this input takes the root of a -s/a_k whose
+        # modulus overflows; the solve reports, with the seed search's
+        # overflow warnings
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run_cli(capsys, "--mode", "solve", WIDE_SCALE_TEXT)
+        assert code in (0, 2)
+        assert err == ""
+        assert set(json.loads(out)) == {"root", "residual", "iterations", "converged"}
 
     def test_a_bounds_radius_that_is_not_finite_is_an_error(self, capsys):
         # on 1 + 1e-320 z^3, a_i / a_n overflows and the radius is inf,
@@ -347,6 +360,25 @@ class TestOtherModes:
         assert out == ""
         assert "non-constant" in err
 
+    def test_check_counts_failures(self, capsys, monkeypatch):
+        # a sandwich that raises and a descent step that stalls are each a
+        # failure of their lemma, and any failure fails the report
+        import dalembert.checks
+
+        def raises(error):
+            def fail(*args):
+                raise error("forced")
+            return fail
+
+        monkeypatch.setattr(dalembert.checks, "check_bounds", raises(ArithmeticError))
+        monkeypatch.setattr(dalembert.checks, "descent_step", raises(StepStalled))
+        code, out, _ = run_cli(capsys, "--mode", "check", QUAD_TEXT)
+        assert code == 1
+        report = json.loads(out)
+        assert [(entry["failures"], entry["pass"]) for entry in report["lemmas"]] == [
+            (1000, False), (0, True), (1000, False)]
+        assert report["pass"] is False
+
     def test_check_seed_changes_output(self, capsys):
         _, out_a, _ = run_cli(capsys, "--mode", "check", "--seed", "1", QUAD_TEXT)
         _, out_b, _ = run_cli(capsys, "--mode", "check", "--seed", "1", QUAD_TEXT)
@@ -392,7 +424,8 @@ class TestDeterminism:
 
 
 class TestToJson:
-    @pytest.mark.parametrize("value", [True, False, None, 0, -7, 2**70])
+    # and the empty list, which takes the flat-list path
+    @pytest.mark.parametrize("value", [True, False, None, 0, -7, 2**70, []])
     def test_scalars_print_json_dumps_bytes(self, value):
         assert _to_json(value) == json.dumps(value)
 
@@ -490,3 +523,31 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "corner" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--max-iter", "-1"), "--max-iter must be >= 0"),
+            (("--mode", "evt", "--corner=-1.34,-1.34", "--side", "2.68", "--budget", "0"),
+             "--budget must be >= 1"),
+            (("--mode", "evt", "--corner", "1,x", "--side", "1"), "--corner must be re,im"),
+        ],
+        ids=["max-iter", "budget", "corner-part"],
+    )
+    def test_out_of_range_flags_exit_one(self, capsys, args, message):
+        code, out, err = run_cli(capsys, *args, QUAD_TEXT)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[[1, 0], [0, 1]", "malformed JSON polynomial"),
+         ('{"re": 1, "im": 0}', "malformed complex literal")],
+        ids=["unclosed-array", "object"],
+    )
+    def test_malformed_json_exits_one(self, capsys, text, message):
+        # only text that starts with "[" is read as JSON, so an object is a
+        # malformed literal of the text form
+        code, out, err = run_cli(capsys, "--mode", "bounds", text)
+        assert (code, out) == (1, "")
+        assert message in err

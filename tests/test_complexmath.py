@@ -145,6 +145,32 @@ class TestNthRoot:
     def test_zero_root(self):
         assert nth_root(0j, 5) == 0j
 
+    # |z| overflows, while each part is finite
+    OVERFLOWING = [complex(1.5e308, 1.5e308), complex(-1.7e308, -1.3e308),
+                   complex(-1.5e308, 1.797e308), complex(1.7976931348623157e308, -1e308)]
+
+    @pytest.mark.parametrize("z", OVERFLOWING)
+    def test_square_root_of_an_overflowing_modulus(self, z):
+        assert cmath.isclose(nth_root(z, 2), cmath.sqrt(z), rel_tol=4e-16)
+
+    @pytest.mark.parametrize("z", OVERFLOWING)
+    def test_cube_root_of_an_overflowing_modulus(self, z):
+        # w^3 overflows where z does; scaled by powers of two it does not.
+        # The rounded exponent 1/3 costs any root of a modulus near 1e308
+        # about 3e-14 in its cube, as nth_root(z * 2**-309, 3) shows
+        w = nth_root(z, 3) * 2.0**-103
+        assert cmath.isclose(w * w * w, z * 2.0**-309, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_high_root_of_an_overflowing_modulus(self, n):
+        # the overflow path halves z once: a scaling by 4^-n would underflow
+        # to 0 from n = 538 on
+        z = complex(1.5e308, -1.5e308)
+        w = nth_root(z, n)
+        assert math.isclose(n * math.log(norm(w)), math.log(2.0) + math.log(norm(z / 2.0)),
+                            rel_tol=1e-13)
+        assert math.isclose(n * cmath.phase(w), cmath.phase(z), rel_tol=1e-13)
+
     @given(
         st.floats(1e-6, 1e6), st.floats(-math.pi, math.pi), st.integers(1, 16)
     )

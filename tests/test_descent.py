@@ -347,6 +347,18 @@ class TestDescend:
             descent_step(cubic, stalled)
         assert len(calls) <= 5
 
+    def test_a_step_that_finds_nothing_ends_the_descent(self):
+        # 1e-30 / 1e300, q's k = 2 coefficient, underflows to 0, and its
+        # k = 1 one is 0: no term is left to try, descend stops where it
+        # started and descent_step alone raises
+        p = (1e300, 0, 1e-30)
+        for result in (descend(p, 0j), _untraced(p, 0j, 1e-10, 10000)):
+            assert (result.root, result.residual, result.iterations, result.converged) == (
+                0j, 1e300, 0, False)
+        assert descend(p, 0j).trace == ((0, 0j, 1e300, 0.0, 0),)
+        with pytest.raises(StepStalled):
+            descent_step(p, 0j)
+
     @pytest.mark.parametrize(
         "p, z0, max_calls",
         [((1, 0, 1), 0.5, None), ((1 + 1e-8, -2, 1), 0j, None),

@@ -599,17 +599,21 @@ def _numpy_horner(coeffs, xs):
     return acc
 
 
+# the shape of the one-cell array that TestOnePointHorner compares against
+_ONE_CELL = pytest.mark.parametrize("shape", [(1,)], ids=["shape1"])
+
+
 class TestOnePointHorner:
     """certified_min's first wave, the region's center alone, runs in
     scalar arithmetic (_first_wave): its |p| and lower bound must equal,
     bit for bit, what the numpy wave of later waves computes over that one
-    cell, whether numpy holds the cell in a 0-d or a 1-element array.
+    cell, held as a wave holds its cells, in a 1-d array.
 
     Every |.| on both sides is C's hypot (norm, and np.hypot of the
     parts), so the one property of the installed numpy and CPU that these
     tests assert is that numpy's complex multiply in the Horner loop rounds
-    like CPython's on a 0-d or one-element array: it does with numpy 2.4 on
-    x86-64 (on longer arrays it can round otherwise).  A failure on another
+    like CPython's on a one-element array: it does with numpy 2.4 on x86-64
+    (on longer arrays it can round otherwise).  A failure on another
     platform points there, and _first_wave must then be restricted or
     removed on it.  The overflow cases pin that the scalar wave reports an
     overflow with a RuntimeWarning, as numpy's loops do."""
@@ -617,7 +621,7 @@ class TestOnePointHorner:
     POINTS = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
               -1.5 + 0j, complex(2.0, -0.0), 0.3 - 0.7j]
 
-    @pytest.mark.parametrize("shape", [(), (1,)])
+    @_ONE_CELL
     def test_complex_coefficients_match_numpy(self, shape):
         rng = np.random.default_rng(12)
         for degree in range(-1, 61):
@@ -628,7 +632,7 @@ class TestOnePointHorner:
                 side = float(rng.uniform(0.01, 4.0))
                 assert _scalar_wave(p, z, side) == _numpy_wave(p, z, side, shape), (degree, z)
 
-    @pytest.mark.parametrize("shape", [(), (1,)])
+    @_ONE_CELL
     def test_signed_zeros_match_numpy(self, shape):
         zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
         for n in range(1, 4):
@@ -636,7 +640,7 @@ class TestOnePointHorner:
                 for z in self.POINTS:
                     assert _scalar_wave(combo, z, 1.0) == _numpy_wave(combo, z, 1.0, shape), (combo, z)
 
-    @pytest.mark.parametrize("shape", [(), (1,)])
+    @_ONE_CELL
     def test_derivative_norms_match_numpy(self, shape):
         # the lower bound's Lipschitz constant alone, over wide radii
         rng = np.random.default_rng(13)
@@ -661,7 +665,7 @@ class TestOnePointHorner:
         region = SquareRegion(complex(-5.52e20, -5.52e20), 1.104e21)
         assert lipschitz_bound(from_roots(1.0, range(1, 21)), region) == math.inf
 
-    @pytest.mark.parametrize("shape", [(), (1,)])
+    @_ONE_CELL
     @pytest.mark.parametrize(
         "p, region, check",
         [

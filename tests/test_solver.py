@@ -362,6 +362,19 @@ class TestFindAllRoots:
             scale = 1.0 + max_coeff_norm(p)
             assert report.reconstruction_error <= 1e-7 * scale
 
+    def test_a_root_of_an_overflowing_modulus_is_taken(self):
+        # a descent step on this degree-5 input takes the root of a -s/a_k
+        # whose modulus overflows; both solvers report, with the seed
+        # search's overflow warnings
+        p = (2.09e284 + 1e284j, 3.97e-13 + 4.48e-13j, 2.31e-34 + 1.81e-34j,
+             -3.32e297 + 4.28e297j, 1.5e-44 - 1.92e-44j, 8.71e154 + 5.98e154j)
+        with pytest.warns(RuntimeWarning):
+            result = find_root(p)
+        with pytest.warns(RuntimeWarning):
+            report = find_all_roots(p)
+        assert report.roots[0] == result
+        assert len(report.roots) == 5
+
     def test_errors_propagate(self):
         with pytest.raises(NoRootExists):
             find_all_roots((3,))
